@@ -43,6 +43,10 @@ SERIES_EPS_MAX = 0.15
 #: Default search cap for aspect minimization (delta <= 4).
 EPS_CAP = math.log(4.0)
 
+# The bounded minimiser stops within about sqrt(machine eps) * x of a bound,
+# so a minimum pinned at EPS_CAP reads ln 4 - 2e-8, not ln 4.
+_CAP_RTOL = 1e-6
+
 _BRENT_RTOL = 4 * np.finfo(float).eps
 
 
@@ -460,7 +464,9 @@ def find_first_order(
     Solves ``E(A, 1) = min_branch E(A, e^eps)`` with the branch energy
     taken from the sixth-order expansion of the gap, which resolves
     crossings far below the absolute precision of the energies
-    themselves.  Returns ``(a_trans, eps_jump)``.
+    themselves.  Returns ``(a_trans, eps_jump)``; raises
+    ``SearchFailureError`` when the broken-branch minimum at the crossing
+    sits on the aspect cap ``EPS_CAP``, where it is no coexistence point.
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
 
@@ -518,6 +524,12 @@ def find_first_order(
         a_trans = brentq(g_direct, lo, hi, xtol=1e-13, rtol=1e-12)
         g_direct(a_trans)
         eps_jump = last["eps"]
+        if EPS_CAP - eps_jump <= _CAP_RTOL * EPS_CAP:
+            raise SearchFailureError(
+                f"broken-branch minimum pinned at the search cap eps={EPS_CAP:.6f} "
+                f"(eps_jump={eps_jump:.9f} at A={a_trans:.9f}); "
+                "the crossing is not a coexistence point"
+            )
     return float(a_trans), float(eps_jump)
 
 
@@ -526,7 +538,8 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
 
     Seeds from the root of the sixth-order coexistence condition
     E2 = E4^2 / (4 E6) and widens geometrically until the crossing
-    changes sign.
+    changes sign; raises ``BracketError`` when either walk would reach a
+    non-positive density first.
     """
 
     def coex(a):
@@ -544,6 +557,8 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
             break
         a -= step
         step *= 2.0
+        if a <= 0.0:
+            break
         val = coex(a)
     if lo is None:
         raise BracketError("could not bracket the coexistence condition")
@@ -553,6 +568,8 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
     width = max(1e-9 * proxy, 4.0 * abs(proxy - a_hint) * 1e-6)
     for _ in range(60):
         lo, hi = proxy - width, proxy + width
+        if lo <= 0.0:
+            break
         r_lo = _branch_gap(spec, lo, q, 0.0)
         r_hi = _branch_gap(spec, hi, q, 0.0)
         s_lo = -1.0 if r_lo is None else np.sign(r_lo[0])

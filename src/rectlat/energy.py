@@ -132,7 +132,10 @@ def energy_gap(
     """E(A, e^eps) - E(A, 1), evaluated as a single integral.
 
     The aspect-dependent and square-lattice theta products are
-    differenced inside the integrand (termwise, via expm1), so the
+    differenced inside the integrand through the factorised form
+    ``T(u) (d- + d+) + d- d+`` of 1D theta differences
+    ``d(+-) = T(u e^(+-eps)) - T(u)``, each summed termwise via expm1 over
+    a series whose length grows with ``|eps|`` (see ``theta``).  The
     result keeps absolute accuracy near the machine level even when the
     gap itself is many orders below the energies.  Background and
     self-term constants cancel identically in the difference.

@@ -30,7 +30,7 @@ from .critical import (
     kappa1_upper,
     a_star_min,
 )
-from .errors import RectlatError
+from .errors import RectlatError, SearchFailureError
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -52,6 +52,10 @@ class PhaseDiagramRow:
     status: str
 
 
+def _failure_status(err) -> str:
+    return f"failed: {type(err).__name__}: {err}"
+
+
 def _failed_row(family, kappa1, v1, err) -> PhaseDiagramRow:
     return PhaseDiagramRow(
         family=family,
@@ -62,14 +66,15 @@ def _failed_row(family, kappa1, v1, err) -> PhaseDiagramRow:
         eps_jump=0.0,
         e2_residual=None,
         e4_value=None,
-        status=f"failed: {type(err).__name__}: {err}",
+        status=_failure_status(err),
     )
 
 
 def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     """Rows for one parameter point: the E2 root, plus (in the first-order
     regime) the branch-crossing row, with the E2 root kept as the flagged
-    artificial extension of the second-order curve."""
+    artificial extension of the second-order curve.  A crossing whose
+    broken branch is pinned at the aspect cap keeps its row, marked failed."""
     tp = find_transition(spec, a_bracket, q)
     base = dict(
         family=spec.family,
@@ -93,12 +98,12 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
             **base,
         )
     ]
-    a_trans, eps_jump = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
-    rows.append(
-        PhaseDiagramRow(
-            a_star=a_trans, order="first", eps_jump=eps_jump, status="ok", **base
-        )
-    )
+    try:
+        a_trans, eps_jump = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
+        crossing = dict(a_star=a_trans, eps_jump=eps_jump, status="ok")
+    except SearchFailureError as err:
+        crossing = dict(a_star=None, eps_jump=0.0, status=_failure_status(err))
+    rows.append(PhaseDiagramRow(order="first", **crossing, **base))
     return rows
 
 

@@ -17,7 +17,17 @@ would amplify differencing noise.
 
 The module also evaluates the symmetric product
 ``P(u, e) = T(u exp(-e)) * T(u exp(e))`` and, in a cancellation-free
-form, its deviation from the square-lattice value ``P(u, 0)``.
+form, its deviation from the square-lattice value ``P(u, 0)``.  That gap
+factorises into 1D theta differences ``d(+-) = T(u e^(+-e)) - T(u)``::
+
+    P(u, e) - P(u, 0) = T(u) (d- + d+) + d- d+
+
+Each difference is summed termwise as ``e^(-j^2 u) expm1(-j^2 u expm1(+-e))``
+and the sum ``d- + d+`` per term as
+``e^(-j^2 u) [expm1(x + y) - expm1(x) expm1(y)]`` with
+``x + y = -j^2 u 4 sinh^2(e/2)``, so no first-order cancellation is left.
+The series length grows with ``|e|`` (``j^2 pi e^-|e| >= 40``); it is 8
+terms up to ``|e| = ln 4``.
 """
 
 from __future__ import annotations
@@ -133,27 +143,34 @@ def theta_product(u, eps: float):
     return theta3(u * math.exp(-eps)) * theta3(u * math.exp(eps))
 
 
-_PJ = np.arange(0, _JMAX_PAIR + 1)
-_PAIR_J, _PAIR_K = [a.ravel().astype(float) for a in np.meshgrid(_PJ, _PJ)]
-_keep = (_PAIR_J + _PAIR_K) > 0
-_PAIR_J, _PAIR_K = _PAIR_J[_keep], _PAIR_K[_keep]
-_PAIR_MULT = (2.0 - (_PAIR_J == 0)) * (2.0 - (_PAIR_K == 0))
+def _theta_step(s: np.ndarray, base: np.ndarray, c: float):
+    """Termwise e^{-s(1+c)} - e^{-s} and its near-mask: expm1 keeps accuracy
+    where the exponents nearly coincide; the plain difference is already
+    stable (and overflow-safe) once they are far apart."""
+    arg = -s * c
+    near = np.abs(arg) < 1.0
+    em = np.expm1(np.where(near, arg, 0.0))
+    return np.where(near, base * em, np.exp(-s * (1.0 + c)) - base), em, near
 
 
 def _pair_gap_direct(u: np.ndarray, eps: float) -> np.ndarray:
-    """P(u,eps) - P(u,0) summed termwise without cancellation; u >= ~1."""
-    a = math.expm1(-eps)
-    b = math.expm1(eps)
-    j2 = _PAIR_J[:, None] ** 2
-    k2 = _PAIR_K[:, None] ** 2
-    base = np.exp(-(j2 + k2) * u[None, :])
-    arg = -u[None, :] * (j2 * a + k2 * b)
-    # expm1 keeps accuracy where the exponents nearly coincide; the plain
-    # difference is already stable (and overflow-safe) once they are far apart.
-    near = np.abs(arg) < 1.0
-    shifted = np.exp(-u[None, :] * (j2 * (1.0 + a) + k2 * (1.0 + b)))
-    terms = np.where(near, base * np.expm1(np.where(near, arg, 0.0)), shifted - base)
-    return (_PAIR_MULT[:, None] * terms).sum(axis=0)
+    """P(u,eps) - P(u,0) = T(u) (d- + d+) + d- d+ without cancellation; u >= ~1."""
+    # the smallest series argument is u e^-|eps| >= pi e^-|eps|, and
+    # j^2 pi e^-|eps| >= 40 drops the tail below double precision
+    jmax = max(_JMAX_PAIR, math.ceil(math.sqrt(40.0 * math.exp(abs(eps)) / math.pi)))
+    s = np.multiply.outer(np.arange(1, jmax + 1, dtype=float) ** 2, u)
+    base = np.exp(-s)
+    dm, em, near_m = _theta_step(s, base, math.expm1(-eps))
+    dp, ep, near_p = _theta_step(s, base, math.expm1(eps))
+    # d- + d+ per term: e^x + e^y - 2 = expm1(x + y) - expm1(x) expm1(y),
+    # with x + y = -s 4 sinh^2(eps/2) free of the first-order cancellation
+    both = near_m & near_p
+    exy = np.expm1(-s * (4.0 * math.sinh(0.5 * eps) ** 2))
+    dsum = np.where(both, base * (exy - em * ep), dm + dp)
+    theta = 1.0 + 2.0 * base.sum(axis=0)
+    d_minus = 2.0 * dm.sum(axis=0)
+    d_plus = 2.0 * dp.sum(axis=0)
+    return theta * (2.0 * dsum.sum(axis=0)) + d_minus * d_plus
 
 
 def theta_product_gap(u, eps: float):

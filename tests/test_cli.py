@@ -111,6 +111,11 @@ class TestSolverCommands:
         assert row["a_trans"] == pytest.approx(2.795443562576, rel=1e-9)
         assert row["eps_jump"] > 0.0
 
+    def test_first_order_unbracketable_exit_code(self, capsys):
+        code = main(["first-order", "--family", "yukawa-coulomb", "--kappa1", "1.85"])
+        assert code == 2
+        assert "could not bracket" in capsys.readouterr().err
+
 
 class TestScanCommand:
     def test_csv_header_and_determinism(self, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rectlat.critical import minimize_aspect
+from rectlat.critical import EPS_CAP, minimize_aspect
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
     PhaseDiagramRow,
@@ -101,6 +101,34 @@ class TestYukawaCoulombScan:
         assert eps < 1e-4
         first = next(r for r in rows if r.order == "first" and r.status == "ok")
         assert first.eps_jump > 1e-2
+
+
+@pytest.fixture(scope="module")
+def yc_deep_rows(q):
+    return scan_yukawa_coulomb([1.85, 1.9, 2.0], q=q, tricritical_row=False)
+
+
+class TestDeepFirstOrderRows:
+    def test_bracket_walk_failure_is_a_row(self, yc_deep_rows):
+        # the bracket walk for kappa1 = 1.85 would reach a negative density
+        row = yc_deep_rows[0]
+        assert row.kappa1 == 1.85
+        assert row.status.startswith("failed: BracketError")
+
+    def test_cap_pinned_crossing_is_not_ok(self, yc_deep_rows):
+        # the broken-branch minimum at kappa1 = 1.9 sits on EPS_CAP
+        extension, crossing = yc_deep_rows[1:3]
+        assert extension.kappa1 == crossing.kappa1 == 1.9
+        assert extension.status == "artificial-extension"
+        assert crossing.order == "first"
+        assert crossing.a_star is None
+        assert crossing.status.startswith("failed: SearchFailureError")
+
+    def test_interior_crossing_still_ok(self, yc_deep_rows):
+        rows = yc_deep_rows[3:]
+        assert [r.kappa1 for r in rows] == [2.0, 2.0]
+        assert [r.status for r in rows] == ["artificial-extension", "ok"]
+        assert 0.0 < rows[1].eps_jump < EPS_CAP * (1.0 - 1e-6)
 
 
 class TestAStarMinScan:

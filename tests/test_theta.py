@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -147,3 +148,29 @@ def test_gap_modular_rescaling():
     lhs = theta_product_gap(u, eps)
     rhs = (math.pi / u) * theta_product_gap(math.pi**2 / u, eps)
     assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+def _mp_gap(u, eps):
+    """P(u, eps) - P(u, 0) at 60 digits, assembled from T - 1 = 2 sum_j e^{-j^2 t}
+    so that neither the constant mode nor the square-lattice value cancels."""
+    with mpmath.workdps(60):
+        u, eps = mpmath.mpf(u), mpmath.mpf(eps)
+
+        def tau(t):
+            jmax = int(mpmath.sqrt(200 / t)) + 2
+            return 2 * mpmath.fsum(mpmath.exp(-j * j * t) for j in range(1, jmax + 1))
+
+        tm, tp, t0 = tau(u * mpmath.exp(-eps)), tau(u * mpmath.exp(eps)), tau(u)
+        return float((tm + tp - 2 * t0) + (tm * tp - t0 * t0))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-3, 0.3, math.log(4.0), 2.5])
+def test_gap_against_high_precision_oracle(eps):
+    # u on both sides of the modular branch point; eps = 2.5 needs more
+    # series terms than |eps| <= ln 4 does
+    u = np.array([0.3, 1.0, 2.5, SPLIT, 4.0, 30.0, 300.0])
+    want = np.array([_mp_gap(x, eps) for x in u])
+    gap, mirrored = theta_product_gap(u, eps), theta_product_gap(u, -eps)
+    np.testing.assert_allclose(gap, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(mirrored, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(mirrored, gap, rtol=1e-15, atol=0.0)

@@ -23,6 +23,7 @@ from .expansion import (
     ExpansionCoefficients,
     e0,
     e2_closed,
+    e2_e4_closed,
     e4_closed,
     expansion_closed,
     expansion_series,
@@ -86,6 +87,7 @@ __all__ = [
     "direct_lattice_sum",
     "e0",
     "e2_closed",
+    "e2_e4_closed",
     "e2_slope",
     "e4_closed",
     "energy_gap",

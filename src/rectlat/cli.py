@@ -105,13 +105,13 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, kind, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
-        if kind == "lin":
+        if n >= 1 and kind == "lin":
             return np.linspace(lo, hi, n)
-        if kind == "log":
+        if n >= 1 and kind == "log":
             return np.geomspace(lo, hi, n)
     except ValueError:
         pass
-    raise ParameterDomainError(f"grid must be lo:hi:lin|log:N, got {text!r}")
+    raise ParameterDomainError(f"grid must be lo:hi:lin|log:N with N >= 1, got {text!r}")
 
 
 def _emit(ns, rows, header, config):
@@ -244,6 +244,8 @@ def cmd_fit(ns) -> int:
 
 def cmd_scan(ns) -> int:
     q = _quad(ns)
+    if ns.workers < 1:
+        raise ParameterDomainError(f"--workers must be at least 1, got {ns.workers}")
     config = {"command": "scan", "mode": ns.mode, "workers": ns.workers}
     if ns.mode == "critical-curve":
         if ns.kappa1 is None:

@@ -34,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     SearchFailureError,
 )
-from .expansion import curvature_bracket, e2_closed, e4_closed, landau_series
+from .expansion import curvature_bracket, e2_closed, e2_e4_closed, e4_closed, landau_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
@@ -210,11 +210,11 @@ def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> Tr
     a_star = brentq(
         lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=_BRENT_RTOL
     )
-    e4v = e4_closed(spec, a_star, q)
+    e2v, e4v = e2_e4_closed(spec, a_star, q)
     return TransitionPoint(
         a_star=float(a_star),
         order="second" if e4v > 0 else "first",
-        e2_residual=e2_closed(spec, a_star, q),
+        e2_residual=e2v,
         e4_at_a_star=e4v,
         bracket=(lo, hi),
     )
@@ -325,9 +325,8 @@ def find_tricritical(
             initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
         z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
 
-        def F(z):
-            spec = _dy_spec_unchecked(kappa1, z[1])
-            return (e2_closed(spec, z[0], q), e4_closed(spec, z[0], q))
+        def coefficients(z):
+            return e2_e4_closed(_dy_spec_unchecked(kappa1, z[1]), z[0], q)
 
         def in_domain(z):
             return z[0] > 0.0 and -0.2 < z[1] < kappa1 * 0.999999
@@ -347,9 +346,8 @@ def find_tricritical(
             initial_guess = (2.8, 2.04)
         z0 = initial_guess
 
-        def F(z):
-            spec = pot.derive_yukawa_coulomb(z[1])
-            return (e2_closed(spec, z[0], q), e4_closed(spec, z[0], q))
+        def coefficients(z):
+            return e2_e4_closed(pot.derive_yukawa_coulomb(z[1]), z[0], q)
 
         def in_domain(z):
             return z[0] > 0.0 and z[1] > 0.0
@@ -361,6 +359,16 @@ def find_tricritical(
 
     else:
         raise ParameterDomainError(f"no tricritical solve for family {family!r}")
+
+    # Newton's line search and the nested fallback's brackets revisit points
+    memo = {}
+
+    def F(z):
+        key = (float(z[0]), float(z[1]))
+        f = memo.get(key)
+        if f is None:
+            f = memo[key] = coefficients(z)
+        return f
 
     scale = _residual_scale(F, z0)
     try:
@@ -562,8 +570,14 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
         val = coex(a)
     if lo is None:
         raise BracketError("could not bracket the coexistence condition")
-    while coex(hi) > 0:
+    # walk right until the condition turns non-positive
+    for _ in range(80):
+        if not coex(hi) > 0:
+            break
         hi += step
+        step *= 2.0
+    else:
+        raise BracketError("could not bracket the coexistence condition from above")
     proxy = brentq(coex, lo, hi, xtol=1e-15, rtol=_BRENT_RTOL)
     width = max(1e-9 * proxy, 4.0 * abs(proxy - a_hint) * 1e-6)
     for _ in range(60):

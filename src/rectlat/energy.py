@@ -86,6 +86,34 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     return total
 
 
+def split_integral(
+    spec: pot.PotentialSpec, area: float, table_of, q: QuadratureConfig = DEFAULT_CONFIG
+):
+    """front * integral of self-rescaling node tables against the measure.
+
+    ``table_of(grid)`` returns the bracket on the grid's nodes, either one
+    table or a stack of them (last axis = nodes).  The t-integral is split
+    at ``q.split_point``; the part below is mapped through ``t -> pi^2/t``,
+    and both sides share one refinement ladder, so a stack costs one set
+    of measure weights per grid and each row equals its own integral.
+    """
+    if not (area > 0) or not math.isfinite(area):
+        raise ParameterDomainError(f"area must be finite and positive, got {area}")
+    front = pot.front_factor(spec, area)
+    a = q.split_point
+    b = math.pi**2 / a
+
+    def side(weight):
+        def piece(grid):
+            contrib = front * grid.weights * table_of(grid) * weight(spec, area, grid.nodes)
+            return contrib.sum(axis=-1), np.abs(contrib).sum(axis=-1)
+
+        return piece
+
+    pieces = [(a, side(pot.weight_direct)), (b, side(pot.weight_transformed))]
+    return integrate(pieces, pot.tail_scale(spec, area), q)
+
+
 def lattice_energy(
     spec: pot.PotentialSpec, state: LatticeState, q: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
@@ -96,31 +124,9 @@ def lattice_energy(
             "the sum is not absolutely convergent otherwise"
         )
     area, eps = state.area, state.eps
+    value = split_integral(spec, area, lambda g: _product_minus_one(g.nodes, eps), q)
     a = q.split_point
-    b = math.pi**2 / a
-    front = pot.front_factor(spec, area)
-    tail = front * _analytic_tail(spec, area, a, b)
-
-    def direct(grid):
-        contrib = (
-            front
-            * grid.weights
-            * _product_minus_one(grid.nodes, eps)
-            * pot.weight_direct(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
-
-    def transformed(grid):
-        contrib = (
-            front
-            * grid.weights
-            * _product_minus_one(grid.nodes, eps)
-            * pot.weight_transformed(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
-
-    value = integrate([(a, direct), (b, transformed)], pot.tail_scale(spec, area), q)
-    return value + tail
+    return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 
 
 def energy_gap(
@@ -140,29 +146,7 @@ def energy_gap(
     gap itself is many orders below the energies.  Background and
     self-term constants cancel identically in the difference.
     """
-    a = q.split_point
-    b = math.pi**2 / a
-    front = pot.front_factor(spec, area)
-
-    def direct(grid):
-        contrib = (
-            front
-            * grid.weights
-            * theta_product_gap(grid.nodes, eps)
-            * pot.weight_direct(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
-
-    def transformed(grid):
-        contrib = (
-            front
-            * grid.weights
-            * theta_product_gap(grid.nodes, eps)
-            * pot.weight_transformed(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
-
-    return integrate([(a, direct), (b, transformed)], pot.tail_scale(spec, area), q)
+    return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Two independent evaluation routes are provided.
 
 * Closed form: the eps^2 and eps^4 coefficients of the theta product
   reduce to explicit combinations of ``theta3`` and its t-derivatives
-  (``_p2_bracket``, ``_p4_bracket``); integrating them against the
-  potential measure gives ``e2_closed`` / ``e4_closed``.
+  (``_p2_direct``, ``_p4_direct``); integrating them against the
+  potential measure gives ``e2_closed`` / ``e4_closed``, or both at once
+  from ``e2_e4_closed``.
 * Series: at every quadrature node the product
   ``sum_{j,k} exp(-(j^2 e^-eps + k^2 e^eps) t)`` is built as a truncated
   power series in eps by series-exponentiation over (j, k) shells, and
@@ -23,7 +24,11 @@ Two independent evaluation routes are provided.
 
 Both routes exploit the exact rescaling ``B(t) = (pi/t) B(pi^2/t)``
 obeyed by every eps-coefficient of the theta product, which keeps all
-series arguments at or above pi.
+series arguments at or above pi.  Every coefficient is one row of
+``energy.split_integral``: stacked rows (E2 with E4, or all series
+orders) share one quadrature ladder and one set of measure weights per
+grid, and each row stops at its own convergence level, so a stacked row
+is bit-for-bit the coefficient integrated alone.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import potentials as pot
-from .energy import LatticeState, lattice_energy
+from .energy import LatticeState, lattice_energy, split_integral
 from .errors import ParameterDomainError
 from .powerseries import TRUNCATION_ORDER, exp_coeffs_batch
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .theta import theta3_derivs
 
 
@@ -137,28 +141,20 @@ def _series_rows(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bracket_integral(spec, area, q, bracket_of):
-    """front * integral of a self-rescaling bracket against the measure."""
-    front = pot.front_factor(spec, area)
-    a = q.split_point
-    b = math.pi**2 / a
+def _p2_table(grid):
+    return grid.cached("p2", curvature_bracket)
 
-    def direct(grid):
-        contrib = (
-            front * grid.weights * bracket_of(grid) * pot.weight_direct(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
 
-    def transformed(grid):
-        contrib = (
-            front
-            * grid.weights
-            * bracket_of(grid)
-            * pot.weight_transformed(spec, area, grid.nodes)
-        )
-        return contrib.sum(), np.abs(contrib).sum()
+def _p4_table(grid):
+    return grid.cached("p4", quartic_bracket)
 
-    return integrate([(a, direct), (b, transformed)], pot.tail_scale(spec, area), q)
+
+def _p2_p4_table(grid):
+    return grid.cached("p2p4", lambda u: np.stack([_p2_table(grid), _p4_table(grid)]))
+
+
+def _series_table(grid):
+    return grid.cached("series", _series_rows)[1:]
 
 
 def e0(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -167,11 +163,17 @@ def e0(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 
 def e2_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return _bracket_integral(spec, area, q, lambda g: g.cached("p2", curvature_bracket))
+    return split_integral(spec, area, _p2_table, q)
 
 
 def e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return _bracket_integral(spec, area, q, lambda g: g.cached("p4", quartic_bracket))
+    return split_integral(spec, area, _p4_table, q)
+
+
+def e2_e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
+    """``(e2_closed, e4_closed)`` from one shared quadrature pass."""
+    e2, e4 = split_integral(spec, area, _p2_p4_table, q)
+    return e2, e4
 
 
 def landau_series(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -182,10 +184,7 @@ def landau_series(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> np
     self-term/background constants and is evaluated by ``e0``).
     """
     out = np.zeros(TRUNCATION_ORDER + 1)
-    for m in range(1, TRUNCATION_ORDER + 1):
-        out[m] = _bracket_integral(
-            spec, area, q, lambda g, m=m: g.cached("series", _series_rows)[m]
-        )
+    out[1:] = split_integral(spec, area, _series_table, q)
     return out
 
 

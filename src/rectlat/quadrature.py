@@ -7,6 +7,12 @@ They are evaluated on composite Gauss-Legendre panels laid out
 geometrically in ``log u``; refinement doubles the panel count and the
 run is accepted once two consecutive levels agree to tolerance.
 
+A piece may return arrays: a stack of integrands against the same
+measure then shares one ladder (the same grids, the same measure
+weights), and each component is frozen at the first level where it
+passes its own test.  Every component is therefore bit-for-bit the value
+its own ladder would give.
+
 Node placement is a pure function of the integration window, so results
 are bit-reproducible run to run and independent of evaluation order.
 Grids (and expensive node-wise bracket tables attached to them) are
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError
+from .errors import ParameterDomainError, QuadratureError
 
 _GL_ORDER = 24
 _BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
@@ -41,12 +47,12 @@ class QuadratureConfig:
     max_refinements: int = 6
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.split_point <= 0:
-            raise ValueError("split_point must be positive")
+        for name in ("rel_tol", "abs_tol", "split_point"):
+            x = getattr(self, name)
+            if not (x > 0) or not math.isfinite(x):
+                raise ParameterDomainError(f"{name} must be finite and positive, got {x}")
         if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
+            raise ParameterDomainError("max_refinements must be at least 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -109,16 +115,17 @@ def grid_for(lo: float, decay_scale: float, level: int) -> Grid:
     return g
 
 
-def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
     """Sum of semi-infinite integrals with a shared refinement ladder.
 
     ``pieces`` is a sequence of ``(lo, fn)`` where ``fn(grid)`` returns
     ``(value, abs_scale)``: the panel-weighted sum of the integrand and
-    of its absolute value.  Refinement stops when two consecutive levels
-    agree within ``max(rel_tol * abs_scale, abs_tol)``.
+    of its absolute value, as scalars or as arrays of one shape.  A
+    component is accepted at the first level where it agrees with the
+    previous level within ``max(rel_tol * abs_scale, abs_tol)``; its
+    value is frozen there while the others refine.
     """
-    prev = None
-    value = scale = 0.0
+    prev = kept = None  # kept: components accepted at an earlier level
     for level in range(q.max_refinements + 1):
         value = 0.0
         scale = 0.0
@@ -127,12 +134,16 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG) 
             value += v
             scale += s
         if prev is not None:
-            err = abs(value - prev)
-            if err <= max(q.rel_tol * scale, q.abs_tol):
+            if kept is not None:
+                value = np.where(kept, prev, value)
+            change = abs(value - prev)
+            passed = change <= np.maximum(q.rel_tol * scale, q.abs_tol)
+            if passed.all():
                 return value
+            kept = passed if passed.any() else None
         prev = value
     raise QuadratureError(
         f"quadrature did not converge after {q.max_refinements} refinements "
-        f"(last change {abs(value - prev):.3e} against scale {scale:.3e})",
-        residual=abs(value - prev),
+        f"(last change {np.max(change):.3e} against scale {np.max(scale):.3e})",
+        residual=float(np.max(change)),
     )

@@ -52,6 +52,13 @@ class TestEnergyCommand:
     def test_missing_family_params_exit_code(self, capsys):
         assert main(["energy", "--family", "riesz", "--area", "1.0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--rel-tol", "nan"), ("--abs-tol", "inf"), ("--split-point", "nan")]
+    )
+    def test_non_finite_quadrature_setting_exit_code(self, capsys, flag, value):
+        argv = ["energy", "--family", "riesz", "--s", "4", "--area", "1.0", flag, value]
+        assert main(argv) == 2
+
 
 class TestExpandCommand:
     def test_near_transition_curvature_vanishes(self, capsys):
@@ -147,6 +154,21 @@ class TestScanCommand:
 
     def test_bad_grid_syntax(self, capsys):
         assert main(["scan", "--mode", "a-star-min", "--kappa1-grid", "nope"]) == 2
+
+    @pytest.mark.parametrize("grid", ["1:2:lin:0", "1:2:log:0", "1:2:lin:-3"])
+    def test_empty_grid_rejected(self, capsys, grid):
+        assert main(["scan", "--mode", "a-star-min", "--kappa1-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "N >= 1" in captured.err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_must_be_positive(self, capsys, workers):
+        argv = ["scan", "--mode", "a-star-min", "--kappa1-grid", "1:2:lin:2", "--workers", workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers" in captured.err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import rectlat.critical
 from rectlat.critical import (
     a_star_min,
     a_star_min_zero_limit,
@@ -102,6 +104,26 @@ class TestFindTricritical:
         with pytest.raises(ParameterDomainError):
             find_tricritical("riesz")
 
+    def test_each_point_evaluated_once_per_solve(self, monkeypatch):
+        # a solve near the window's upper end: Newton gives up and the nested
+        # fallback revisits the points its brackets and Newton already saw
+        seen = []
+        inner = rectlat.critical.e2_e4_closed
+
+        def counted(spec, area, q):
+            seen.append((float(area), float(spec.kappa2)))
+            return inner(spec, area, q)
+
+        monkeypatch.setattr(rectlat.critical, "e2_e4_closed", counted)
+        tc = find_tricritical(
+            "double-yukawa",
+            2.0364460787263177,
+            initial_guess=(2.792050663652686, 4.160637578855316),
+        )
+        assert math.isnan(tc.jacobian_condition)  # the fallback ran
+        assert len(seen) > 100
+        assert len(set(seen)) == len(seen)
+
 
 class TestFindFirstOrder:
     def test_locates_branch_crossing(self, yc_near_tricritical, q):
@@ -121,6 +143,14 @@ class TestFindFirstOrder:
         assert e_hi < lattice_energy(
             yc_near_tricritical, LatticeState(2.795443562606, 0.0)
         )
+
+    def test_bracket_walk_is_bounded(self):
+        # a purely repulsive potential has no branch crossing: the right-hand
+        # walk must give up within its step budget, not creep on
+        start = time.perf_counter()
+        with pytest.raises(BracketError):
+            first_order_bracket(yukawa(1.0), 2.6)
+        assert time.perf_counter() - start < 10.0
 
     def test_second_order_family_rejected(self, dy98):
         tp = find_transition(dy98, (2.0, 3.2))

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rectlat.energy import LatticeState, lattice_energy
+from rectlat.energy import LatticeState, energy_gap, lattice_energy, split_integral
 from rectlat.errors import ParameterDomainError
 from rectlat.expansion import (
+    _series_rows,
     curvature_bracket,
     e0,
     e2_closed,
+    e2_e4_closed,
     e4_closed,
     expansion_closed,
     expansion_series,
@@ -107,6 +109,53 @@ class TestSeriesRoute:
         spec = derive_yukawa_coulomb(2.036517758847)
         rows = landau_series(spec, 2.795433950879)
         assert rows[6] > 0.0
+
+
+_SPECS = {
+    "double-yukawa": lambda: derive_double_yukawa(9.8, 2.0),
+    "yukawa-coulomb": lambda: derive_yukawa_coulomb(2.0365),
+    "yukawa": lambda: yukawa(1.5, 2.0),
+    "riesz": lambda: riesz(3.0),
+}
+
+
+class TestSharedLadder:
+    """Stacked rows share one ladder yet equal their own integrals bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_SPECS))
+    def test_e2_e4_closed_is_the_pair(self, name):
+        spec = _SPECS[name]()
+        for area in (0.7, 2.6, 2.79543395, 6.0):
+            assert e2_e4_closed(spec, area) == (e2_closed(spec, area), e4_closed(spec, area))
+
+    @pytest.mark.parametrize("name", sorted(_SPECS))
+    def test_landau_rows_are_single_row_integrals(self, name):
+        spec = _SPECS[name]()
+        for area in (1.3, 2.6):
+            rows = landau_series(spec, area)
+            for m in range(1, rows.size):
+                alone = split_integral(
+                    spec, area, lambda g, m=m: g.cached("series", _series_rows)[m]
+                )
+                assert rows[m] == alone
+
+
+@pytest.mark.parametrize("area", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda spec, a: lattice_energy(spec, LatticeState(a)),
+        lambda spec, a: energy_gap(spec, a, 0.1),
+        e2_closed,
+        e4_closed,
+        e2_e4_closed,
+        landau_series,
+    ],
+    ids=["lattice_energy", "energy_gap", "e2_closed", "e4_closed", "e2_e4_closed", "landau_series"],
+)
+def test_area_must_be_finite_and_positive(dy98, entry, area):
+    with pytest.raises(ParameterDomainError):
+        entry(dy98, area)
 
 
 class TestFiniteDifferenceCurvature:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rectlat.errors import QuadratureError
+from rectlat.errors import ParameterDomainError, QuadratureError
 from rectlat.quadrature import DEFAULT_CONFIG, Grid, QuadratureConfig, grid_for, integrate
 
 
@@ -16,6 +16,22 @@ def test_config_validation():
         QuadratureConfig(split_point=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=0)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("rel_tol", math.nan),
+        ("rel_tol", math.inf),
+        ("abs_tol", math.nan),
+        ("abs_tol", math.inf),
+        ("split_point", math.nan),
+        ("split_point", math.inf),
+    ],
+)
+def test_config_rejects_non_finite(field, bad):
+    with pytest.raises(ParameterDomainError):
+        QuadratureConfig(**{field: bad})
 
 
 def _exp_piece(grid):
@@ -62,7 +78,44 @@ def test_failure_carries_residual():
     q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, max_refinements=1)
     with pytest.raises(QuadratureError) as exc:
         integrate([(math.pi, noisy)], 0.0, q)
-    assert exc.value.residual is not None
+    assert exc.value.residual > 0.0
+
+
+def _cosine_piece(ks, levels=None):
+    """cos(k u) exp(-u/2) for each k; higher k needs finer grids."""
+    ks = np.asarray(ks, dtype=float)
+
+    def piece(grid):
+        if levels is not None:
+            levels.append(grid.level)
+        contrib = (
+            grid.weights * np.cos(np.multiply.outer(ks, grid.nodes)) * np.exp(-0.5 * grid.nodes)
+        )
+        return contrib.sum(axis=-1), np.abs(contrib).sum(axis=-1)
+
+    return piece
+
+
+def test_components_stop_at_their_own_level():
+    ks = (1.0, 6.0, 10.0)
+    stacked = integrate([(math.pi, _cosine_piece(ks))], 0.0)
+    assert stacked.shape == (3,)
+    reached = []
+    for i, k in enumerate(ks):
+        levels = []
+        alone = integrate([(math.pi, _cosine_piece(k, levels))], 0.0)
+        reached.append(max(levels))
+        # each row is bit-for-bit its own ladder's value, frozen at its level
+        assert stacked[i] == alone
+        a = math.pi
+        exact = math.exp(-0.5 * a) * (0.5 * math.cos(k * a) - k * math.sin(k * a)) / (0.25 + k * k)
+        assert stacked[i] == pytest.approx(exact, rel=1e-11, abs=1e-15)
+    assert reached == [1, 2, 3]
+
+
+def test_scalar_pieces_return_scalars():
+    value = integrate([(math.pi, _exp_piece)], 0.0)
+    assert np.ndim(value) == 0
 
 
 def test_grid_caching_and_determinism():

@@ -56,7 +56,6 @@ from .potentials import (
     spec_from_json,
     yukawa,
 )
-from .powerseries import PowerSeries, series_add, series_exp, series_mul
 from .quadrature import QuadratureConfig
 from .theta import theta3, theta3_deriv
 
@@ -72,7 +71,6 @@ __all__ = [
     "ParameterDomainError",
     "PoorFitWarning",
     "PotentialSpec",
-    "PowerSeries",
     "QuadratureConfig",
     "QuadratureError",
     "RectlatError",
@@ -106,9 +104,6 @@ __all__ = [
     "minimize_aspect",
     "potential_value",
     "riesz",
-    "series_add",
-    "series_exp",
-    "series_mul",
     "spec_from_json",
     "theta3",
     "theta3_deriv",

@@ -39,6 +39,7 @@ from .errors import (
     QuadratureError,
     SearchFailureError,
     UnsupportedOracleError,
+    check_domain,
 )
 from .phasescan import (
     SCAN_CSV_HEADER,
@@ -102,16 +103,14 @@ def _spec(ns) -> pot.PotentialSpec:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    message = f"grid must be lo:hi:lin|log:N with N >= 1, got {text!r}"
     try:
         lo, hi, kind, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
-        if n >= 1 and kind == "lin":
-            return np.linspace(lo, hi, n)
-        if n >= 1 and kind == "log":
-            return np.geomspace(lo, hi, n)
     except ValueError:
-        pass
-    raise ParameterDomainError(f"grid must be lo:hi:lin|log:N with N >= 1, got {text!r}")
+        raise ParameterDomainError(message) from None
+    check_domain(n >= 1 and kind in ("lin", "log"), message, lo=lo, hi=hi)
+    return np.linspace(lo, hi, n) if kind == "lin" else np.geomspace(lo, hi, n)
 
 
 def _emit(ns, rows, header, config):

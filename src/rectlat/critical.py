@@ -33,9 +33,10 @@ from .errors import (
     NonconvergenceError,
     ParameterDomainError,
     SearchFailureError,
+    check_domain,
 )
-from .expansion import curvature_bracket, e2_closed, e2_e4_closed, e4_closed, landau_series
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .expansion import curvature_table, e2_closed, e2_e4_closed, e4_closed, landau_series
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
@@ -546,19 +547,22 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
 
     Seeds from the root of the sixth-order coexistence condition
     E2 = E4^2 / (4 E6) and widens geometrically until the crossing
-    changes sign; raises ``BracketError`` when either walk would reach a
+    changes sign; raises ``BracketError`` when E6 <= 0 at the hint (the
+    condition has no meaning there) or when either walk would reach a
     non-positive density first.
     """
 
-    def coex(a):
+    def coex(a, seed=False):
         c2, c4, c6, _ = _gap_coefficients(spec, a, q)
+        if seed and not c6 > 0:
+            raise BracketError(f"coexistence condition undefined at A={a}: E6={c6:.3e} <= 0")
         return c2 - c4 * c4 / (4.0 * c6)
 
     # walk left from the E2 root hint until the condition turns positive
     lo = hi = None
     a = a_hint
     step = 1e-6 * a_hint
-    val = coex(a)
+    val = coex(a, seed=True)
     for _ in range(80):
         if val > 0:
             lo, hi = a, a + step
@@ -679,31 +683,22 @@ def _a_star_min_condition(kappa1: float, area: float, q: QuadratureConfig) -> fl
     ``exp(-kappa1^2 A / 4t) [1 - (1+kappa1) A / 2t]`` in that limit; the
     curvature coefficient against it must vanish.
     """
-    a = q.split_point
-    b = math.pi**2 / a
     k = kappa1
     p = k * k * area / 4.0
     c = p / math.pi**2
-
-    def direct(grid):
-        u = grid.nodes
-        w = np.exp(-p / u) * (1.0 - (1.0 + k) * area / (2.0 * u)) / np.sqrt(u)
-        contrib = grid.weights * grid.cached("p2", curvature_bracket) * w
-        return contrib.sum(), np.abs(contrib).sum()
-
-    def transformed(grid):
-        u = grid.nodes
-        w = np.exp(-c * u) * (1.0 - (1.0 + k) * area * u / (2.0 * math.pi**2)) / np.sqrt(u)
-        contrib = grid.weights * grid.cached("p2", curvature_bracket) * w
-        return contrib.sum(), np.abs(contrib).sum()
-
-    return integrate([(a, direct), (b, transformed)], p, q)
+    return integrate_split(
+        curvature_table,
+        lambda u: np.exp(-p / u) * (1.0 - (1.0 + k) * area / (2.0 * u)) / np.sqrt(u),
+        lambda u: np.exp(-c * u) * (1.0 - (1.0 + k) * area * u / (2.0 * math.pi**2)) / np.sqrt(u),
+        p,
+        q,
+        front=1.0,
+    )
 
 
 def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Limiting transition density of the double-Yukawa family at v1 -> inf."""
-    if kappa1 <= 0:
-        raise ParameterDomainError("kappa1 must be positive")
+    check_domain(kappa1 > 0, "kappa1 must be positive", kappa1=kappa1)
     f = lambda a: _a_star_min_condition(kappa1, a, q)
     grid = np.geomspace(0.2, 20.0, 41)
     vals = [f(a) for a in grid]
@@ -720,29 +715,17 @@ def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """kappa1 -> 0+ limit of a_star_min, as a ratio of two curvature moments."""
-    a = q.split_point
-    b = math.pi**2 / a
 
     def moment(power_direct, power_transformed):
-        def direct(grid):
-            contrib = (
-                grid.weights
-                * grid.cached("p2", curvature_bracket)
-                * grid.nodes**power_direct
-            )
-            return contrib.sum(), np.abs(contrib).sum()
-
-        def transformed(grid):
-            scale = math.pi ** (-2.0 * power_transformed - 1.0)
-            contrib = (
-                grid.weights
-                * grid.cached("p2", curvature_bracket)
-                * scale
-                * grid.nodes**power_transformed
-            )
-            return contrib.sum(), np.abs(contrib).sum()
-
-        return integrate([(a, direct), (b, transformed)], 0.0, q)
+        scale = math.pi ** (-2.0 * power_transformed - 1.0)
+        return integrate_split(
+            curvature_table,
+            lambda u: u**power_direct,
+            lambda u: scale * u**power_transformed,
+            0.0,
+            q,
+            front=1.0,
+        )
 
     # numerator: 2 * integral sqrt(t) G dt; denominator: integral G/sqrt(t) dt,
     # with G the curvature bracket divided by t

@@ -28,9 +28,9 @@ import numpy as np
 from scipy.special import erfc
 
 from . import potentials as pot
-from .errors import NonconvergenceError, ParameterDomainError, UnsupportedOracleError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .theta import theta3, theta_product_gap
+from .errors import NonconvergenceError, ParameterDomainError, UnsupportedOracleError, check_domain
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .theta import theta_product, theta_product_gap
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class LatticeState:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not self.area > 0:
-            raise ParameterDomainError(f"inverse density A must be positive, got {self.area}")
+        a = self.area
+        check_domain(a > 0, f"inverse density A must be positive, got {a}", A=a, eps=self.eps)
 
     @property
     def delta(self) -> float:
@@ -50,10 +50,6 @@ class LatticeState:
 
     def mirrored(self) -> "LatticeState":
         return LatticeState(self.area, -self.eps)
-
-
-def _product_minus_one(u: np.ndarray, eps: float) -> np.ndarray:
-    return theta3(u * math.exp(-eps)) * theta3(u * math.exp(eps)) - 1.0
 
 
 def _analytic_tail(spec, area: float, a: float, b: float) -> float:
@@ -89,29 +85,21 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
 def split_integral(
     spec: pot.PotentialSpec, area: float, table_of, q: QuadratureConfig = DEFAULT_CONFIG
 ):
-    """front * integral of self-rescaling node tables against the measure.
+    """``quadrature.integrate_split`` against the potential's measure.
 
     ``table_of(grid)`` returns the bracket on the grid's nodes, either one
-    table or a stack of them (last axis = nodes).  The t-integral is split
-    at ``q.split_point``; the part below is mapped through ``t -> pi^2/t``,
-    and both sides share one refinement ladder, so a stack costs one set
-    of measure weights per grid and each row equals its own integral.
+    table or a stack of them (last axis = nodes), each row integrated
+    under one shared ladder.
     """
-    if not (area > 0) or not math.isfinite(area):
-        raise ParameterDomainError(f"area must be finite and positive, got {area}")
-    front = pot.front_factor(spec, area)
-    a = q.split_point
-    b = math.pi**2 / a
-
-    def side(weight):
-        def piece(grid):
-            contrib = front * grid.weights * table_of(grid) * weight(spec, area, grid.nodes)
-            return contrib.sum(axis=-1), np.abs(contrib).sum(axis=-1)
-
-        return piece
-
-    pieces = [(a, side(pot.weight_direct)), (b, side(pot.weight_transformed))]
-    return integrate(pieces, pot.tail_scale(spec, area), q)
+    check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
+    return integrate_split(
+        table_of,
+        lambda u: pot.weight_direct(spec, area, u),
+        lambda u: pot.weight_transformed(spec, area, u),
+        pot.tail_scale(spec, area),
+        q,
+        pot.front_factor(spec, area),
+    )
 
 
 def lattice_energy(
@@ -124,7 +112,7 @@ def lattice_energy(
             "the sum is not absolutely convergent otherwise"
         )
     area, eps = state.area, state.eps
-    value = split_integral(spec, area, lambda g: _product_minus_one(g.nodes, eps), q)
+    value = split_integral(spec, area, lambda g: theta_product(g.nodes, eps) - 1.0, q)
     a = q.split_point
     return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 

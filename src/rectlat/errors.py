@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input-domain check."""
+
+import math
 
 
 class RectlatError(Exception):
@@ -45,3 +47,17 @@ class ClassificationError(RectlatError, ArithmeticError):
 
 class UnsupportedOracleError(RectlatError, ValueError):
     """The direct lattice sum was requested for a potential it cannot handle."""
+
+
+def check_domain(ok: bool, message: str, **values) -> None:
+    """Refuse out-of-domain input with ``ParameterDomainError``.
+
+    Every keyword value must be a finite number (a NaN or an infinity is
+    named in the error), and ``ok`` must hold; ``message`` says why it
+    does not.  Write ``ok`` so that a NaN makes it false.
+    """
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ParameterDomainError(f"{name} must be finite, got {x}")
+    if not ok:
+        raise ParameterDomainError(message)

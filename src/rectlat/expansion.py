@@ -23,12 +23,13 @@ Two independent evaluation routes are provided.
   sixth-order coefficient, for which no closed bracket is carried.
 
 Both routes exploit the exact rescaling ``B(t) = (pi/t) B(pi^2/t)``
-obeyed by every eps-coefficient of the theta product, which keeps all
-series arguments at or above pi.  Every coefficient is one row of
-``energy.split_integral``: stacked rows (E2 with E4, or all series
-orders) share one quadrature ladder and one set of measure weights per
-grid, and each row stops at its own convergence level, so a stacked row
-is bit-for-bit the coefficient integrated alone.
+obeyed by every eps-coefficient of the theta product; ``theta.modular_reduce``
+keeps all series arguments at or above pi.  Every coefficient is one row of
+``energy.split_integral`` (the split kernel against the potential's
+measure): stacked rows (E2 with E4, or all series orders) share one
+quadrature ladder and one set of measure weights per grid, and each row
+stops at its own convergence level, so a stacked row is bit-for-bit the
+coefficient integrated alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .energy import LatticeState, lattice_energy, split_integral
 from .errors import ParameterDomainError
 from .powerseries import TRUNCATION_ORDER, exp_coeffs_batch
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .theta import theta3_derivs
+from .theta import modular_reduce, theta3_derivs
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,14 @@ def _p4_direct(u):
     ) / 12.0
 
 
-def _reduce_modular(u, direct_fn):
-    """Evaluate a self-rescaling bracket with all series arguments >= pi."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    big = u >= math.pi
-    if big.any():
-        out[big] = direct_fn(u[big])
-    if (~big).any():
-        us = u[~big]
-        out[~big] = (math.pi / us) * direct_fn(math.pi**2 / us)
-    return out
-
-
 def curvature_bracket(u):
     """eps^2 coefficient of the theta product; strictly positive on (0, inf)."""
-    return _reduce_modular(u, _p2_direct)
+    return modular_reduce(u, _p2_direct)
 
 
 def quartic_bracket(u):
     """eps^4 coefficient of the theta product."""
-    return _reduce_modular(u, _p4_direct)
+    return modular_reduce(u, _p4_direct)
 
 
 # (j, k) shells entering the series route; exp(-(j^2+k^2) pi) decides the cut
@@ -130,18 +118,11 @@ def _series_rows_direct(u: np.ndarray) -> np.ndarray:
 
 
 def _series_rows(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.empty((TRUNCATION_ORDER + 1, u.size))
-    big = u >= math.pi
-    if big.any():
-        out[:, big] = _series_rows_direct(u[big])
-    if (~big).any():
-        us = u[~big]
-        out[:, ~big] = (math.pi / us)[None, :] * _series_rows_direct(math.pi**2 / us)
-    return out
+    return modular_reduce(u, _series_rows_direct)
 
 
-def _p2_table(grid):
+def curvature_table(grid):
+    """The curvature bracket on the grid's nodes, cached on the grid."""
     return grid.cached("p2", curvature_bracket)
 
 
@@ -150,7 +131,7 @@ def _p4_table(grid):
 
 
 def _p2_p4_table(grid):
-    return grid.cached("p2p4", lambda u: np.stack([_p2_table(grid), _p4_table(grid)]))
+    return grid.cached("p2p4", lambda u: np.stack([curvature_table(grid), _p4_table(grid)]))
 
 
 def _series_table(grid):
@@ -163,7 +144,7 @@ def e0(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 
 def e2_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return split_integral(spec, area, _p2_table, q)
+    return split_integral(spec, area, curvature_table, q)
 
 
 def e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -212,11 +193,7 @@ def expansion_closed(
     spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExpansionCoefficients:
     """Expansion coefficients via the closed-form brackets (orders 0-4)."""
+    e2, e4 = e2_e4_closed(spec, area, q)
     return ExpansionCoefficients(
-        area=area,
-        e0=e0(spec, area, q),
-        e2=e2_closed(spec, area, q),
-        e4=e4_closed(spec, area, q),
-        e6=None,
-        method="closed_form",
+        area=area, e0=e0(spec, area, q), e2=e2, e4=e4, e6=None, method="closed_form"
     )

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_domain
 
 RIESZ = "riesz"
 YUKAWA = "yukawa"
@@ -82,16 +82,13 @@ def spec_from_json(text: str) -> PotentialSpec:
 
 
 def riesz(s: float) -> PotentialSpec:
-    if s <= 0:
-        raise ParameterDomainError(f"Riesz exponent must be positive, got {s}")
+    check_domain(s > 0, f"Riesz exponent must be positive, got {s}", s=s)
     return PotentialSpec(family=RIESZ, s=float(s))
 
 
 def yukawa(kappa: float, v: float = 1.0) -> PotentialSpec:
-    if kappa <= 0:
-        raise ParameterDomainError(f"Yukawa screening kappa must be positive, got {kappa}")
-    if v <= 0:
-        raise ParameterDomainError(f"Yukawa strength v must be positive, got {v}")
+    check_domain(kappa > 0, f"Yukawa screening kappa must be positive, got {kappa}", kappa=kappa)
+    check_domain(v > 0, f"Yukawa strength v must be positive, got {v}", v=v)
     return PotentialSpec(family=YUKAWA, kappa=float(kappa), v=float(v))
 
 
@@ -101,13 +98,13 @@ def derive_double_yukawa(v1: float, kappa1: float) -> PotentialSpec:
     The admissible region is ``v1 > exp(kappa1)/kappa1``; on its border
     the screening of the attractive term vanishes.
     """
-    if kappa1 <= 0:
-        raise ParameterDomainError(f"kappa1 must be positive, got {kappa1}")
+    check_domain(kappa1 > 0, f"kappa1 must be positive, got {kappa1}", kappa1=kappa1)
     bound = math.exp(kappa1) / kappa1
-    if not v1 > bound:
-        raise ParameterDomainError(
-            f"v1={v1} must exceed exp(kappa1)/kappa1={bound:.12g} for kappa1={kappa1}"
-        )
+    check_domain(
+        v1 > bound,
+        f"v1={v1} must exceed exp(kappa1)/kappa1={bound:.12g} for kappa1={kappa1}",
+        v1=v1,
+    )
     ek = math.exp(kappa1)
     kappa2 = (kappa1 * v1 - ek) / (v1 + ek)
     v2 = math.exp(kappa2 - kappa1) * (1.0 + kappa1) * v1 / (1.0 + kappa2)
@@ -125,8 +122,7 @@ def derive_double_yukawa(v1: float, kappa1: float) -> PotentialSpec:
 
 def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
     """Yukawa-Coulomb member; the single parameter fixes both strengths."""
-    if kappa1 <= 0:
-        raise ParameterDomainError(f"kappa1 must be positive, got {kappa1}")
+    check_domain(kappa1 > 0, f"kappa1 must be positive, got {kappa1}", kappa1=kappa1)
     v1 = math.exp(kappa1) / kappa1
     v2 = (1.0 + kappa1) / kappa1
     spec = PotentialSpec(
@@ -151,11 +147,10 @@ def _normalization_residuals(v1, k1, v2, k2):
 
 def _check_normalization(spec: PotentialSpec):
     r1, r2 = spec.norm_residuals
-    if abs(r1) > NORMALIZATION_TOL or abs(r2) > NORMALIZATION_TOL:
-        raise ParameterDomainError(
-            f"normalization residuals too large for {spec.family}: "
-            f"f(1)+1={r1:.3e}, f'(1)={r2:.3e}"
-        )
+    check_domain(
+        abs(r1) <= NORMALIZATION_TOL and abs(r2) <= NORMALIZATION_TOL,
+        f"normalization residuals too large for {spec.family}: f(1)+1={r1:.3e}, f'(1)={r2:.3e}",
+    )
 
 
 def potential_value(spec: PotentialSpec, r):

@@ -1,24 +1,18 @@
-"""Truncated univariate power-series arithmetic.
+"""Exponentials of truncated univariate power series.
 
-A :class:`PowerSeries` stores the coefficients ``c[0] + c[1]*x + ... +
-c[N]*x**N`` of a function truncated at order ``N``; arithmetic never
-produces (or reads) coefficients beyond that order.  The default order
-is 8, which is enough to carry the sixth-order coefficient of an even
-series exactly through products and exponentials.
-
-The one non-trivial operation is :func:`series_exp`, implemented with
-the standard recurrence for ``y = exp(s)``::
+A series is stored as its coefficients ``c[0] + c[1]*x + ... + c[N]*x**N``,
+truncated at order ``N``.  The default order is 8, which is enough to
+carry the sixth-order coefficient of an even series exactly through the
+exponential.  :func:`exp_coeffs_batch` runs the standard recurrence for
+``y = exp(s)``::
 
     y' = s' * y   =>   n*y[n] = sum_{m=1..n} m*s[m]*y[n-m]
 
-A vectorized batch version (:func:`exp_coeffs_batch`) runs the same
-recurrence over arrays of coefficient vectors; the hot loops elsewhere
-in the package go through it.
+over arrays of coefficient vectors; the series route of the expansion
+coefficients builds its theta-product rows with it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,84 +38,3 @@ def exp_coeffs_batch(s: np.ndarray) -> np.ndarray:
             acc = acc + m * s[..., m] * out[..., n - m]
         out[..., n] = acc / n
     return out
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients of a truncated power series in one variable."""
-
-    coeffs: np.ndarray = field()
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coefficients must form a non-empty 1D sequence")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    @classmethod
-    def zero(cls, order: int = TRUNCATION_ORDER) -> "PowerSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
-    def constant(cls, value: float, order: int = TRUNCATION_ORDER) -> "PowerSeries":
-        c = np.zeros(order + 1)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def identity(cls, order: int = TRUNCATION_ORDER) -> "PowerSeries":
-        """The series of the expansion variable itself, ``x``."""
-        c = np.zeros(order + 1)
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the truncated polynomial at ``x`` (Horner)."""
-        acc = 0.0
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return series_add(self, other)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return series_mul(self, other)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-self.coeffs)
-
-
-def _check_orders(a: PowerSeries, b: PowerSeries) -> int:
-    if a.order != b.order:
-        raise ValueError(
-            f"truncation order mismatch: {a.order} != {b.order}"
-        )
-    return a.order
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Coefficientwise sum of two series of equal truncation order."""
-    _check_orders(a, b)
-    return PowerSeries(a.coeffs + b.coeffs)
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the common order."""
-    n_ord = _check_orders(a, b)
-    full = np.convolve(a.coeffs, b.coeffs)
-    return PowerSeries(full[: n_ord + 1])
-
-
-def series_exp(s: PowerSeries) -> PowerSeries:
-    """exp of a series, truncated at its order.
-
-    A nonzero constant term is allowed and contributes the overall
-    factor ``exp(s[0])``.
-    """
-    return PowerSeries(exp_coeffs_batch(s.coeffs))

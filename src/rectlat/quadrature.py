@@ -1,11 +1,13 @@
 """Deterministic adaptive quadrature for the lattice-energy integrals.
 
-All integrals in this package are reduced (via the modular identity of
-the theta product) to semi-infinite integrals of smooth integrands that
-decay at least like ``exp(-u)`` with at most a mild polynomial factor.
-They are evaluated on composite Gauss-Legendre panels laid out
-geometrically in ``log u``; refinement doubles the panel count and the
-run is accepted once two consecutive levels agree to tolerance.
+Every integral in this package is a self-rescaling theta bracket against
+a measure.  The one split kernel ``integrate_split`` splits it at
+``split_point`` and maps the part below through ``t -> pi^2/t``, which
+leaves semi-infinite integrals of smooth integrands that decay at least
+like ``exp(-u)`` with at most a mild polynomial factor.  They are
+evaluated on composite Gauss-Legendre panels laid out geometrically in
+``log u``; refinement doubles the panel count and the run is accepted
+once two consecutive levels agree to tolerance.
 
 A piece may return arrays: a stack of integrands against the same
 measure then shares one ladder (the same grids, the same measure
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ParameterDomainError, QuadratureError
+from .errors import QuadratureError, check_domain
 
 _GL_ORDER = 24
 _BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
@@ -49,10 +51,8 @@ class QuadratureConfig:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "split_point"):
             x = getattr(self, name)
-            if not (x > 0) or not math.isfinite(x):
-                raise ParameterDomainError(f"{name} must be finite and positive, got {x}")
-        if self.max_refinements < 1:
-            raise ParameterDomainError("max_refinements must be at least 1")
+            check_domain(x > 0, f"{name} must be finite and positive, got {x}", **{name: x})
+        check_domain(self.max_refinements >= 1, "max_refinements must be at least 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -147,3 +147,23 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
         f"(last change {np.max(change):.3e} against scale {np.max(scale):.3e})",
         residual=float(np.max(change)),
     )
+
+
+def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, front: float):
+    """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
+
+    ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
+    axis = nodes); ``w_direct`` and ``w_transformed`` give the measure
+    weights on ``[a, inf)`` and on ``(0, a)`` mapped to ``[pi^2/a, inf)``.
+    """
+    a = q.split_point
+    b = math.pi**2 / a
+
+    def side(weight):
+        def piece(grid):
+            contrib = front * grid.weights * table_of(grid) * weight(grid.nodes)
+            return contrib.sum(axis=-1), np.abs(contrib).sum(axis=-1)
+
+        return piece
+
+    return integrate([(a, side(w_direct)), (b, side(w_transformed))], decay_scale, q)

@@ -15,6 +15,10 @@ Faa di Bruno through ``u = pi^2/t``), never by numerical differencing:
 downstream integrands multiply them by powers of ``t`` up to ``t^4`` and
 would amplify differencing noise.
 
+The brackets the energy integrals use (the theta product's
+eps-coefficients and its gap) obey ``B(u) = (pi/u) B(pi^2/u)``;
+``modular_reduce`` applies that, so their series only see ``u >= pi``.
+
 The module also evaluates the symmetric product
 ``P(u, e) = T(u exp(-e)) * T(u exp(e))`` and, in a cancellation-free
 form, its deviation from the square-lattice value ``P(u, 0)``.  That gap
@@ -173,22 +177,33 @@ def _pair_gap_direct(u: np.ndarray, eps: float) -> np.ndarray:
     return theta * (2.0 * dsum.sum(axis=0)) + d_minus * d_plus
 
 
-def theta_product_gap(u, eps: float):
-    """P(u, eps) - P(u, 0), accurate in a relative sense even for tiny eps.
-
-    Uses the exact rescaling P(t, eps) = (pi/t) P(pi^2/t, eps) to keep all
-    series arguments at or above pi.
-    """
+def modular_reduce(u, direct_fn):
+    """A bracket ``B(u) = (pi/u) B(pi^2/u)`` from its series ``direct_fn(v)``,
+    called only at ``v >= pi``; ``direct_fn`` may return a stack (last
+    axis = nodes).  The result is a fresh C-contiguous array (a float for
+    one bracket at a scalar ``u``)."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise ValueError("theta argument must be positive")
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    out = np.empty_like(u)
     big = u >= SPLIT
-    if big.any():
-        out[big] = _pair_gap_direct(u[big], eps)
-    if (~big).any():
+    parts = []
+    if big.any() or u.size == 0:  # an empty u gives an empty result of the right shape
+        parts.append((big, direct_fn(u[big])))
+    if not big.all():
         us = u[~big]
-        out[~big] = (math.pi / us) * _pair_gap_direct(math.pi**2 / us, eps)
-    return float(out[0]) if scalar else out
+        parts.append((~big, (math.pi / us) * direct_fn(math.pi**2 / us)))
+    lead = parts[0][1].shape[:-1]
+    out = np.empty(lead + u.shape)
+    for mask, vals in parts:
+        out[..., mask] = vals
+    if scalar:
+        return out[..., 0] if lead else float(out[0])
+    return out
+
+
+def theta_product_gap(u, eps: float):
+    """P(u, eps) - P(u, 0), accurate in a relative sense even for tiny eps;
+    it rescales like the product, P(t, eps) = (pi/t) P(pi^2/t, eps)."""
+    return modular_reduce(u, lambda v: _pair_gap_direct(v, eps))

@@ -162,6 +162,13 @@ class TestScanCommand:
         assert captured.out == ""
         assert "N >= 1" in captured.err
 
+    @pytest.mark.parametrize("grid", ["nan:2:lin:2", "1:inf:log:3", "-inf:2:lin:2"])
+    def test_non_finite_grid_end_rejected(self, capsys, grid):
+        assert main(["scan", "--mode", "a-star-min", f"--kappa1-grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_must_be_positive(self, capsys, workers):
         argv = ["scan", "--mode", "a-star-min", "--kappa1-grid", "1:2:lin:2", "--workers", workers]

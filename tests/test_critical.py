@@ -145,12 +145,27 @@ class TestFindFirstOrder:
         )
 
     def test_bracket_walk_is_bounded(self):
-        # a purely repulsive potential has no branch crossing: the right-hand
-        # walk must give up within its step budget, not creep on
+        # a purely repulsive potential has no branch crossing: the bracket
+        # search must give up quickly, not creep on
         start = time.perf_counter()
         with pytest.raises(BracketError):
             first_order_bracket(yukawa(1.0), 2.6)
         assert time.perf_counter() - start < 10.0
+
+    def test_negative_e6_refused_at_the_seed(self, monkeypatch):
+        # yukawa(1.0) has E6 < 0 at A = 2.6, where the coexistence condition
+        # E2 = E4^2 / (4 E6) means nothing: refuse before walking
+        seen = []
+        original = rectlat.critical._gap_coefficients
+
+        def counting(spec, area, q):
+            seen.append(area)
+            return original(spec, area, q)
+
+        monkeypatch.setattr(rectlat.critical, "_gap_coefficients", counting)
+        with pytest.raises(BracketError, match="E6"):
+            first_order_bracket(yukawa(1.0), 2.6)
+        assert seen == [2.6]
 
     def test_second_order_family_rejected(self, dy98):
         tp = find_transition(dy98, (2.0, 3.2))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rectlat.critical import a_star_min, a_star_min_zero_limit
 from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
 from rectlat.errors import ParameterDomainError, UnsupportedOracleError
+from rectlat.expansion import e2_e4_closed, landau_series
 from rectlat.potentials import derive_yukawa_coulomb, riesz, yukawa
 from rectlat.quadrature import QuadratureConfig
 from rectlat.theta import theta3
@@ -128,6 +130,25 @@ class TestSplitPointInvariance:
         for split in (1.7, 4.0):
             q = QuadratureConfig(split_point=split)
             assert lattice_energy(spec, st, q) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("split", [2.0, 4.5])
+    def test_bracket_integrals_independent_of_split(self, dy98, split):
+        # away from the default split, nodes below pi on one side take the
+        # modular reduction's rescaled branch
+        q = QuadratureConfig(split_point=split)
+        for spec in (dy98, derive_yukawa_coulomb(2.0365)):
+            for area in (2.0, 2.6, 3.4):
+                for ref, val in zip(e2_e4_closed(spec, area), e2_e4_closed(spec, area, q)):
+                    assert val == pytest.approx(ref, rel=1e-12)
+                for eps in (1e-4, 0.1, 0.9):
+                    ref = energy_gap(spec, area, eps)
+                    assert energy_gap(spec, area, eps, q) == pytest.approx(ref, rel=1e-12)
+                ref, rows = landau_series(spec, area), landau_series(spec, area, q)
+                np.testing.assert_allclose(rows[2::2], ref[2::2], rtol=1e-12, atol=0.0)
+                # odd rows vanish up to roundoff on either split
+                assert np.max(np.abs(rows[1::2] - ref[1::2])) <= 1e-12 * np.max(np.abs(ref))
+        assert a_star_min(2.0, q) == pytest.approx(a_star_min(2.0), rel=1e-12)
+        assert a_star_min_zero_limit(q) == pytest.approx(a_star_min_zero_limit(), rel=1e-12)
 
 
 class TestEnergyGap:

@@ -41,7 +41,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
 
-#: Default search cap for aspect minimization (delta <= 4).
+#: Search cap of the aspect minimization (delta <= 4).
 EPS_CAP = math.log(4.0)
 
 # The bounded minimiser stops within about sqrt(machine eps) * x of a bound,
@@ -117,13 +117,24 @@ def _stationary_points(coeffs):
     return pts
 
 
-def _series_branch_minimum(coeffs, x_floor=0.0):
-    """Deepest stationary minimum with x > x_floor, or None."""
-    best = None
-    for x, val, curv in _stationary_points(coeffs):
-        if x > x_floor and curv > 0.0 and (best is None or val < best[1]):
-            best = (x, val)
-    return best
+def _series_branch(coeffs):
+    """``(x, value, x_barrier)``: the deepest minimum of the gap series in
+    x = eps^2 and the first maximum below it (None without a barrier);
+    None when the series has no minimum."""
+    pts = _stationary_points(coeffs)
+    minima = [p for p in pts if p[2] > 0.0]
+    if not minima:
+        return None
+    x, val, _ = min(minima, key=lambda p: p[1])
+    x_barrier = next((p[0] for p in pts if p[2] < 0.0 and p[0] < x), None)
+    return x, val, x_barrier
+
+
+def _gap_minimum(spec, area, q, lo, hi, xatol):
+    """Bounded minimum ``(eps, gap)`` of the directly integrated gap over [lo, hi]."""
+    gap = lambda e: energy_gap(spec, area, e, q)
+    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun)
 
 
 def _direct_minimum(spec, area, q, lo, hi, n_scan=129):
@@ -135,61 +146,27 @@ def _direct_minimum(spec, area, q, lo, hi, n_scan=129):
     right = grid[min(i + 1, n_scan - 1)]
     if left == right:
         return grid[i], vals[i]
-    res = minimize_scalar(
-        lambda e: energy_gap(spec, area, e, q),
-        bounds=(left, right),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(res.fun)
+    return _gap_minimum(spec, area, q, left, right, 1e-12)
 
 
-def minimize_aspect(
-    spec,
-    area: float,
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    eps_floor: float = 0.0,
-    eps_cap: float = EPS_CAP,
-):
-    """Minimize E(A, e^eps) over eps in [eps_floor, eps_cap].
+def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
+    """Minimize E(A, e^eps) over eps in [0, EPS_CAP] (delta <= 4).
 
-    Returns ``(eps_min, energy)``.  With ``eps_floor = 0`` this is the
-    global minimum on the canonical branch (eps >= 0); a positive floor
-    separates the symmetry-broken branch from the square one when
-    scanning for first-order coexistence.
+    Returns ``(eps_min, energy)``, the global minimum on the canonical
+    branch (eps >= 0); ``eps_min = 0`` when the square lattice wins.  The
+    gap series decides while its deepest minimum lies within
+    ``SERIES_EPS_MAX``; elsewhere the directly integrated gap is scanned.
     """
-    if eps_floor < 0 or eps_cap <= eps_floor:
-        raise ParameterDomainError("need 0 <= eps_floor < eps_cap")
-
     coeffs = _gap_coefficients(spec, area, q)
-    best = _series_branch_minimum(coeffs, x_floor=eps_floor**2)
-
-    eps_min: Optional[float] = None
-    if best is not None and math.sqrt(best[0]) <= SERIES_EPS_MAX:
-        eps_c, val_c = math.sqrt(best[0]), best[1]
-        if eps_c <= eps_cap:
-            if eps_floor > 0.0:
-                # interior stationary minimum vs the floor boundary
-                c2, c4, c6, c8 = coeffs
-                xf = eps_floor**2
-                val_f = ((((c8 * xf + c6) * xf) + c4) * xf + c2) * xf
-                eps_min = eps_c if val_c <= val_f else eps_floor
-            else:
-                eps_min = eps_c if val_c < 0.0 else 0.0
-    elif best is None and eps_floor == 0.0 and coeffs[0] >= 0.0:
+    branch = _series_branch(coeffs)
+    if branch is not None and math.sqrt(branch[0]) <= SERIES_EPS_MAX:
+        eps_min = math.sqrt(branch[0]) if branch[1] < 0.0 else 0.0
+    elif branch is None and coeffs[0] >= 0.0:
         eps_min = 0.0
-
-    if eps_min is None:
-        # outside the trusted series range (or floored without a series
-        # minimum): minimize the directly-integrated gap
-        lo = eps_floor if eps_floor > 0.0 else 0.0
-        eps_d, val_d = _direct_minimum(spec, area, q, lo, eps_cap)
-        if eps_floor == 0.0 and val_d >= 0.0:
-            eps_d = 0.0
-        eps_min = eps_d
-    if eps_min is None:
-        raise SearchFailureError("no interior or boundary minimizer found")
-
+    else:
+        # outside the trusted series range: minimize the directly-integrated gap
+        eps_d, val_d = _direct_minimum(spec, area, q, 0.0, EPS_CAP)
+        eps_min = 0.0 if val_d >= 0.0 else eps_d
     return eps_min, lattice_energy(spec, LatticeState(area, eps_min), q)
 
 
@@ -221,9 +198,9 @@ def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> Tr
     )
 
 
-def e2_slope(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG, rel_step: float = 1e-5):
-    """dE2/dA by central differences (step rel_step * A)."""
-    h = rel_step * area
+def e2_slope(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
+    """dE2/dA by central differences (step 1e-5 * A)."""
+    h = 1e-5 * area
     return (e2_closed(spec, area + h, q) - e2_closed(spec, area - h, q)) / (2.0 * h)
 
 
@@ -321,6 +298,7 @@ def find_tricritical(
     if family == pot.DOUBLE_YUKAWA:
         if fixed_param is None:
             raise ParameterDomainError("double-yukawa tricritical solve needs kappa1")
+        pot._check_kappa1(fixed_param)
         kappa1 = float(fixed_param)
         if initial_guess is None:
             initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
@@ -451,40 +429,43 @@ def _nested_fallback(F, z0, in_domain, q, widen=12):
 # ---------------------------------------------------------------------------
 
 
-def _branch_gap(spec, area, q, eps_floor):
-    """(-min branch gap, branch x, barrier present); gap via the even expansion."""
-    pts = _stationary_points(_gap_coefficients(spec, area, q))
-    minima = [p for p in pts if p[2] > 0.0 and p[0] > eps_floor**2]
-    if not minima:
-        return None
-    x, val, _ = min(minima, key=lambda p: p[1])
-    barrier = any(p[2] < 0.0 and p[0] < x for p in pts)
-    return -val, x, barrier
+def _crossing_gap(spec, area, q):
+    """Square-branch minus broken-branch energy from the gap series; -1
+    where the series has no broken-branch minimum (square unchallenged)."""
+    branch = _series_branch(_gap_coefficients(spec, area, q))
+    return -1.0 if branch is None else -branch[1]
 
 
-def find_first_order(
-    spec,
-    a_bracket,
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    eps_floor: float = 0.0,
-):
+def _widen_bracket(f, center, width, factor, tries, message):
+    """Symmetric bracket ``center -/+ width``, widened by ``factor`` until
+    ``f`` changes sign; ``BracketError(message)`` after ``tries`` widenings
+    or once the lower end would reach a non-positive density."""
+    for _ in range(tries):
+        lo, hi = center - width, center + width
+        if lo <= 0.0:
+            break
+        if np.sign(f(lo)) * np.sign(f(hi)) < 0:
+            return lo, hi
+        width *= factor
+    raise BracketError(message)
+
+
+def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     """Density where the square and symmetry-broken branch energies cross.
 
     Solves ``E(A, 1) = min_branch E(A, e^eps)`` with the branch energy
-    taken from the sixth-order expansion of the gap, which resolves
+    taken from the eighth-order expansion of the gap, which resolves
     crossings far below the absolute precision of the energies
-    themselves.  Returns ``(a_trans, eps_jump)``; raises
-    ``SearchFailureError`` when the broken-branch minimum at the crossing
-    sits on the aspect cap ``EPS_CAP``, where it is no coexistence point.
+    themselves.  When the branch minimum there lies beyond
+    ``SERIES_EPS_MAX`` the crossing is relocated against the directly
+    integrated gap, minimised over eps above half the barrier location
+    and at most ``EPS_CAP`` (delta <= 4).  Returns ``(a_trans, eps_jump)``;
+    raises ``ClassificationError`` when no barrier separates the branches
+    at the crossing, and ``SearchFailureError`` when the broken-branch
+    minimum sits on the aspect cap, where it is no coexistence point.
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
-
-    def g(a):
-        res = _branch_gap(spec, a, q, eps_floor)
-        if res is None:
-            return -1.0  # square branch unchallenged
-        return res[0]
-
+    g = lambda a: _crossing_gap(spec, a, q)
     g_lo, g_hi = g(lo), g(hi)
     if not (np.sign(g_lo) * np.sign(g_hi) < 0):
         raise BracketError(
@@ -492,44 +473,31 @@ def find_first_order(
             f"(gap signs {g_lo:.3e}, {g_hi:.3e})"
         )
     a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=_BRENT_RTOL)
-    res = _branch_gap(spec, a_trans, q, eps_floor)
-    if res is None or not res[2]:
+    branch = _series_branch(_gap_coefficients(spec, a_trans, q))
+    if branch is None or branch[2] is None:
         raise ClassificationError(
             "no coexistence barrier at the crossing; transition is not first order"
         )
-    eps_jump = math.sqrt(res[1])
+    x, _, x_barrier = branch
+    eps_jump = math.sqrt(x)
     if eps_jump > SERIES_EPS_MAX:
         # deep first-order regime: the truncated expansion only seeds; relocate
         # the crossing against the directly-integrated gap, keeping the broken
         # branch separated by half the barrier location
-        barriers = [p[0] for p in _stationary_points(_gap_coefficients(spec, a_trans, q)) if p[2] < 0.0]
-        floor = max(eps_floor, 0.5 * math.sqrt(barriers[0]) if barriers else 0.5 * eps_jump)
+        floor = 0.5 * math.sqrt(x_barrier)
         # the branch minimizer moves negligibly across the root window, so a
         # generous basin located once at the seed density stays valid
         eps_seed, _ = _direct_minimum(spec, a_trans, q, floor, EPS_CAP)
         lo_e = max(floor, 0.6 * eps_seed)
         hi_e = min(EPS_CAP, 1.6 * eps_seed)
-        last = {"eps": eps_seed}
+        last = {}
 
         def g_direct(a):
-            res = minimize_scalar(
-                lambda e: energy_gap(spec, a, e, q),
-                bounds=(lo_e, hi_e),
-                method="bounded",
-                options={"xatol": 1e-11},
-            )
-            last["eps"] = float(res.x)
-            return -float(res.fun)
+            last["eps"], gap = _gap_minimum(spec, a, q, lo_e, hi_e, 1e-11)
+            return -gap
 
-        lo, hi = a_trans, a_trans
-        width = 2e-3 * a_trans
-        for _ in range(30):
-            lo, hi = a_trans - width, a_trans + width
-            if np.sign(g_direct(lo)) * np.sign(g_direct(hi)) < 0:
-                break
-            width *= 3.0
-        else:
-            raise BracketError("could not re-bracket the deep first-order crossing")
+        message = "could not re-bracket the deep first-order crossing"
+        lo, hi = _widen_bracket(g_direct, a_trans, 2e-3 * a_trans, 3.0, 30, message)
         a_trans = brentq(g_direct, lo, hi, xtol=1e-13, rtol=1e-12)
         g_direct(a_trans)
         eps_jump = last["eps"]
@@ -584,18 +552,8 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
         raise BracketError("could not bracket the coexistence condition from above")
     proxy = brentq(coex, lo, hi, xtol=1e-15, rtol=_BRENT_RTOL)
     width = max(1e-9 * proxy, 4.0 * abs(proxy - a_hint) * 1e-6)
-    for _ in range(60):
-        lo, hi = proxy - width, proxy + width
-        if lo <= 0.0:
-            break
-        r_lo = _branch_gap(spec, lo, q, 0.0)
-        r_hi = _branch_gap(spec, hi, q, 0.0)
-        s_lo = -1.0 if r_lo is None else np.sign(r_lo[0])
-        s_hi = -1.0 if r_hi is None else np.sign(r_hi[0])
-        if s_lo * s_hi < 0:
-            return lo, hi
-        width *= 4.0
-    raise BracketError("could not bracket the branch-energy crossing")
+    message = "could not bracket the branch-energy crossing"
+    return _widen_bracket(lambda a: _crossing_gap(spec, a, q), proxy, width, 4.0, 60, message)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +572,13 @@ def fit_exponent(
     a_ref: float,
     deltas: Optional[Sequence[float]] = None,
     q: QuadratureConfig = DEFAULT_CONFIG,
-    n_points: int = 12,
 ) -> FitResult:
     """Least-squares slope of log(delta-1) against log(A - a_ref).
 
     ``a_ref`` must be a validated transition or tricritical density; the
-    fit approaches it from above.  When ``deltas`` is omitted a geometric
-    window is chosen by regime (sign of E4 at ``a_ref``).
+    fit approaches it from above.  When ``deltas`` is omitted, 12
+    geometrically spaced offsets span the window of the regime (sign of
+    E4 at ``a_ref``): ``SECOND_ORDER_WINDOW`` or ``TRICRITICAL_WINDOW``.
     """
     if deltas is None:
         # classify the reference point by E4 measured against its own
@@ -635,7 +593,7 @@ def fit_exponent(
                 "E4 < 0 at a_ref: first-order point, no power-law onset to fit"
             )
         window = SECOND_ORDER_WINDOW if e4v > 0.05 * e4_scale else TRICRITICAL_WINDOW
-        deltas = np.geomspace(window[0], window[1], n_points) * a_ref
+        deltas = np.geomspace(window[0], window[1], 12) * a_ref
     else:
         deltas = np.asarray(deltas, dtype=float)
     if deltas.size < 8:
@@ -759,11 +717,12 @@ def _tricritical_chain(kappa1_values, q, seed=(2.7163619942, 0.4371973853)):
     return out
 
 
-def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG, tol: float = 1e-10) -> float:
+def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Upper end of the tricritical window: the intersection of the
     tricritical strength v1^t(kappa1) with the admissibility border
     v1 = exp(kappa1)/kappa1 (equivalently, where the derived screening
-    kappa2^t reaches zero)."""
+    kappa2^t reaches zero).  A trust-region secant walk on kappa2^t(kappa1)
+    stops once its step falls below 1e-10 relative."""
     pts = _tricritical_chain([2.0, 2.02, 2.03], q)
     k_a, _, h_a, _ = pts[-2]
     k_b, _, h_b, _ = pts[-1]
@@ -775,7 +734,7 @@ def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG, tol: float = 1e-10) -> fl
         k_c = min(k_c, k_b + 8.0 * abs(k_b - k_a))
         if k_fail is not None:
             k_c = min(k_c, 0.5 * (k_b + k_fail))
-        if abs(k_c - k_b) <= tol * k_b:
+        if abs(k_c - k_b) <= 1e-10 * k_b:
             return float(k_c)
         try:
             row = _tricritical_chain([k_c], q, seed=seed)[0]
@@ -788,13 +747,9 @@ def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG, tol: float = 1e-10) -> fl
     raise NonconvergenceError("kappa1 upper bound iteration did not converge")
 
 
-def kappa1_lower(
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    v1_divergence: float = 1e4,
-    tol: float = 1e-4,
-) -> float:
+def kappa1_lower(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Lower end of the tricritical window, declared where the tricritical
-    strength v1^t exceeds ``v1_divergence`` under bisection on kappa1."""
+    strength v1^t exceeds 1e4, located by bisection on kappa1 to 1e-4."""
     walk = [2.0, 1.9, 1.8, 1.7, 1.6, 1.5]
     pts = _tricritical_chain(walk, q)
     k_good, seed = walk[-1], (pts[-1][1], pts[-1][2])
@@ -810,15 +765,15 @@ def kappa1_lower(
             if step < 1e-6:
                 raise
             continue
-        if row[3] > v1_divergence:
+        if row[3] > 1e4:
             k_bad = k_try
         else:
             k_good, seed, v1_good = k_try, (row[1], row[2]), row[3]
-    while k_good - k_bad > tol:
+    while k_good - k_bad > 1e-4:
         k_mid = 0.5 * (k_good + k_bad)
         try:
             row = _tricritical_chain([k_mid], q, seed=seed)[0]
-            if row[3] > v1_divergence:
+            if row[3] > 1e4:
                 k_bad = k_mid
             else:
                 k_good, seed = k_mid, (row[1], row[2])

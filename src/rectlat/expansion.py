@@ -41,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from .energy import LatticeState, lattice_energy, split_integral
-from .errors import ParameterDomainError
 from .powerseries import TRUNCATION_ORDER, exp_coeffs_batch
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .theta import modular_reduce, theta3_derivs
@@ -170,22 +169,12 @@ def landau_series(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> np
 
 
 def expansion_series(
-    spec,
-    area: float,
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    max_order: int = 6,
+    spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExpansionCoefficients:
-    """Expansion coefficients via the power-series route."""
-    if max_order not in (2, 4, 6):
-        raise ParameterDomainError(f"max_order must be 2, 4 or 6, got {max_order}")
+    """Expansion coefficients via the power-series route (orders 0-6)."""
     rows = landau_series(spec, area, q)
     return ExpansionCoefficients(
-        area=area,
-        e0=e0(spec, area, q),
-        e2=rows[2],
-        e4=rows[4] if max_order >= 4 else None,
-        e6=rows[6] if max_order >= 6 else None,
-        method="series",
+        area=area, e0=e0(spec, area, q), e2=rows[2], e4=rows[4], e6=rows[6], method="series"
     )
 
 

@@ -30,7 +30,7 @@ from .critical import (
     kappa1_upper,
     a_star_min,
 )
-from .errors import RectlatError, SearchFailureError
+from .errors import BracketError, RectlatError, SearchFailureError
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -56,7 +56,9 @@ def _failure_status(err) -> str:
     return f"failed: {type(err).__name__}: {err}"
 
 
-def _failed_row(family, kappa1, v1, err) -> PhaseDiagramRow:
+def _failed_row(family, params, err) -> PhaseDiagramRow:
+    """The row of a scan point ``(v1, kappa1)`` or ``(kappa1,)`` that failed."""
+    v1, kappa1 = params if family == pot.DOUBLE_YUKAWA else (None, params[0])
     return PhaseDiagramRow(
         family=family,
         kappa1=kappa1,
@@ -139,18 +141,23 @@ def _coarse_e2_root(spec, q, hint=None, lo=0.3, hi=20.0):
     return 0.5 * (a + b)
 
 
-def _polish_critical_point(args):
-    family, params, bracket, q = args
+def _member(family, params):
+    """The family member at a scan point ``(v1, kappa1)`` or ``(kappa1,)``."""
+    if family == pot.YUKAWA_COULOMB:
+        return pot.derive_yukawa_coulomb(*params)
+    if params[0] is None:
+        raise BracketError("critical curve inversion failed")
+    return pot.derive_double_yukawa(*params)
+
+
+def _polish_critical_point(job):
+    if isinstance(job, PhaseDiagramRow):  # failed at seeding
+        return [job]
+    params, spec, bracket, q = job
     try:
-        if family == pot.DOUBLE_YUKAWA:
-            spec = pot.derive_double_yukawa(*params)
-        else:
-            spec = pot.derive_yukawa_coulomb(params[0])
         return _transition_rows(spec, bracket, q)
     except RectlatError as err:
-        kappa1 = params[1] if family == pot.DOUBLE_YUKAWA else params[0]
-        v1 = params[0] if family == pot.DOUBLE_YUKAWA else None
-        return [_failed_row(family, kappa1, v1, err)]
+        return [_failed_row(spec.family, params, err)]
 
 
 def _map_jobs(fn, jobs, workers):
@@ -158,6 +165,29 @@ def _map_jobs(fn, jobs, workers):
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
+    """Transition rows over scan points, in grid order.
+
+    A serial seeding pass finds coarse E2 roots, each warm-started from the
+    last one found; the polish pass then runs in parallel.  A point whose
+    member or coarse root cannot be had keeps a failed row.
+    """
+    jobs = []
+    hint = None
+    for params in points:
+        try:
+            spec = _member(family, params)
+            coarse = _coarse_e2_root(spec, q, hint)
+            if coarse is None:
+                raise BracketError("no sign change of E2 for the coarse root")
+        except RectlatError as err:
+            jobs.append(_failed_row(family, params, err))
+            continue
+        hint = coarse
+        jobs.append((params, spec, (coarse * 0.995, coarse * 1.005), q))
+    return [row for rows in _map_jobs(_polish_critical_point, jobs, workers) for row in rows]
 
 
 def scan_critical_curve(
@@ -175,38 +205,9 @@ def scan_critical_curve(
     if (v1_grid is None) == (a_grid is None):
         raise ValueError("provide exactly one of v1_grid or a_grid")
     if a_grid is not None:
+        pot._check_kappa1(kappa1)
         v1_grid = [_v1_on_critical_curve(kappa1, a, q) for a in a_grid]
-
-    # serial seeding pass: coarse E2 roots, warm-started along the grid
-    jobs = []
-    hint = None
-    for v1 in v1_grid:
-        if v1 is None:
-            jobs.append(None)
-            continue
-        try:
-            spec = pot.derive_double_yukawa(v1, kappa1)
-        except RectlatError:
-            jobs.append((pot.DOUBLE_YUKAWA, (v1, kappa1), None, q))
-            continue
-        coarse = _coarse_e2_root(spec, q, hint)
-        hint = coarse if coarse is not None else hint
-        bracket = None if coarse is None else (coarse * 0.995, coarse * 1.005)
-        jobs.append((pot.DOUBLE_YUKAWA, (v1, kappa1), bracket, q))
-
-    rows: list[PhaseDiagramRow] = []
-    results = _map_jobs(_polish_critical_point, [j for j in jobs if j is not None], workers)
-    it = iter(results)
-    for v1, job in zip(v1_grid, jobs):
-        if job is None:
-            rows.append(
-                _failed_row(
-                    pot.DOUBLE_YUKAWA, kappa1, None, ValueError("critical curve inversion failed")
-                )
-            )
-        else:
-            rows.extend(next(it))
-    return rows
+    return _scan_rows(pot.DOUBLE_YUKAWA, [(v1, kappa1) for v1 in v1_grid], q, workers)
 
 
 def _v1_on_critical_curve(kappa1, area, q):
@@ -231,41 +232,25 @@ def scan_yukawa_coulomb(
     kappa1_grid: Sequence[float],
     q: QuadratureConfig = DEFAULT_CONFIG,
     workers: int = 1,
-    tricritical_row: bool = True,
 ) -> list[PhaseDiagramRow]:
     """Transition rows of the Yukawa-Coulomb family over a kappa1 grid,
-    with the tricritical point inserted as its own row."""
-    jobs = []
-    hint = None
-    for k1 in kappa1_grid:
-        try:
-            spec = pot.derive_yukawa_coulomb(k1)
-        except RectlatError:
-            jobs.append((pot.YUKAWA_COULOMB, (k1,), None, q))
-            continue
-        coarse = _coarse_e2_root(spec, q, hint)
-        hint = coarse if coarse is not None else hint
-        bracket = None if coarse is None else (coarse * 0.995, coarse * 1.005)
-        jobs.append((pot.YUKAWA_COULOMB, (k1,), bracket, q))
-    rows: list[PhaseDiagramRow] = []
-    for chunk in _map_jobs(_polish_critical_point, jobs, workers):
-        rows.extend(chunk)
-    if tricritical_row:
-        tc = find_tricritical(pot.YUKAWA_COULOMB, q=q)
-        spec = pot.derive_yukawa_coulomb(tc.param_t)
-        rows.append(
-            PhaseDiagramRow(
-                family=pot.YUKAWA_COULOMB,
-                kappa1=tc.param_t,
-                v1=spec.v1,
-                a_star=tc.a_t,
-                order="tricritical",
-                eps_jump=0.0,
-                e2_residual=tc.residuals[0],
-                e4_value=tc.residuals[1],
-                status="ok",
-            )
+    with the tricritical point appended as its own row."""
+    rows = _scan_rows(pot.YUKAWA_COULOMB, [(k1,) for k1 in kappa1_grid], q, workers)
+    tc = find_tricritical(pot.YUKAWA_COULOMB, q=q)
+    spec = pot.derive_yukawa_coulomb(tc.param_t)
+    rows.append(
+        PhaseDiagramRow(
+            family=pot.YUKAWA_COULOMB,
+            kappa1=tc.param_t,
+            v1=spec.v1,
+            a_star=tc.a_t,
+            order="tricritical",
+            eps_jump=0.0,
+            e2_residual=tc.residuals[0],
+            e4_value=tc.residuals[1],
+            status="ok",
         )
+    )
     return rows
 
 

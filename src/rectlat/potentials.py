@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -42,6 +43,9 @@ FAMILIES = (RIESZ, YUKAWA, DOUBLE_YUKAWA, YUKAWA_COULOMB)
 
 #: Construction-time bound on the normalization residuals |f(1)+1|, |f'(1)|.
 NORMALIZATION_TOL = 1e-10
+
+#: Largest repulsive screening kappa1 whose exp(kappa1) is a finite double.
+KAPPA1_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def derive_double_yukawa(v1: float, kappa1: float) -> PotentialSpec:
     The admissible region is ``v1 > exp(kappa1)/kappa1``; on its border
     the screening of the attractive term vanishes.
     """
-    check_domain(kappa1 > 0, f"kappa1 must be positive, got {kappa1}", kappa1=kappa1)
+    _check_kappa1(kappa1)
     bound = math.exp(kappa1) / kappa1
     check_domain(
         v1 > bound,
@@ -122,7 +126,7 @@ def derive_double_yukawa(v1: float, kappa1: float) -> PotentialSpec:
 
 def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
     """Yukawa-Coulomb member; the single parameter fixes both strengths."""
-    check_domain(kappa1 > 0, f"kappa1 must be positive, got {kappa1}", kappa1=kappa1)
+    _check_kappa1(kappa1)
     v1 = math.exp(kappa1) / kappa1
     v2 = (1.0 + kappa1) / kappa1
     spec = PotentialSpec(
@@ -136,6 +140,12 @@ def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
     )
     _check_normalization(spec)
     return spec
+
+
+def _check_kappa1(kappa1):
+    """Refuse a repulsive screening outside (0, KAPPA1_MAX] before any exp."""
+    message = f"kappa1 must be positive and at most {KAPPA1_MAX:.12g}, got {kappa1}"
+    check_domain(0 < kappa1 <= KAPPA1_MAX, message, kappa1=kappa1)
 
 
 def _normalization_residuals(v1, k1, v2, k2):

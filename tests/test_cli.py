@@ -152,6 +152,20 @@ class TestScanCommand:
             "family,kappa1,v1,a_star,order,eps_jump,e2_residual,e4_value,status"
         )
 
+    def test_failed_seed_is_a_row(self, capsys):
+        # the coarse E2 root at kappa1 = 20 fails in the quadrature: that
+        # point keeps a failed row and the rest of the scan goes on
+        argv = ["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2:20:lin:2"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        by_kappa = {}
+        for row in rows:
+            by_kappa.setdefault(row[1], []).append(row[-1])
+        assert by_kappa["2"] == ["artificial-extension", "ok"]
+        assert len(by_kappa["20"]) == 1
+        assert by_kappa["20"][0].startswith("failed: QuadratureError")
+        assert rows[-1][4] == "tricritical"
+
     def test_bad_grid_syntax(self, capsys):
         assert main(["scan", "--mode", "a-star-min", "--kappa1-grid", "nope"]) == 2
 

@@ -48,12 +48,6 @@ class TestMinimizeAspect:
         eps_min, _ = minimize_aspect(dy98, tp.a_star - 1e-3)
         assert eps_min == 0.0
 
-    def test_floor_validation(self, dy98):
-        with pytest.raises(ParameterDomainError):
-            minimize_aspect(dy98, 2.6, eps_floor=-0.1)
-        with pytest.raises(ParameterDomainError):
-            minimize_aspect(dy98, 2.6, eps_floor=0.5, eps_cap=0.4)
-
     def test_deep_rectangular_regime_direct_path(self, dy98):
         # far above the transition the minimizing aspect leaves the
         # trusted series range and the direct path takes over
@@ -166,6 +160,31 @@ class TestFindFirstOrder:
         with pytest.raises(BracketError, match="E6"):
             first_order_bracket(yukawa(1.0), 2.6)
         assert seen == [2.6]
+
+    def test_landau_rows_evaluated_once_at_the_crossing(self, monkeypatch, q):
+        # after the series Brent solve, the branch at the crossing (its
+        # minimum and the barrier that seeds the deep path) comes from one
+        # evaluation of the gap coefficients
+        events = []
+        coefficients = rectlat.critical._gap_coefficients
+        brent = rectlat.critical.brentq
+
+        def counted_coefficients(spec, area, q):
+            events.append("coefficients")
+            return coefficients(spec, area, q)
+
+        def marked_brent(*args, **kwargs):
+            root = brent(*args, **kwargs)
+            events.append("brent")
+            return root
+
+        monkeypatch.setattr(rectlat.critical, "_gap_coefficients", counted_coefficients)
+        monkeypatch.setattr(rectlat.critical, "brentq", marked_brent)
+        spec = derive_yukawa_coulomb(2.0)
+        _, eps_jump = find_first_order(spec, (2.8133, 2.8136), q)
+        assert eps_jump > rectlat.critical.SERIES_EPS_MAX  # the deep path ran
+        after_series_solve = events[events.index("brent") + 1 :]
+        assert after_series_solve.count("coefficients") == 1
 
     def test_second_order_family_rejected(self, dy98):
         tp = find_transition(dy98, (2.0, 3.2))

@@ -1,4 +1,4 @@
-"""Non-finite input is refused up front, by the library and by the CLI."""
+"""Non-finite and out-of-domain input is refused up front, by the library and by the CLI."""
 
 import io
 import math
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectlat.cli import main
+from rectlat.critical import find_tricritical
 from rectlat.energy import LatticeState
 from rectlat.errors import ParameterDomainError
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
@@ -85,3 +86,44 @@ def test_non_finite_flag_exits_2(argv):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:")
+
+
+# Finite values outside the domain: kappa1 past the overflow of exp(kappa1),
+# and a tricritical solve at a non-positive or non-finite screening.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derive_double_yukawa(9.8, 1000.0),
+        lambda: derive_yukawa_coulomb(800.0),
+        lambda: find_tricritical("double-yukawa", 1000.0),
+        lambda: find_tricritical("double-yukawa", 0.0),
+        lambda: find_tricritical("double-yukawa", -1.0),
+        lambda: find_tricritical("double-yukawa", math.nan),
+    ],
+    ids=["dy-1000", "yc-800", "tricritical-1000", "tricritical-0", "tricritical--1", "tricritical-nan"],
+)
+def test_out_of_domain_kappa1_is_a_domain_error(call):
+    with pytest.raises(ParameterDomainError, match="kappa1"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "1000", "--area", "2.6"],
+        ["energy", "--family", "yukawa-coulomb", "--kappa1", "800", "--area", "2.6"],
+        ["tricritical", "--family", "double-yukawa", "--kappa1", "1000"],
+        ["tricritical", "--family", "double-yukawa", "--kappa1", "0"],
+        ["tricritical", "--family", "double-yukawa", "--kappa1=-1"],
+        ["tricritical", "--family", "double-yukawa", "--kappa1", "nan"],
+    ],
+    ids=["energy-dy-1000", "energy-yc-800", "tricritical-1000", "tricritical-0",
+         "tricritical--1", "tricritical-nan"],
+)
+def test_out_of_domain_kappa1_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "kappa1" in err.getvalue()

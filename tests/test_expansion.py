@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,10 +102,6 @@ class TestSeriesRoute:
         assert coeffs.e4 == pytest.approx(closed.e4, rel=1e-10)
         assert coeffs.e0 == closed.e0
 
-    def test_max_order_validation(self, dy98):
-        with pytest.raises(ParameterDomainError):
-            expansion_series(dy98, 2.6, max_order=8)
-
     def test_e6_positive_at_yukawa_coulomb_tricritical(self):
         spec = derive_yukawa_coulomb(2.036517758847)
         rows = landau_series(spec, 2.795433950879)
@@ -185,3 +182,65 @@ class TestBracketScaling:
             lhs = bracket(u)
             rhs = (math.pi / u) * bracket(math.pi**2 / u)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
+
+
+# Stirling numbers of the second kind, S(m, n) for n = 1..m: the m-th power of
+# the operator u d/du is sum_n S(m, n) u^n (d/du)^n.
+_STIRLING2 = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}
+
+
+def _mp_brackets(u):
+    """eps^2 and eps^4 coefficients of T(u e^-eps) T(u e^eps) in mpmath.
+
+    T(u e^eps) = sum_m a_m eps^m with a_m = (u d/du)^m T / m!, and the
+    mirrored factor has coefficients (-1)^m a_m, so the product's
+    coefficients are 2 a0 a2 - a1^2 and 2 a0 a4 - 2 a1 a3 + a2^2.  Below pi
+    the exact rescaling B(u) = (pi/u) B(pi^2/u) keeps the theta series short.
+    """
+    if u < mpmath.pi:
+        p2, p4 = _mp_brackets(mpmath.pi**2 / u)
+        return mpmath.pi / u * p2, mpmath.pi / u * p4
+    terms = [(j * j, mpmath.exp(-j * j * u)) for j in range(1, int(mpmath.sqrt(120 / u)) + 3)]
+    derivs = [2 * mpmath.fsum((-c) ** n * e for c, e in terms) for n in range(5)]
+    derivs[0] += 1
+    a = [derivs[0]] + [
+        mpmath.fsum(s * u**n * derivs[n] for n, s in enumerate(_STIRLING2[m], start=1))
+        / mpmath.factorial(m)
+        for m in range(1, 5)
+    ]
+    return 2 * a[0] * a[2] - a[1] ** 2, 2 * a[0] * a[4] - 2 * a[1] * a[3] + a[2] ** 2
+
+
+def _mp_e2_e4(spec, area):
+    """(E2, E4) = 1/2 integral rho(t) (B2, B4)(A t) dt at 30 digits."""
+    with mpmath.workdps(30):
+        area = mpmath.mpf(area)
+        terms = [(mpmath.mpf(spec.v1), mpmath.mpf(spec.kappa1)),
+                 (-mpmath.mpf(spec.v2), mpmath.mpf(spec.kappa2))]
+        memo = {}
+
+        def integrand(u, row):
+            if u not in memo:
+                weight = mpmath.fsum(v * mpmath.exp(-k * k * area / (4 * u)) for v, k in terms)
+                memo[u] = [weight / mpmath.sqrt(u) * b for b in _mp_brackets(u)]
+            return memo[u][row]
+
+        front = 1 / (2 * mpmath.sqrt(mpmath.pi * area))
+        points = [0, 1, mpmath.pi, 10, 40, mpmath.inf]
+        return tuple(float(front * mpmath.quad(lambda u: integrand(u, row), points)) for row in (0, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, area, approx",
+    [
+        (derive_double_yukawa(9.8, 2.0), 2.6, (3.07e-3, 3.00e-3)),
+        (derive_yukawa_coulomb(2.2), 2.7, (1.10e-3, 2.86e-3)),
+    ],
+    ids=["double-yukawa", "yukawa-coulomb"],
+)
+def test_e2_e4_against_high_precision_oracle(spec, area, approx):
+    want = _mp_e2_e4(spec, area)
+    assert want == pytest.approx(approx, rel=5e-3)
+    got = e2_e4_closed(spec, area)
+    for value, reference in zip(got, want):
+        assert abs(value - reference) <= 1e-12 * abs(reference)

@@ -105,7 +105,7 @@ class TestYukawaCoulombScan:
 
 @pytest.fixture(scope="module")
 def yc_deep_rows(q):
-    return scan_yukawa_coulomb([1.85, 1.9, 2.0], q=q, tricritical_row=False)
+    return scan_yukawa_coulomb([1.85, 1.9, 2.0], q=q)
 
 
 class TestDeepFirstOrderRows:
@@ -125,10 +125,11 @@ class TestDeepFirstOrderRows:
         assert crossing.status.startswith("failed: SearchFailureError")
 
     def test_interior_crossing_still_ok(self, yc_deep_rows):
-        rows = yc_deep_rows[3:]
+        rows = yc_deep_rows[3:5]
         assert [r.kappa1 for r in rows] == [2.0, 2.0]
         assert [r.status for r in rows] == ["artificial-extension", "ok"]
         assert 0.0 < rows[1].eps_jump < EPS_CAP * (1.0 - 1e-6)
+        assert yc_deep_rows[5].order == "tricritical"
 
 
 class TestAStarMinScan:

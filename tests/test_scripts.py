@@ -1,0 +1,55 @@
+"""The experiment scripts run against the current library API.
+
+Each script runs in-process under ``runpy`` with a patched ``sys.argv``;
+where a CLI scan computes the same table, the outputs are compared.
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+from rectlat.cli import main
+from rectlat.phasescan import SCAN_CSV_HEADER
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def run_cli(capsys, *args):
+    assert main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+def test_tricritical_locus_matches_scan(monkeypatch, capsys):
+    out = run_script(
+        monkeypatch, capsys, "tricritical_locus.py",
+        "--kappa1-min", "1.9", "--kappa1-max", "2.0", "--points", "2", "--skip-bounds",
+    )
+    want = run_cli(
+        capsys, "scan", "--mode", "tricritical-locus", "--kappa1-grid", "1.9:2.0:lin:2",
+        "--no-bounds",
+    )
+    assert out == want
+
+
+def test_asmin_curve_matches_scan(monkeypatch, capsys):
+    out = run_script(
+        monkeypatch, capsys, "asmin_curve.py", "--kappa1-min", "1", "--kappa1-max", "2",
+        "--points", "2",
+    )
+    want = run_cli(capsys, "scan", "--mode", "a-star-min", "--kappa1-grid", "1:2:log:2")
+    lines = out.splitlines()
+    assert lines[:-1] == want.splitlines()
+    assert lines[-1].startswith("0,") and lines[-1].endswith(",kappa1->0 limit")
+
+
+def test_phase_diagram_runs(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "phase_diagram.py", "--points", "3")
+    lines = out.splitlines()
+    assert lines[0] == SCAN_CSV_HEADER
+    assert lines[-1].split(",")[4] == "tricritical"

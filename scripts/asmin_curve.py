@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 
+from rectlat.cli import exit_code
 from rectlat.critical import a_star_min_zero_limit
-from rectlat.phasescan import rows_to_csv, scan_a_star_min
+from rectlat.phasescan import A_STAR_MIN_CSV_HEADER, scan_a_star_min, write_table
 from rectlat.quadrature import QuadratureConfig
 
 
@@ -25,13 +26,9 @@ def main():
     grid = np.geomspace(ns.kappa1_min, ns.kappa1_max, ns.points)
     rows = scan_a_star_min(grid, q, workers=ns.workers)
     rows.append((0.0, a_star_min_zero_limit(q), "kappa1->0 limit"))
-    text = rows_to_csv(rows, "kappa1,a_star_min,status")
-    if ns.output:
-        with open(ns.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_table(rows, A_STAR_MIN_CSV_HEADER, "csv", None, ns.output)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

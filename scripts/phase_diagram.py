@@ -7,13 +7,14 @@ curve, the first-order coexistence points, and the tricritical point.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
+from rectlat.cli import exit_code
 from rectlat.critical import find_tricritical
-from rectlat.phasescan import SCAN_CSV_HEADER, PhaseDiagramRow, rows_to_csv, scan_critical_curve
+from rectlat.phasescan import SCAN_CSV_HEADER, scan_critical_curve, tricritical_row, write_table
+from rectlat.potentials import DOUBLE_YUKAWA, derive_yukawa_coulomb
 from rectlat.quadrature import QuadratureConfig
 
 
@@ -27,10 +28,12 @@ def main():
     ns = ap.parse_args()
 
     q = QuadratureConfig()
-    border = math.exp(ns.kappa1) / ns.kappa1
+    # the admissibility border v1 = exp(kappa1)/kappa1 is the Yukawa-Coulomb
+    # member's v1; building it refuses an out-of-domain kappa1 first
+    border = derive_yukawa_coulomb(ns.kappa1).v1
     v1_grid = np.geomspace(border * 1.002, ns.v1_max, ns.points)
 
-    tc = find_tricritical("double-yukawa", ns.kappa1, q=q)
+    tc = find_tricritical(DOUBLE_YUKAWA, ns.kappa1, q=q)
     # double the sweep resolution locally around the tricritical strength,
     # where the curve changes character
     near = (v1_grid > 0.9 * tc.param_t) & (v1_grid < 1.1 * tc.param_t)
@@ -38,27 +41,10 @@ def main():
         mids = 0.5 * (v1_grid[:-1] + v1_grid[1:])[near[:-1] & near[1:]]
         v1_grid = np.sort(np.concatenate([v1_grid, mids]))
     rows = scan_critical_curve(ns.kappa1, v1_grid=v1_grid, q=q, workers=ns.workers)
-    rows.append(
-        PhaseDiagramRow(
-            family="double-yukawa",
-            kappa1=ns.kappa1,
-            v1=tc.param_t,
-            a_star=tc.a_t,
-            order="tricritical",
-            eps_jump=0.0,
-            e2_residual=tc.residuals[0],
-            e4_value=tc.residuals[1],
-            status="ok",
-        )
-    )
-
-    text = rows_to_csv(rows, SCAN_CSV_HEADER)
-    if ns.output:
-        with open(ns.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows.append(tricritical_row(DOUBLE_YUKAWA, tc, ns.kappa1))
+    write_table(rows, SCAN_CSV_HEADER, "csv", None, ns.output)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -7,7 +7,8 @@ import sys
 
 import numpy as np
 
-from rectlat.phasescan import rows_to_csv, scan_tricritical_locus
+from rectlat.cli import exit_code
+from rectlat.phasescan import LOCUS_CSV_HEADER, scan_tricritical_locus, write_table
 from rectlat.quadrature import QuadratureConfig
 
 
@@ -21,19 +22,10 @@ def main():
     ns = ap.parse_args()
 
     grid = np.linspace(ns.kappa1_min, ns.kappa1_max, ns.points)
-    rows, bounds = scan_tricritical_locus(
-        grid, QuadratureConfig(), with_bounds=not ns.skip_bounds
-    )
-    if bounds is not None:
-        rows.append((bounds[0], None, None, "kappa1-lower"))
-        rows.append((bounds[1], None, None, "kappa1-upper"))
-    text = rows_to_csv(rows, "kappa1,a_t,v1_t,status")
-    if ns.output:
-        with open(ns.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows, _ = scan_tricritical_locus(grid, QuadratureConfig(), with_bounds=not ns.skip_bounds)
+    write_table(rows, LOCUS_CSV_HEADER, "csv", None, ns.output)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

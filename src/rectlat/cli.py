@@ -42,13 +42,14 @@ from .errors import (
     check_domain,
 )
 from .phasescan import (
+    A_STAR_MIN_CSV_HEADER,
+    LOCUS_CSV_HEADER,
     SCAN_CSV_HEADER,
-    rows_to_csv,
-    rows_to_json,
     scan_a_star_min,
     scan_critical_curve,
     scan_tricritical_locus,
     scan_yukawa_coulomb,
+    write_table,
 )
 from .quadrature import QuadratureConfig
 
@@ -85,21 +86,7 @@ def _quad(ns) -> QuadratureConfig:
 
 
 def _spec(ns) -> pot.PotentialSpec:
-    if ns.family == pot.RIESZ:
-        if ns.s is None:
-            raise ParameterDomainError("--family riesz requires --s")
-        return pot.riesz(ns.s)
-    if ns.family == pot.YUKAWA:
-        if ns.kappa is None:
-            raise ParameterDomainError("--family yukawa requires --kappa")
-        return pot.yukawa(ns.kappa, ns.v)
-    if ns.family == pot.DOUBLE_YUKAWA:
-        if ns.v1 is None or ns.kappa1 is None:
-            raise ParameterDomainError("--family double-yukawa requires --v1 and --kappa1")
-        return pot.derive_double_yukawa(ns.v1, ns.kappa1)
-    if ns.kappa1 is None:
-        raise ParameterDomainError("--family yukawa-coulomb requires --kappa1")
-    return pot.derive_yukawa_coulomb(ns.kappa1)
+    return pot.make_spec(ns.family, s=ns.s, kappa=ns.kappa, v=ns.v, v1=ns.v1, kappa1=ns.kappa1)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -114,36 +101,34 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _emit(ns, rows, header, config):
-    if ns.format == "csv":
-        text = rows_to_csv(rows, header)
-    else:
-        text = rows_to_json(rows, config, header) + "\n"
-    if ns.output:
-        with open(ns.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write a command's table; ``perfbench/tracer.py`` times emission here."""
+    write_table(rows, header, ns.format, config, ns.output)
 
 
-def _record_rows(record: dict):
-    """A one-record table for the single-point commands."""
-    keys = list(record.keys())
-    return [tuple(record[k] for k in keys)], ",".join(keys)
+def _family_command(compute):
+    """A single-point command on one family member.
+
+    ``compute(ns, spec, q)`` returns the command's record; the member and
+    the quadrature settings are built here, once, and the record is
+    emitted as a one-row table.
+    """
+
+    def run(ns) -> int:
+        spec = _spec(ns)
+        record = compute(ns, spec, _quad(ns))
+        config = {"command": ns.command, "potential": json.loads(spec.to_json())}
+        _emit(ns, [tuple(record.values())], ",".join(record), config)
+        return 0
+
+    return run
 
 
-def cmd_energy(ns) -> int:
-    spec = _spec(ns)
-    q = _quad(ns)
-    state = LatticeState(ns.area, math.log(ns.delta))
-    value = lattice_energy(spec, state, q)
-    rows, header = _record_rows({"A": ns.area, "delta": ns.delta, "energy": value})
-    _emit(ns, rows, header, {"command": "energy", "potential": json.loads(spec.to_json())})
-    return 0
+def cmd_energy(ns, spec, q) -> dict:
+    value = lattice_energy(spec, LatticeState(ns.area, math.log(ns.delta)), q)
+    return {"A": ns.area, "delta": ns.delta, "energy": value}
 
 
-def cmd_expand(ns) -> int:
-    spec = _spec(ns)
-    q = _quad(ns)
+def cmd_expand(ns, spec, q) -> dict:
     record = {"A": ns.area}
     if ns.method in ("closed", "both"):
         closed = expansion.expansion_closed(spec, ns.area, q)
@@ -163,25 +148,17 @@ def cmd_expand(ns) -> int:
             e2_discrepancy=abs(closed.e2 - series.e2),
             e4_discrepancy=abs(closed.e4 - series.e4),
         )
-    rows, header = _record_rows(record)
-    _emit(ns, rows, header, {"command": "expand", "potential": json.loads(spec.to_json())})
-    return 0
+    return record
 
 
-def cmd_transition(ns) -> int:
-    spec = _spec(ns)
-    q = _quad(ns)
+def cmd_transition(ns, spec, q) -> dict:
     tp = find_transition(spec, (ns.a_lo, ns.a_hi), q)
-    rows, header = _record_rows(
-        {
-            "a_star": tp.a_star,
-            "order": tp.order,
-            "e2_residual": tp.e2_residual,
-            "e4_value": tp.e4_at_a_star,
-        }
-    )
-    _emit(ns, rows, header, {"command": "transition", "potential": json.loads(spec.to_json())})
-    return 0
+    return {
+        "a_star": tp.a_star,
+        "order": tp.order,
+        "e2_residual": tp.e2_residual,
+        "e4_value": tp.e4_at_a_star,
+    }
 
 
 def cmd_tricritical(ns) -> int:
@@ -191,60 +168,43 @@ def cmd_tricritical(ns) -> int:
         guess = (ns.guess_a, ns.guess_param)
     tc = find_tricritical(ns.family, ns.kappa1, guess, q)
     param_name = "v1_t" if ns.family == pot.DOUBLE_YUKAWA else "kappa1_t"
-    rows, header = _record_rows(
-        {
-            "a_t": tc.a_t,
-            param_name: tc.param_t,
-            "e2_residual": tc.residuals[0],
-            "e4_residual": tc.residuals[1],
-            "jacobian_condition": tc.jacobian_condition,
-        }
-    )
+    rows = [(tc.a_t, tc.param_t, *tc.residuals, tc.jacobian_condition)]
+    header = f"a_t,{param_name},e2_residual,e4_residual,jacobian_condition"
     _emit(ns, rows, header, {"command": "tricritical", "family": ns.family, "kappa1": ns.kappa1})
     return 0
 
 
-def cmd_first_order(ns) -> int:
-    spec = _spec(ns)
-    q = _quad(ns)
+def cmd_first_order(ns, spec, q) -> dict:
     if ns.a_lo is not None and ns.a_hi is not None:
         bracket = (ns.a_lo, ns.a_hi)
     else:
         tp = find_transition(spec, (0.5, 12.0), q)
         bracket = first_order_bracket(spec, tp.a_star, q)
     a_trans, eps_jump = find_first_order(spec, bracket, q)
-    rows, header = _record_rows(
-        {"a_trans": a_trans, "eps_jump": eps_jump, "delta_jump": math.exp(eps_jump)}
-    )
-    _emit(ns, rows, header, {"command": "first-order", "potential": json.loads(spec.to_json())})
-    return 0
+    return {"a_trans": a_trans, "eps_jump": eps_jump, "delta_jump": math.exp(eps_jump)}
 
 
-def cmd_fit(ns) -> int:
-    spec = _spec(ns)
-    q = _quad(ns)
+def cmd_fit(ns, spec, q) -> dict:
     a_ref = ns.a_ref
     if a_ref is None:
         a_ref = find_transition(spec, (0.5, 12.0), q).a_star
     fit: FitResult = fit_exponent(spec, a_ref, q=q)
-    rows, header = _record_rows(
-        {
-            "a_ref": a_ref,
-            "beta": fit.beta,
-            "amplitude": fit.amplitude,
-            "r_squared": fit.r_squared,
-            "delta_min": fit.window[0],
-            "delta_max": fit.window[1],
-        }
-    )
-    _emit(ns, rows, header, {"command": "fit", "potential": json.loads(spec.to_json())})
-    return 0
+    return {
+        "a_ref": a_ref,
+        "beta": fit.beta,
+        "amplitude": fit.amplitude,
+        "r_squared": fit.r_squared,
+        "delta_min": fit.window[0],
+        "delta_max": fit.window[1],
+    }
 
 
 def cmd_scan(ns) -> int:
     q = _quad(ns)
     if ns.workers < 1:
         raise ParameterDomainError(f"--workers must be at least 1, got {ns.workers}")
+    if ns.mode != "critical-curve" and not ns.kappa1_grid:
+        raise ParameterDomainError(f"{ns.mode} scan requires --kappa1-grid")
     config = {"command": "scan", "mode": ns.mode, "workers": ns.workers}
     if ns.mode == "critical-curve":
         if ns.kappa1 is None:
@@ -254,28 +214,18 @@ def cmd_scan(ns) -> int:
         rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q, workers=ns.workers)
         header = SCAN_CSV_HEADER
     elif ns.mode == "yukawa-coulomb":
-        if not ns.kappa1_grid:
-            raise ParameterDomainError("yukawa-coulomb scan requires --kappa1-grid")
         rows = scan_yukawa_coulomb(_parse_grid(ns.kappa1_grid), q, workers=ns.workers)
         header = SCAN_CSV_HEADER
     elif ns.mode == "tricritical-locus":
-        if not ns.kappa1_grid:
-            raise ParameterDomainError("tricritical-locus scan requires --kappa1-grid")
         rows, bounds = scan_tricritical_locus(
             _parse_grid(ns.kappa1_grid), q, with_bounds=not ns.no_bounds
         )
         if bounds is not None:
-            rows.append((bounds[0], None, None, "kappa1-lower"))
-            rows.append((bounds[1], None, None, "kappa1-upper"))
             config["kappa1_lower"], config["kappa1_upper"] = bounds
-        header = "kappa1,a_t,v1_t,status"
-    elif ns.mode == "a-star-min":
-        if not ns.kappa1_grid:
-            raise ParameterDomainError("a-star-min scan requires --kappa1-grid")
+        header = LOCUS_CSV_HEADER
+    else:  # a-star-min; argparse restricts the choices
         rows = scan_a_star_min(_parse_grid(ns.kappa1_grid), q, workers=ns.workers)
-        header = "kappa1,a_star_min,status"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterDomainError(f"unknown scan mode {ns.mode!r}")
+        header = A_STAR_MIN_CSV_HEADER
     _emit(ns, rows, header, config)
     return 0
 
@@ -293,21 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", type=float, required=True, help="inverse density A")
     p.add_argument("--delta", type=float, default=1.0, help="aspect ratio")
     _add_common(p, "json")
-    p.set_defaults(fn=cmd_energy)
+    p.set_defaults(fn=_family_command(cmd_energy))
 
     p = sub.add_parser("expand", help="expansion coefficients at one density")
     _add_family(p)
     p.add_argument("--area", type=float, required=True)
     p.add_argument("--method", choices=("closed", "series", "both"), default="both")
     _add_common(p, "json")
-    p.set_defaults(fn=cmd_expand)
+    p.set_defaults(fn=_family_command(cmd_expand))
 
     p = sub.add_parser("transition", help="second-order transition density")
     _add_family(p)
     p.add_argument("--a-lo", type=float, default=0.5)
     p.add_argument("--a-hi", type=float, default=12.0)
     _add_common(p, "json")
-    p.set_defaults(fn=cmd_transition)
+    p.set_defaults(fn=_family_command(cmd_transition))
 
     p = sub.add_parser("tricritical", help="joint root of E2 and E4")
     p.add_argument(
@@ -324,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-lo", type=float)
     p.add_argument("--a-hi", type=float)
     _add_common(p, "json")
-    p.set_defaults(fn=cmd_first_order)
+    p.set_defaults(fn=_family_command(cmd_first_order))
 
     p = sub.add_parser("fit", help="critical-exponent fit above a transition")
     _add_family(p)
     p.add_argument("--a-ref", type=float, help="reference density (default: solve)")
     _add_common(p, "json")
-    p.set_defaults(fn=cmd_fit)
+    p.set_defaults(fn=_family_command(cmd_fit))
 
     p = sub.add_parser("scan", help="parameter sweeps")
     p.add_argument(
@@ -349,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+def exit_code(run, *args) -> int:
+    """``run(*args)``'s own exit code, or the documented code of the refusal
+    it raised, with the message on stderr.  The scripts exit through it too."""
     try:
-        return ns.fn(ns)
+        return run(*args)
     except (ParameterDomainError, UnsupportedOracleError, BracketError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -363,6 +313,11 @@ def main(argv=None) -> int:
     except (NonconvergenceError, SearchFailureError, ClassificationError) as err:
         print(f"nonconvergence: {err}", file=sys.stderr)
         return 4
+
+
+def main(argv=None) -> int:
+    ns = build_parser().parse_args(argv)
+    return exit_code(ns.fn, ns)
 
 
 if __name__ == "__main__":

@@ -137,13 +137,13 @@ def _gap_minimum(spec, area, q, lo, hi, xatol):
     return float(res.x), float(res.fun)
 
 
-def _direct_minimum(spec, area, q, lo, hi, n_scan=129):
-    """Coarse scan plus bounded refinement of the energy gap over eps."""
-    grid = np.linspace(lo, hi, n_scan)
+def _direct_minimum(spec, area, q, lo, hi):
+    """Coarse scan (129 points) plus bounded refinement of the energy gap over eps."""
+    grid = np.linspace(lo, hi, 129)
     vals = np.array([energy_gap(spec, area, e, q) for e in grid])
     i = int(np.argmin(vals))
     left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, n_scan - 1)]
+    right = grid[min(i + 1, len(grid) - 1)]
     if left == right:
         return grid[i], vals[i]
     return _gap_minimum(spec, area, q, left, right, 1e-12)
@@ -229,14 +229,14 @@ def _kappa2_of_v1(kappa1: float, v1: float) -> float:
     return (kappa1 * v1 - ek) / (v1 + ek)
 
 
-def _newton2(F, z0, in_domain, steps, scale, tol=1e-12, max_iter=60):
-    """Damped 2D Newton with FD Jacobian; returns (z, residuals, cond, trace)."""
+def _newton2(F, z0, in_domain, steps, scale):
+    """Damped 2D Newton with FD Jacobian, at most 60 steps; returns
+    (z, residuals, cond, trace)."""
     z = np.array(z0, dtype=float)
     trace = []
     f = np.array(F(z))
     noise = 1e-12 * scale
-    jac = np.eye(2)
-    for _ in range(max_iter):
+    for _ in range(60):
         jac = np.empty((2, 2))
         for i in range(2):
             h = steps[i](z)
@@ -264,7 +264,7 @@ def _newton2(F, z0, in_domain, steps, scale, tol=1e-12, max_iter=60):
         trace.append((z[0], z[1], float(np.linalg.norm(f))))
         if not accepted:
             break
-        step_ok = np.max(np.abs(lam * dz) / np.maximum(np.abs(z), 1e-8)) < tol
+        step_ok = np.max(np.abs(lam * dz) / np.maximum(np.abs(z), 1e-8)) < 1e-12
         if step_ok and np.all(np.abs(f) <= 10 * noise):
             cond = float(np.linalg.cond(jac))
             return z, f, cond, trace
@@ -293,7 +293,8 @@ def find_tricritical(
     For the double-Yukawa family ``fixed_param`` is kappa1 and the
     reported parameter is v1; internally the solver walks (A, kappa2),
     which stays well-conditioned up to both ends of the tricritical
-    locus.  For Yukawa-Coulomb the unknowns are (A, kappa1) directly.
+    locus.  For Yukawa-Coulomb the unknowns are (A, kappa1) directly, so
+    a ``fixed_param`` is refused.
     """
     if family == pot.DOUBLE_YUKAWA:
         if fixed_param is None:
@@ -321,6 +322,8 @@ def find_tricritical(
             return TricriticalPoint(float(z[0]), float(spec.v1), tuple(f), cond)
 
     elif family == pot.YUKAWA_COULOMB:
+        message = f"the yukawa-coulomb tricritical solve finds kappa1; got kappa1={fixed_param}"
+        check_domain(fixed_param is None, message)
         if initial_guess is None:
             initial_guess = (2.8, 2.04)
         z0 = initial_guess
@@ -354,7 +357,7 @@ def find_tricritical(
         z, f, cond, _ = _newton2(F, z0, in_domain, steps, scale)
         return result(z, f, cond)
     except NonconvergenceError as err:
-        z = _nested_fallback(F, z0, in_domain, q)
+        z = _nested_fallback(F, z0, in_domain)
         if z is None:
             raise NonconvergenceError(
                 "tricritical solve failed (Newton and nested fallback)",
@@ -364,7 +367,7 @@ def find_tricritical(
         return result(np.array(z), f, float("nan"))
 
 
-def _nested_fallback(F, z0, in_domain, q, widen=12):
+def _nested_fallback(F, z0, in_domain):
     """Outer 1D root in the family parameter of E4 evaluated on the E2 root.
 
     Mirrors the picture of the critical curve terminating where E4
@@ -406,7 +409,7 @@ def _nested_fallback(F, z0, in_domain, q, widen=12):
     g0 = outer(w0)
     if g0 is None:
         return None
-    for _ in range(widen):
+    for _ in range(12):
         for w1 in (w0 + h, w0 - h):
             if not in_domain((z0[0], w1)):
                 continue

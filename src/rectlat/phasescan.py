@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import potentials as pot
 from .critical import (
+    _BRENT_RTOL,
     find_first_order,
     find_tricritical,
     find_transition,
@@ -37,6 +39,8 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 SCAN_CSV_HEADER = (
     "family,kappa1,v1,a_star,order,eps_jump,e2_residual,e4_value,status"
 )
+LOCUS_CSV_HEADER = "kappa1,a_t,v1_t,status"
+A_STAR_MIN_CSV_HEADER = "kappa1,a_star_min,status"
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,9 @@ def _failure_status(err) -> str:
     return f"failed: {type(err).__name__}: {err}"
 
 
-def _failed_row(family, params, err) -> PhaseDiagramRow:
-    """The row of a scan point ``(v1, kappa1)`` or ``(kappa1,)`` that failed."""
-    v1, kappa1 = params if family == pot.DOUBLE_YUKAWA else (None, params[0])
+def _failed_row(family, point, err) -> PhaseDiagramRow:
+    """The row of a scan point ``(v1, kappa1)`` that failed."""
+    v1, kappa1 = point
     return PhaseDiagramRow(
         family=family,
         kappa1=kappa1,
@@ -109,8 +113,9 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     return rows
 
 
-def _coarse_e2_root(spec, q, hint=None, lo=0.3, hi=20.0):
-    """Cheap warm-startable E2 root (bisection to ~1e-3 relative)."""
+def _coarse_e2_root(spec, q, hint=None):
+    """Cheap warm-startable E2 root (bisection to ~1e-3 relative); without
+    a hint, the first sign change on a 25-point grid over A in [0.3, 20]."""
     f = lambda a: e2_closed(spec, a, q)
     if hint is not None:
         a, b = hint * 0.9, hint * 1.1
@@ -123,7 +128,7 @@ def _coarse_e2_root(spec, q, hint=None, lo=0.3, hi=20.0):
         else:
             return None
     else:
-        grid = np.geomspace(lo, hi, 25)
+        grid = np.geomspace(0.3, 20.0, 25)
         vals = [f(x) for x in grid]
         for i in range(len(grid) - 1):
             if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
@@ -141,23 +146,23 @@ def _coarse_e2_root(spec, q, hint=None, lo=0.3, hi=20.0):
     return 0.5 * (a + b)
 
 
-def _member(family, params):
-    """The family member at a scan point ``(v1, kappa1)`` or ``(kappa1,)``."""
-    if family == pot.YUKAWA_COULOMB:
-        return pot.derive_yukawa_coulomb(*params)
-    if params[0] is None:
+def _member(family, point):
+    """The family member at a scan point ``(v1, kappa1)``; v1 is None for
+    Yukawa-Coulomb, and for a double-Yukawa density the inversion missed."""
+    v1, kappa1 = point
+    if family == pot.DOUBLE_YUKAWA and v1 is None:
         raise BracketError("critical curve inversion failed")
-    return pot.derive_double_yukawa(*params)
+    return pot.make_spec(family, v1=v1, kappa1=kappa1)
 
 
 def _polish_critical_point(job):
     if isinstance(job, PhaseDiagramRow):  # failed at seeding
         return [job]
-    params, spec, bracket, q = job
+    point, spec, bracket, q = job
     try:
         return _transition_rows(spec, bracket, q)
     except RectlatError as err:
-        return [_failed_row(spec.family, params, err)]
+        return [_failed_row(spec.family, point, err)]
 
 
 def _map_jobs(fn, jobs, workers):
@@ -176,17 +181,17 @@ def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
     """
     jobs = []
     hint = None
-    for params in points:
+    for point in points:
         try:
-            spec = _member(family, params)
+            spec = _member(family, point)
             coarse = _coarse_e2_root(spec, q, hint)
             if coarse is None:
                 raise BracketError("no sign change of E2 for the coarse root")
         except RectlatError as err:
-            jobs.append(_failed_row(family, params, err))
+            jobs.append(_failed_row(family, point, err))
             continue
         hint = coarse
-        jobs.append((params, spec, (coarse * 0.995, coarse * 1.005), q))
+        jobs.append((point, spec, (coarse * 0.995, coarse * 1.005), q))
     return [row for rows in _map_jobs(_polish_critical_point, jobs, workers) for row in rows]
 
 
@@ -223,7 +228,7 @@ def _v1_on_critical_curve(kappa1, area, q):
     g_lo = g(lo)
     for _ in range(40):
         if np.sign(g(hi)) != np.sign(g_lo):
-            return brentq(g, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps)
+            return brentq(g, lo, hi, xtol=1e-13, rtol=_BRENT_RTOL)
         lo, hi = hi, hi * 2.0
     return None
 
@@ -235,23 +240,32 @@ def scan_yukawa_coulomb(
 ) -> list[PhaseDiagramRow]:
     """Transition rows of the Yukawa-Coulomb family over a kappa1 grid,
     with the tricritical point appended as its own row."""
-    rows = _scan_rows(pot.YUKAWA_COULOMB, [(k1,) for k1 in kappa1_grid], q, workers)
-    tc = find_tricritical(pot.YUKAWA_COULOMB, q=q)
-    spec = pot.derive_yukawa_coulomb(tc.param_t)
-    rows.append(
-        PhaseDiagramRow(
-            family=pot.YUKAWA_COULOMB,
-            kappa1=tc.param_t,
-            v1=spec.v1,
-            a_star=tc.a_t,
-            order="tricritical",
-            eps_jump=0.0,
-            e2_residual=tc.residuals[0],
-            e4_value=tc.residuals[1],
-            status="ok",
-        )
-    )
+    rows = _scan_rows(pot.YUKAWA_COULOMB, [(None, k1) for k1 in kappa1_grid], q, workers)
+    rows.append(tricritical_row(pot.YUKAWA_COULOMB, find_tricritical(pot.YUKAWA_COULOMB, q=q)))
     return rows
+
+
+def tricritical_row(family, tc, kappa1=None) -> PhaseDiagramRow:
+    """The phase-diagram row of a tricritical point ``tc``.
+
+    ``kappa1`` is the fixed screening of a double-Yukawa solve, whose
+    parameter is v1; a Yukawa-Coulomb solve finds kappa1 itself.
+    """
+    if family == pot.YUKAWA_COULOMB:
+        kappa1, v1 = tc.param_t, pot.derive_yukawa_coulomb(tc.param_t).v1
+    else:
+        v1 = tc.param_t
+    return PhaseDiagramRow(
+        family=family,
+        kappa1=kappa1,
+        v1=v1,
+        a_star=tc.a_t,
+        order="tricritical",
+        eps_jump=0.0,
+        e2_residual=tc.residuals[0],
+        e4_value=tc.residuals[1],
+        status="ok",
+    )
 
 
 def scan_tricritical_locus(
@@ -265,7 +279,8 @@ def scan_tricritical_locus(
     starts; points outside the existence window are marked out-of-domain.
     Returns ``(rows, bounds)`` where rows are
     ``(kappa1, a_t, v1_t, status)`` and bounds is ``(kappa1_lower,
-    kappa1_upper)`` (or None when not requested).
+    kappa1_upper)`` (or None when not requested); the bounds close the
+    rows as ``kappa1-lower`` and ``kappa1-upper`` rows.
     """
     grid = np.asarray(sorted(kappa1_grid), dtype=float)
     anchor_idx = int(np.argmin(np.abs(grid - 2.0)))
@@ -285,7 +300,11 @@ def scan_tricritical_locus(
     walk(range(anchor_idx, len(grid)))
     walk(range(anchor_idx - 1, -1, -1))
     rows = [results[i] for i in range(len(grid))]
-    bounds = (kappa1_lower(q=q), kappa1_upper(q=q)) if with_bounds else None
+    if not with_bounds:
+        return rows, None
+    bounds = (kappa1_lower(q=q), kappa1_upper(q=q))
+    rows.append((bounds[0], None, None, "kappa1-lower"))
+    rows.append((bounds[1], None, None, "kappa1-upper"))
     return rows, bounds
 
 
@@ -332,19 +351,29 @@ def rows_to_csv(rows, header: str) -> str:
 
 
 def rows_to_json(rows, config: dict, header: Optional[str] = None) -> str:
-    """Top-level {meta, rows} document; floats keep full precision."""
+    """Top-level {meta, rows} document; floats keep full precision.
+    Rows other than ``PhaseDiagramRow`` are keyed by ``header``."""
     from . import __version__
 
-    keys = header.split(",") if header else None
-    payload_rows = []
-    for r in rows:
-        if isinstance(r, PhaseDiagramRow):
-            payload_rows.append(asdict(r))
-        elif keys is not None:
-            payload_rows.append(dict(zip(keys, r)))
-        else:
-            payload_rows.append(list(r))
+    payload_rows = [
+        asdict(r) if isinstance(r, PhaseDiagramRow) else dict(zip(header.split(","), r))
+        for r in rows
+    ]
     return json.dumps(
         {"meta": {"version": __version__, "config": config}, "rows": payload_rows},
         indent=2,
     )
+
+
+def write_table(rows, header: str, fmt: str, config: Optional[dict], output=None):
+    """Write ``rows`` as CSV (``fmt == "csv"``) or as the JSON document with
+    ``config`` in its meta, to the file ``output`` or else to stdout."""
+    if fmt == "csv":
+        text = rows_to_csv(rows, header)
+    else:
+        text = rows_to_json(rows, config, header) + "\n"
+    if output:
+        with open(output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)

@@ -41,7 +41,7 @@ YUKAWA_COULOMB = "yukawa-coulomb"
 
 FAMILIES = (RIESZ, YUKAWA, DOUBLE_YUKAWA, YUKAWA_COULOMB)
 
-#: Construction-time bound on the normalization residuals |f(1)+1|, |f'(1)|.
+#: Construction-time bound on the relative normalization residuals.
 NORMALIZATION_TOL = 1e-10
 
 #: Largest repulsive screening kappa1 whose exp(kappa1) is a finite double.
@@ -73,16 +73,8 @@ class PotentialSpec:
 def spec_from_json(text: str) -> PotentialSpec:
     """Rebuild a spec from its JSON form, re-deriving dependent parameters."""
     data = json.loads(text)
-    family = data.get("family")
-    if family == RIESZ:
-        return riesz(data["s"])
-    if family == YUKAWA:
-        return yukawa(data["kappa"], data.get("v", 1.0))
-    if family == DOUBLE_YUKAWA:
-        return derive_double_yukawa(data["v1"], data["kappa1"])
-    if family == YUKAWA_COULOMB:
-        return derive_yukawa_coulomb(data["kappa1"])
-    raise ParameterDomainError(f"unknown potential family {family!r}")
+    params = {k: data[k] for k in ("s", "kappa", "v", "v1", "kappa1") if k in data}
+    return make_spec(data.get("family"), **params)
 
 
 def riesz(s: float) -> PotentialSpec:
@@ -142,6 +134,27 @@ def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
     return spec
 
 
+def make_spec(family, *, s=None, kappa=None, v=1.0, v1=None, kappa1=None) -> PotentialSpec:
+    """The member of ``family`` with the given free parameters.
+
+    The one place where user input (command-line flags, JSON) becomes a
+    potential; parameters the family does not use are ignored.
+    """
+    given = {"s": s, "kappa": kappa, "v": v, "v1": v1, "kappa1": kappa1}
+    build, names = {
+        RIESZ: (riesz, ("s",)),
+        YUKAWA: (yukawa, ("kappa", "v")),
+        DOUBLE_YUKAWA: (derive_double_yukawa, ("v1", "kappa1")),
+        YUKAWA_COULOMB: (derive_yukawa_coulomb, ("kappa1",)),
+    }.get(family, (None, ()))
+    if build is None:
+        raise ParameterDomainError(f"unknown potential family {family!r}")
+    for name in names:
+        if given[name] is None:
+            raise ParameterDomainError(f"family {family} requires parameter {name}")
+    return build(*(given[name] for name in names))
+
+
 def _check_kappa1(kappa1):
     """Refuse a repulsive screening outside (0, KAPPA1_MAX] before any exp."""
     message = f"kappa1 must be positive and at most {KAPPA1_MAX:.12g}, got {kappa1}"
@@ -149,17 +162,21 @@ def _check_kappa1(kappa1):
 
 
 def _normalization_residuals(v1, k1, v2, k2):
-    f1 = v1 * math.exp(-k1) - v2 * math.exp(-k2)
+    """``f(1)+1`` and ``f'(1)``, each relative to the size of the two Yukawa
+    terms it is the difference of: at large v1 roundoff alone reaches
+    machine epsilon times v1 exp(-k1)."""
+    t1, t2 = v1 * math.exp(-k1), v2 * math.exp(-k2)
     # analytic derivative of v*exp(-k r)/r at r=1: -v exp(-k) (k + 1)
-    fp1 = -v1 * math.exp(-k1) * (k1 + 1.0) + v2 * math.exp(-k2) * (k2 + 1.0)
-    return (f1 + 1.0, fp1)
+    d1, d2 = t1 * (k1 + 1.0), t2 * (k2 + 1.0)
+    return ((t1 - t2 + 1.0) / (t1 + t2), (d2 - d1) / (d1 + d2))
 
 
 def _check_normalization(spec: PotentialSpec):
     r1, r2 = spec.norm_residuals
     check_domain(
         abs(r1) <= NORMALIZATION_TOL and abs(r2) <= NORMALIZATION_TOL,
-        f"normalization residuals too large for {spec.family}: f(1)+1={r1:.3e}, f'(1)={r2:.3e}",
+        f"relative normalization residuals too large for {spec.family}: "
+        f"f(1)+1={r1:.3e}, f'(1)={r2:.3e}",
     )
 
 

@@ -97,16 +97,16 @@ _GRID_CACHE: dict[tuple, Grid] = {}
 
 def _tail_cutoff(decay_scale: float) -> float:
     """Upper limit beyond which exp(-u - p/u) is negligible relative to
-    its peak exp(-2 sqrt(p)), with ~40 extra e-foldings of margin."""
+    its peak exp(-2 sqrt(p)), with ~40 extra e-foldings of margin; bucketed
+    so that nearby decay scales share grids (and their tables)."""
     p = max(decay_scale, 0.0)
     d = 2.0 * math.sqrt(p) + _BASE_HI
-    return 0.5 * (d + math.sqrt(d * d - 4.0 * p))
+    hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
+    return _BASE_HI * 1.5 ** max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
 
 
-def grid_for(lo: float, decay_scale: float, level: int) -> Grid:
-    hi = _tail_cutoff(decay_scale)
-    # bucket the cutoff so nearby calls share grids (and their tables)
-    hi = _BASE_HI * 1.5 ** max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
+def grid_for(lo: float, hi: float, level: int) -> Grid:
+    """The cached grid on (lo, hi] at refinement ``level``."""
     key = (round(lo, 12), hi, level)
     g = _GRID_CACHE.get(key)
     if g is None:
@@ -125,12 +125,13 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
     previous level within ``max(rel_tol * abs_scale, abs_tol)``; its
     value is frozen there while the others refine.
     """
+    hi = _tail_cutoff(decay_scale)
     prev = kept = None  # kept: components accepted at an earlier level
     for level in range(q.max_refinements + 1):
         value = 0.0
         scale = 0.0
         for lo, fn in pieces:
-            v, s = fn(grid_for(lo, decay_scale, level))
+            v, s = fn(grid_for(lo, hi, level))
             value += v
             scale += s
         if prev is not None:

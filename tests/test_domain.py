@@ -1,6 +1,7 @@
 """Non-finite and out-of-domain input is refused up front, by the library and by the CLI."""
 
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -99,8 +100,11 @@ def test_non_finite_flag_exits_2(argv):
         lambda: find_tricritical("double-yukawa", 0.0),
         lambda: find_tricritical("double-yukawa", -1.0),
         lambda: find_tricritical("double-yukawa", math.nan),
+        # the Yukawa-Coulomb solve finds kappa1 itself; a given one was ignored
+        lambda: find_tricritical("yukawa-coulomb", 5.0),
     ],
-    ids=["dy-1000", "yc-800", "tricritical-1000", "tricritical-0", "tricritical--1", "tricritical-nan"],
+    ids=["dy-1000", "yc-800", "tricritical-1000", "tricritical-0", "tricritical--1",
+         "tricritical-nan", "tricritical-yc-5"],
 )
 def test_out_of_domain_kappa1_is_a_domain_error(call):
     with pytest.raises(ParameterDomainError, match="kappa1"):
@@ -116,9 +120,10 @@ def test_out_of_domain_kappa1_is_a_domain_error(call):
         ["tricritical", "--family", "double-yukawa", "--kappa1", "0"],
         ["tricritical", "--family", "double-yukawa", "--kappa1=-1"],
         ["tricritical", "--family", "double-yukawa", "--kappa1", "nan"],
+        ["tricritical", "--family", "yukawa-coulomb", "--kappa1", "5"],
     ],
     ids=["energy-dy-1000", "energy-yc-800", "tricritical-1000", "tricritical-0",
-         "tricritical--1", "tricritical-nan"],
+         "tricritical--1", "tricritical-nan", "tricritical-yc-5"],
 )
 def test_out_of_domain_kappa1_exits_2(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -127,3 +132,12 @@ def test_out_of_domain_kappa1_exits_2(argv):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:") and "kappa1" in err.getvalue()
+
+
+def test_large_v1_member_runs_on_the_cli():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["energy", "--family", "double-yukawa", "--v1", "1e8", "--kappa1", "2",
+                     "--area", "2.2"])
+    assert code == 0
+    assert math.isfinite(json.loads(out.getvalue())["rows"][0]["energy"])

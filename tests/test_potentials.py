@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from scipy.integrate import quad
 from rectlat.errors import ParameterDomainError
 from rectlat.potentials import (
     PotentialSpec,
+    _check_normalization,
+    _normalization_residuals,
     derive_double_yukawa,
     derive_yukawa_coulomb,
     laplace_pairs,
@@ -34,6 +38,22 @@ class TestDoubleYukawa:
         assert abs(fprime) < 1e-9
         assert abs(dy98.norm_residuals[0]) < 1e-12
         assert abs(dy98.norm_residuals[1]) < 1e-12
+
+    @pytest.mark.parametrize("v1", [1e8, 1e12])
+    def test_large_v1_builds(self, v1):
+        # f(1)+1 is roundoff between two terms of size v1 exp(-kappa1)
+        spec = derive_double_yukawa(v1, 2.0)
+        assert 0.0 < spec.kappa2 < spec.kappa1
+
+    def test_normalization_error_refused(self, dy98):
+        v2 = dy98.v2 * (1.0 + 1e-8)
+        bad = replace(
+            dy98,
+            v2=v2,
+            norm_residuals=_normalization_residuals(dy98.v1, dy98.kappa1, v2, dy98.kappa2),
+        )
+        with pytest.raises(ParameterDomainError, match="normalization residuals"):
+            _check_normalization(bad)
 
     def test_border_rejected(self):
         v1_border = math.exp(2.0) / 2.0
@@ -176,3 +196,18 @@ class TestSerialization:
     def test_unknown_family(self):
         with pytest.raises(ParameterDomainError):
             spec_from_json('{"family": "lennard-jones"}')
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ('{"family": "riesz"}', "s"),
+            ('{"family": "yukawa", "v": 2.0}', "kappa"),
+            ('{"family": "double-yukawa", "kappa1": 2.0}', "v1"),
+            ('{"family": "yukawa-coulomb", "v1": 3.69}', "kappa1"),
+        ],
+        ids=["riesz", "yukawa", "double-yukawa", "yukawa-coulomb"],
+    )
+    def test_missing_parameter_is_a_domain_error(self, text, missing):
+        message = f"family {json.loads(text)['family']} requires parameter {missing}$"
+        with pytest.raises(ParameterDomainError, match=message):
+            spec_from_json(text)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from rectlat.errors import ParameterDomainError, QuadratureError
-from rectlat.quadrature import DEFAULT_CONFIG, Grid, QuadratureConfig, grid_for, integrate
+from rectlat.quadrature import (
+    DEFAULT_CONFIG,
+    Grid,
+    QuadratureConfig,
+    _tail_cutoff,
+    grid_for,
+    integrate,
+)
 
 
 def test_config_validation():
@@ -119,8 +126,8 @@ def test_scalar_pieces_return_scalars():
 
 
 def test_grid_caching_and_determinism():
-    g1 = grid_for(math.pi, 0.0, 1)
-    g2 = grid_for(math.pi, 0.0, 1)
+    g1 = grid_for(math.pi, _tail_cutoff(0.0), 1)
+    g2 = grid_for(math.pi, _tail_cutoff(0.0), 1)
     assert g1 is g2
     g3 = Grid(g1.lo, g1.hi, 1)
     np.testing.assert_array_equal(g1.nodes, g3.nodes)
@@ -128,7 +135,7 @@ def test_grid_caching_and_determinism():
 
 
 def test_cached_tables():
-    g = grid_for(math.pi, 0.0, 0)
+    g = grid_for(math.pi, _tail_cutoff(0.0), 0)
     calls = []
 
     def builder(nodes):

@@ -1,12 +1,15 @@
 """The experiment scripts run against the current library API.
 
-Each script runs in-process under ``runpy`` with a patched ``sys.argv``;
-where a CLI scan computes the same table, the outputs are compared.
+Each script runs in-process under ``runpy`` with a patched ``sys.argv``
+and exits through the CLI's exit codes; where a CLI scan computes the
+same table, the outputs are compared.
 """
 
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 from rectlat.cli import main
 from rectlat.phasescan import SCAN_CSV_HEADER
@@ -15,8 +18,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_script(monkeypatch, capsys, name, *args):
+    """The script's stdout; it must exit 0."""
     monkeypatch.setattr(sys, "argv", [name, *args])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exited.value.code == 0
     return capsys.readouterr().out
 
 
@@ -53,3 +59,14 @@ def test_phase_diagram_runs(monkeypatch, capsys):
     lines = out.splitlines()
     assert lines[0] == SCAN_CSV_HEADER
     assert lines[-1].split(",")[4] == "tricritical"
+
+
+def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
+    # the border exp(kappa1)/kappa1 overflowed before the library could refuse kappa1
+    monkeypatch.setattr(sys, "argv", ["phase_diagram.py", "--kappa1", "1000"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / "phase_diagram.py"), run_name="__main__")
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kappa1 must be positive and at most")

@@ -44,6 +44,9 @@ def test_tracer_counts_the_layers(tmp_path, argv, counted):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(out.read_text())["counts"]
-    for key in counted:
+    doc = json.loads(out.read_text())
+    counts = doc["counts"]
+    for key in ("quadrature.grid_units", *counted):
         assert counts.get(key, 0) > 0, key
+    # ``cli.emit_s`` is read from the span of ``cli._emit``
+    assert any(name == "cli._emit" for _, name, *_ in doc["edges"])

@@ -71,7 +71,7 @@ def _add_family(p):
     )
     p.add_argument("--s", type=float, help="Riesz exponent")
     p.add_argument("--kappa", type=float, help="Yukawa screening")
-    p.add_argument("--v", type=float, default=1.0, help="Yukawa strength")
+    p.add_argument("--v", type=float, help="Yukawa strength (default 1)")
     p.add_argument("--v1", type=float, help="repulsive strength (double Yukawa)")
     p.add_argument("--kappa1", type=float, help="repulsive screening")
 
@@ -85,8 +85,18 @@ def _quad(ns) -> QuadratureConfig:
     )
 
 
+def _refuse_unused(ns, flags, used, what):
+    """Refuse any of ``flags`` (argparse destinations) that was given on the
+    command line but is not among the ``used`` ones."""
+    given = [f for f in flags if getattr(ns, f) is not None]
+    unused = [f"--{f.replace('_', '-')}" for f in given if f not in used]
+    check_domain(not unused, f"{what} does not use {', '.join(unused)}")
+
+
 def _spec(ns) -> pot.PotentialSpec:
-    return pot.make_spec(ns.family, s=ns.s, kappa=ns.kappa, v=ns.v, v1=ns.v1, kappa1=ns.kappa1)
+    names = ("s", "kappa", "v", "v1", "kappa1")
+    _refuse_unused(ns, names, pot.FAMILY_PARAMETERS[ns.family], f"family {ns.family}")
+    return pot.make_spec(ns.family, **{name: getattr(ns, name) for name in names})
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -199,22 +209,34 @@ def cmd_fit(ns, spec, q) -> dict:
     }
 
 
+#: The scan flags each mode reads, as argparse destinations.
+_SCAN_FLAGS = {
+    "critical-curve": ("kappa1", "v1_grid", "a_grid", "workers"),
+    "yukawa-coulomb": ("kappa1_grid", "workers"),
+    "tricritical-locus": ("kappa1_grid", "no_bounds"),
+    "a-star-min": ("kappa1_grid", "workers"),
+}
+
+
 def cmd_scan(ns) -> int:
     q = _quad(ns)
-    if ns.workers < 1:
-        raise ParameterDomainError(f"--workers must be at least 1, got {ns.workers}")
+    flags = ("kappa1", "v1_grid", "a_grid", "kappa1_grid", "workers", "no_bounds")
+    _refuse_unused(ns, flags, _SCAN_FLAGS[ns.mode], f"{ns.mode} scan")
+    workers = 1 if ns.workers is None else ns.workers
+    if workers < 1:
+        raise ParameterDomainError(f"--workers must be at least 1, got {workers}")
     if ns.mode != "critical-curve" and not ns.kappa1_grid:
         raise ParameterDomainError(f"{ns.mode} scan requires --kappa1-grid")
-    config = {"command": "scan", "mode": ns.mode, "workers": ns.workers}
+    config = {"command": "scan", "mode": ns.mode, "workers": workers}
     if ns.mode == "critical-curve":
         if ns.kappa1 is None:
             raise ParameterDomainError("critical-curve scan requires --kappa1")
         v1_grid = _parse_grid(ns.v1_grid) if ns.v1_grid else None
         a_grid = _parse_grid(ns.a_grid) if ns.a_grid else None
-        rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q, workers=ns.workers)
+        rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q, workers=workers)
         header = SCAN_CSV_HEADER
     elif ns.mode == "yukawa-coulomb":
-        rows = scan_yukawa_coulomb(_parse_grid(ns.kappa1_grid), q, workers=ns.workers)
+        rows = scan_yukawa_coulomb(_parse_grid(ns.kappa1_grid), q, workers=workers)
         header = SCAN_CSV_HEADER
     elif ns.mode == "tricritical-locus":
         rows, bounds = scan_tricritical_locus(
@@ -224,7 +246,7 @@ def cmd_scan(ns) -> int:
             config["kappa1_lower"], config["kappa1_upper"] = bounds
         header = LOCUS_CSV_HEADER
     else:  # a-star-min; argparse restricts the choices
-        rows = scan_a_star_min(_parse_grid(ns.kappa1_grid), q, workers=ns.workers)
+        rows = scan_a_star_min(_parse_grid(ns.kappa1_grid), q, workers=workers)
         header = A_STAR_MIN_CSV_HEADER
     _emit(ns, rows, header, config)
     return 0
@@ -292,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v1-grid", help="lo:hi:lin|log:N")
     p.add_argument("--a-grid", help="lo:hi:lin|log:N")
     p.add_argument("--kappa1-grid", help="lo:hi:lin|log:N")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-bounds", action="store_true", help="skip kappa1 bound estimates")
+    p.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p.add_argument(
+        "--no-bounds", action="store_true", default=None, help="skip kappa1 bound estimates"
+    )
     _add_common(p, "csv")
     p.set_defaults(fn=cmd_scan)
     return ap

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import potentials as pot
 from .energy import LatticeState, energy_gap, lattice_energy
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .expansion import curvature_table, e2_closed, e2_e4_closed, e4_closed, landau_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .solvers import RTOL_MIN, brentq, minimize_scalar
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
@@ -47,8 +47,6 @@ EPS_CAP = math.log(4.0)
 # The bounded minimiser stops within about sqrt(machine eps) * x of a bound,
 # so a minimum pinned at EPS_CAP reads ln 4 - 2e-8, not ln 4.
 _CAP_RTOL = 1e-6
-
-_BRENT_RTOL = 4 * np.finfo(float).eps
 
 
 class PoorFitWarning(UserWarning):
@@ -133,8 +131,8 @@ def _series_branch(coeffs):
 def _gap_minimum(spec, area, q, lo, hi, xatol):
     """Bounded minimum ``(eps, gap)`` of the directly integrated gap over [lo, hi]."""
     gap = lambda e: energy_gap(spec, area, e, q)
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun)
+    x, fx = minimize_scalar(gap, lo, hi, xatol)
+    return float(x), float(fx)
 
 
 def _direct_minimum(spec, area, q, lo, hi):
@@ -186,7 +184,7 @@ def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> Tr
             f"(values {f_lo:.6e}, {f_hi:.6e})"
         )
     a_star = brentq(
-        lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=_BRENT_RTOL
+        lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=RTOL_MIN
     )
     e2v, e4v = e2_e4_closed(spec, a_star, q)
     return TransitionPoint(
@@ -386,7 +384,7 @@ def _nested_fallback(F, z0, in_domain):
                 return None
             fb = g(b)
             if np.sign(fa) * np.sign(fb) < 0:
-                return brentq(g, min(a, b), max(a, b), xtol=1e-15, rtol=_BRENT_RTOL)
+                return brentq(g, min(a, b), max(a, b), xtol=1e-15, rtol=RTOL_MIN)
             a, fa = b, fb
             step *= 2.0
         return None
@@ -417,7 +415,7 @@ def _nested_fallback(F, z0, in_domain):
             if g1 is not None and np.sign(g1) * np.sign(g0) < 0:
                 try:
                     w_star = brentq(
-                        outer_strict, min(w0, w1), max(w0, w1), xtol=1e-14, rtol=_BRENT_RTOL
+                        outer_strict, min(w0, w1), max(w0, w1), xtol=1e-14, rtol=RTOL_MIN
                     )
                     a_star = a_root(w_star, z0[0])
                 except NonconvergenceError:
@@ -475,7 +473,7 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
             f"branch-energy crossing not bracketed on [{lo}, {hi}] "
             f"(gap signs {g_lo:.3e}, {g_hi:.3e})"
         )
-    a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=_BRENT_RTOL)
+    a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
     branch = _series_branch(_gap_coefficients(spec, a_trans, q))
     if branch is None or branch[2] is None:
         raise ClassificationError(
@@ -518,14 +516,14 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
 
     Seeds from the root of the sixth-order coexistence condition
     E2 = E4^2 / (4 E6) and widens geometrically until the crossing
-    changes sign; raises ``BracketError`` when E6 <= 0 at the hint (the
-    condition has no meaning there) or when either walk would reach a
-    non-positive density first.
+    changes sign; raises ``BracketError`` when E6 <= 0 at any density the
+    walks or the root search visit (the condition has no meaning there)
+    or when either walk would reach a non-positive density first.
     """
 
-    def coex(a, seed=False):
+    def coex(a):
         c2, c4, c6, _ = _gap_coefficients(spec, a, q)
-        if seed and not c6 > 0:
+        if not c6 > 0:
             raise BracketError(f"coexistence condition undefined at A={a}: E6={c6:.3e} <= 0")
         return c2 - c4 * c4 / (4.0 * c6)
 
@@ -533,7 +531,7 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
     lo = hi = None
     a = a_hint
     step = 1e-6 * a_hint
-    val = coex(a, seed=True)
+    val = coex(a)
     for _ in range(80):
         if val > 0:
             lo, hi = a, a + step
@@ -553,7 +551,7 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
         step *= 2.0
     else:
         raise BracketError("could not bracket the coexistence condition from above")
-    proxy = brentq(coex, lo, hi, xtol=1e-15, rtol=_BRENT_RTOL)
+    proxy = brentq(coex, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
     width = max(1e-9 * proxy, 4.0 * abs(proxy - a_hint) * 1e-6)
     message = "could not bracket the branch-energy crossing"
     return _widen_bracket(lambda a: _crossing_gap(spec, a, q), proxy, width, 4.0, 60, message)
@@ -665,7 +663,7 @@ def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     vals = [f(a) for a in grid]
     for i in range(len(grid) - 1):
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            return brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=_BRENT_RTOL)
+            return brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=RTOL_MIN)
     if all(v == 0.0 for v in vals):
         raise BracketError(
             f"limiting condition underflows for kappa1={kappa1}: the overall "

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import potentials as pot
 from .errors import NonconvergenceError, ParameterDomainError, UnsupportedOracleError, check_domain
@@ -67,10 +66,9 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
         if k > 0.0:
             c = k * k * area / (4.0 * math.pi**2)
             cb = c * b
-            k1 = math.sqrt(math.pi / c) * erfc(math.sqrt(cb))
-            k3 = 2.0 * math.exp(-cb) / math.sqrt(b) - 2.0 * math.sqrt(c * math.pi) * erfc(
-                math.sqrt(cb)
-            )
+            erfc = math.erfc(math.sqrt(cb))
+            k1 = math.sqrt(math.pi / c) * erfc
+            k3 = 2.0 * math.exp(-cb) / math.sqrt(b) - 2.0 * math.sqrt(c * math.pi) * erfc
             total += vs * (k1 - math.pi * k3)
         else:
             if not spec.needs_background:

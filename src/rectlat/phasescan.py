@@ -23,7 +23,6 @@ import numpy as np
 
 from . import potentials as pot
 from .critical import (
-    _BRENT_RTOL,
     find_first_order,
     find_tricritical,
     find_transition,
@@ -35,6 +34,7 @@ from .critical import (
 from .errors import BracketError, RectlatError, SearchFailureError
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .solvers import RTOL_MIN, brentq
 
 SCAN_CSV_HEADER = (
     "family,kappa1,v1,a_star,order,eps_jump,e2_residual,e4_value,status"
@@ -79,8 +79,9 @@ def _failed_row(family, point, err) -> PhaseDiagramRow:
 def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     """Rows for one parameter point: the E2 root, plus (in the first-order
     regime) the branch-crossing row, with the E2 root kept as the flagged
-    artificial extension of the second-order curve.  A crossing whose
-    broken branch is pinned at the aspect cap keeps its row, marked failed."""
+    artificial extension of the second-order curve.  A crossing that cannot
+    be bracketed, or whose broken branch is pinned at the aspect cap, keeps
+    its row, marked failed."""
     tp = find_transition(spec, a_bracket, q)
     base = dict(
         family=spec.family,
@@ -107,7 +108,7 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     try:
         a_trans, eps_jump = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
         crossing = dict(a_star=a_trans, eps_jump=eps_jump, status="ok")
-    except SearchFailureError as err:
+    except (BracketError, SearchFailureError) as err:
         crossing = dict(a_star=None, eps_jump=0.0, status=_failure_status(err))
     rows.append(PhaseDiagramRow(order="first", **crossing, **base))
     return rows
@@ -217,8 +218,6 @@ def scan_critical_curve(
 
 def _v1_on_critical_curve(kappa1, area, q):
     """Strength whose transition density equals ``area`` (inverse sweep)."""
-    from scipy.optimize import brentq
-
     border = math.exp(kappa1) / kappa1
 
     def g(v1):
@@ -228,7 +227,7 @@ def _v1_on_critical_curve(kappa1, area, q):
     g_lo = g(lo)
     for _ in range(40):
         if np.sign(g(hi)) != np.sign(g_lo):
-            return brentq(g, lo, hi, xtol=1e-13, rtol=_BRENT_RTOL)
+            return brentq(g, lo, hi, xtol=1e-13, rtol=RTOL_MIN)
         lo, hi = hi, hi * 2.0
     return None
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import ParameterDomainError, check_domain
 
@@ -40,6 +39,14 @@ DOUBLE_YUKAWA = "double-yukawa"
 YUKAWA_COULOMB = "yukawa-coulomb"
 
 FAMILIES = (RIESZ, YUKAWA, DOUBLE_YUKAWA, YUKAWA_COULOMB)
+
+#: The free parameters of each family, in the order its constructor takes them.
+FAMILY_PARAMETERS = {
+    RIESZ: ("s",),
+    YUKAWA: ("kappa", "v"),
+    DOUBLE_YUKAWA: ("v1", "kappa1"),
+    YUKAWA_COULOMB: ("kappa1",),
+}
 
 #: Construction-time bound on the relative normalization residuals.
 NORMALIZATION_TOL = 1e-10
@@ -134,21 +141,23 @@ def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
     return spec
 
 
-def make_spec(family, *, s=None, kappa=None, v=1.0, v1=None, kappa1=None) -> PotentialSpec:
+def make_spec(family, *, s=None, kappa=None, v=None, v1=None, kappa1=None) -> PotentialSpec:
     """The member of ``family`` with the given free parameters.
 
     The one place where user input (command-line flags, JSON) becomes a
-    potential; parameters the family does not use are ignored.
+    potential.  The Yukawa strength ``v`` defaults to 1; parameters the
+    family does not use (see ``FAMILY_PARAMETERS``) are ignored.
     """
-    given = {"s": s, "kappa": kappa, "v": v, "v1": v1, "kappa1": kappa1}
-    build, names = {
-        RIESZ: (riesz, ("s",)),
-        YUKAWA: (yukawa, ("kappa", "v")),
-        DOUBLE_YUKAWA: (derive_double_yukawa, ("v1", "kappa1")),
-        YUKAWA_COULOMB: (derive_yukawa_coulomb, ("kappa1",)),
-    }.get(family, (None, ()))
+    build = {
+        RIESZ: riesz,
+        YUKAWA: yukawa,
+        DOUBLE_YUKAWA: derive_double_yukawa,
+        YUKAWA_COULOMB: derive_yukawa_coulomb,
+    }.get(family)
     if build is None:
         raise ParameterDomainError(f"unknown potential family {family!r}")
+    given = {"s": s, "kappa": kappa, "v": 1.0 if v is None else v, "v1": v1, "kappa1": kappa1}
+    names = FAMILY_PARAMETERS[family]
     for name in names:
         if given[name] is None:
             raise ParameterDomainError(f"family {family} requires parameter {name}")
@@ -206,7 +215,7 @@ def measure_density(spec: PotentialSpec, t):
     if np.any(t <= 0):
         raise ParameterDomainError("measure argument t must be positive")
     if spec.family == RIESZ:
-        return t ** (spec.s / 2.0 - 1.0) / _gamma(spec.s / 2.0)
+        return t ** (spec.s / 2.0 - 1.0) / math.gamma(spec.s / 2.0)
     root = np.sqrt(np.pi * t)
     if spec.family == YUKAWA:
         return spec.v * np.exp(-spec.kappa**2 / (4.0 * t)) / root
@@ -245,7 +254,7 @@ def laplace_pairs(spec: PotentialSpec):
 def front_factor(spec: PotentialSpec, area: float) -> float:
     """Prefactor of the reduced integrals (the 1/2 of the energy included)."""
     if spec.family == RIESZ:
-        return 0.5 / (_gamma(spec.s / 2.0) * area ** (spec.s / 2.0))
+        return 0.5 / (math.gamma(spec.s / 2.0) * area ** (spec.s / 2.0))
     return 0.5 / math.sqrt(math.pi * area)
 
 

@@ -161,6 +161,24 @@ class TestFindFirstOrder:
             first_order_bracket(yukawa(1.0), 2.6)
         assert seen == [2.6]
 
+    def test_negative_e6_refused_along_the_walk(self, monkeypatch):
+        # yukawa-coulomb kappa1 = 1.9: E6 > 0 at the E2 root, but the walk
+        # to the left reaches A = 2.8255 with E6 = -4.6e-5, where
+        # E2 = E4^2 / (4 E6) means nothing: it refuses there
+        seen = []
+        original = rectlat.critical._gap_coefficients
+
+        def recording(spec, area, q):
+            coeffs = original(spec, area, q)
+            seen.append(coeffs[2])
+            return coeffs
+
+        monkeypatch.setattr(rectlat.critical, "_gap_coefficients", recording)
+        with pytest.raises(BracketError, match="coexistence condition undefined at A=2.825"):
+            first_order_bracket(derive_yukawa_coulomb(1.9), 2.872559667652469)
+        assert len(seen) > 1
+        assert seen[-1] <= 0.0 < min(seen[:-1])
+
     def test_landau_rows_evaluated_once_at_the_crossing(self, monkeypatch, q):
         # after the series Brent solve, the branch at the crossing (its
         # minimum and the barrier that seeds the deep path) comes from one

@@ -141,3 +141,50 @@ def test_large_v1_member_runs_on_the_cli():
                      "--area", "2.2"])
     assert code == 0
     assert math.isfinite(json.loads(out.getvalue())["rows"][0]["energy"])
+
+
+# A flag the family or the scan mode does not read is refused, not ignored;
+# a given zero counts as given.
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["energy", "--family", "riesz", "--s", "3", "--kappa1", "5", "--v1", "2", "--area", "1"],
+         "family riesz does not use --v1, --kappa1"),
+        (["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2", "--v", "1",
+          "--area", "2.6"],
+         "family double-yukawa does not use --v"),
+        (["transition", "--family", "yukawa-coulomb", "--kappa1", "2", "--kappa", "0"],
+         "family yukawa-coulomb does not use --kappa"),
+        (["scan", "--mode", "a-star-min", "--kappa1-grid", "1:2:lin:2", "--kappa1", "7",
+          "--v1-grid", "1:2:lin:2"],
+         "a-star-min scan does not use --kappa1, --v1-grid"),
+        (["scan", "--mode", "tricritical-locus", "--kappa1-grid", "1.9:2:lin:2", "--workers", "1"],
+         "tricritical-locus scan does not use --workers"),
+        (["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "1.9:2:lin:2", "--no-bounds"],
+         "yukawa-coulomb scan does not use --no-bounds"),
+        (["scan", "--mode", "critical-curve", "--kappa1", "2", "--v1-grid", "7:40:log:2",
+          "--kappa1-grid", "1:2:lin:2"],
+         "critical-curve scan does not use --kappa1-grid"),
+    ],
+    ids=["riesz", "double-yukawa", "yukawa-coulomb-zero", "a-star-min", "tricritical-locus",
+         "yukawa-coulomb-scan", "critical-curve"],
+)
+def test_unused_flag_exits_2(argv, unused):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: {unused}\n"
+
+
+def test_yukawa_strength_defaults_to_one():
+    argv = ["energy", "--family", "yukawa", "--kappa", "1", "--area", "1.3"]
+    docs = []
+    for extra in ([], ["--v", "1"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, *extra]) == 0
+        docs.append(out.getvalue())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["meta"]["config"]["potential"]["v"] == 1.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rectlat import phasescan
 from rectlat.critical import EPS_CAP, minimize_aspect
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
@@ -15,7 +16,7 @@ from rectlat.phasescan import (
     scan_tricritical_locus,
     scan_yukawa_coulomb,
 )
-from rectlat.potentials import derive_double_yukawa
+from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb
 
 
 @pytest.fixture(scope="module")
@@ -110,26 +111,41 @@ def yc_deep_rows(q):
 
 class TestDeepFirstOrderRows:
     def test_bracket_walk_failure_is_a_row(self, yc_deep_rows):
-        # the bracket walk for kappa1 = 1.85 would reach a negative density
-        row = yc_deep_rows[0]
-        assert row.kappa1 == 1.85
-        assert row.status.startswith("failed: BracketError")
+        # the bracket walk for kappa1 = 1.85 reaches a density where E6 < 0:
+        # the crossing row fails and the E2 root keeps its extension row
+        extension, crossing = yc_deep_rows[0:2]
+        assert extension.kappa1 == crossing.kappa1 == 1.85
+        assert extension.status == "artificial-extension"
+        assert crossing.a_star is None
+        assert crossing.status.startswith("failed: BracketError")
 
-    def test_cap_pinned_crossing_is_not_ok(self, yc_deep_rows):
-        # the broken-branch minimum at kappa1 = 1.9 sits on EPS_CAP
-        extension, crossing = yc_deep_rows[1:3]
+    def test_undefined_coexistence_condition_is_not_ok(self, yc_deep_rows):
+        # the bracket walk at kappa1 = 1.9 passes A = 2.8255, where E6 < 0
+        extension, crossing = yc_deep_rows[2:4]
         assert extension.kappa1 == crossing.kappa1 == 1.9
+        assert extension.status == "artificial-extension"
+        assert crossing.order == "first"
+        assert crossing.a_star is None
+        assert crossing.status.startswith("failed: BracketError: coexistence condition undefined")
+
+    def test_cap_pinned_crossing_is_not_ok(self, monkeypatch, q):
+        # across the bracket of the sixth-order seed that ignored E6 < 0, the
+        # broken-branch minimum at kappa1 = 1.9 sits on EPS_CAP
+        bracket = (2.7948723064211847, 2.8744017966528923)
+        monkeypatch.setattr(phasescan, "first_order_bracket", lambda spec, a, q: bracket)
+        rows = phasescan._transition_rows(derive_yukawa_coulomb(1.9), (2.85, 2.9), q)
+        extension, crossing = rows
         assert extension.status == "artificial-extension"
         assert crossing.order == "first"
         assert crossing.a_star is None
         assert crossing.status.startswith("failed: SearchFailureError")
 
     def test_interior_crossing_still_ok(self, yc_deep_rows):
-        rows = yc_deep_rows[3:5]
+        rows = yc_deep_rows[4:6]
         assert [r.kappa1 for r in rows] == [2.0, 2.0]
         assert [r.status for r in rows] == ["artificial-extension", "ok"]
         assert 0.0 < rows[1].eps_jump < EPS_CAP * (1.0 - 1e-6)
-        assert yc_deep_rows[5].order == "tricritical"
+        assert yc_deep_rows[6].order == "tricritical"
 
 
 class TestAStarMinScan:

@@ -2,9 +2,9 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rectlat.errors import ParameterDomainError
 from rectlat.potentials import (
@@ -132,26 +132,23 @@ class TestMeasureDensity:
         for t in np.geomspace(1e-3, 100.0, 40):
             assert measure_density(spec, t) >= 0.0
 
+    @staticmethod
+    def _laplace(spec, r):
+        """Independent integrator (mpmath, tanh-sinh):
+        f(r) = int_0^inf exp(-r^2 t) rho(t) dt."""
+        f = lambda t: mpmath.exp(-(r * r) * t) * float(measure_density(spec, float(t)))
+        with mpmath.workdps(30):
+            return float(mpmath.quad(f, [0, 1, mpmath.inf]))
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_laplace_consistency(self, dy98, r):
-        # independent integrator: f(r) = int_0^inf exp(-r^2 t) rho(t) dt
-        val, err = quad(
-            lambda t: math.exp(-(r * r) * t) * measure_density(dy98, t),
-            0.0,
-            np.inf,
-            limit=400,
-        )
+        val = self._laplace(dy98, r)
         assert val == pytest.approx(potential_value(dy98, r), rel=1e-10)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_laplace_consistency_yukawa(self, r):
         spec = yukawa(3.0, 1.4)
-        val, err = quad(
-            lambda t: math.exp(-(r * r) * t) * measure_density(spec, t),
-            0.0,
-            np.inf,
-            limit=400,
-        )
+        val = self._laplace(spec, r)
         assert val == pytest.approx(potential_value(spec, r), rel=1e-10)
 
 

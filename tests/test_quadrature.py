@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,10 +71,13 @@ def test_shifted_decay_scale():
         contrib = grid.weights * np.exp(-p / grid.nodes - grid.nodes)
         return contrib.sum(), np.abs(contrib).sum()
 
-    from scipy.integrate import quad
-
-    expected, _ = quad(lambda u: math.exp(-p / u - u), math.pi, np.inf, limit=400)
-    assert integrate([(math.pi, piece)], p) == pytest.approx(expected, rel=1e-11)
+    # int_0^inf exp(-p/u - u) du = 2 sqrt(p) K_1(2 sqrt(p)); the value is
+    # about 1.7e-38, so the comparison is relative only
+    with mpmath.workdps(30):
+        head = mpmath.quad(lambda u: mpmath.exp(-p / u - u), [0, 1, mpmath.pi])
+        whole = 2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p))
+        expected = float(whole - head)
+    assert integrate([(math.pi, piece)], p) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_failure_carries_residual():

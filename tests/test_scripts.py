@@ -5,7 +5,9 @@ and exits through the CLI's exit codes; where a CLI scan computes the
 same table, the outputs are compared.
 """
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import pytest
 from rectlat.cli import main
 from rectlat.phasescan import SCAN_CSV_HEADER
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(monkeypatch, capsys, name, *args):
@@ -70,3 +73,29 @@ def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: kappa1 must be positive and at most")
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        "import rectlat.cli",
+        *(f"runpy.run_path({str(SCRIPTS / name)!r}, run_name='imported')"
+          for name in ("asmin_curve.py", "phase_diagram.py", "tricritical_locus.py")),
+    ],
+    ids=["cli", "asmin_curve", "phase_diagram", "tricritical_locus"],
+)
+def test_no_scipy_at_run_time(load):
+    # importing scipy.optimize and scipy.special took about 0.55 s of every
+    # command's start-up; the package and the scripts do without them
+    report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import runpy, sys\n{load}\n{report}"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

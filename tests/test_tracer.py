@@ -30,8 +30,14 @@ DY = ["--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2"]
             ["scan", "--mode", "a-star-min", "--kappa1-grid", "1:2:lin:2"],
             ("quadrature.nodes", "theta.derivs_nodes"),
         ),
+        # the first-order row runs the Brent root search and the bounded
+        # minimiser (the deep path) through the names the tracer wraps
+        (
+            ["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2:2:lin:1", "--workers", "1"],
+            ("critical.brent_evals", "critical.bounded_min_evals"),
+        ),
     ],
-    ids=["expand", "scan-a-star-min"],
+    ids=["expand", "scan-a-star-min", "scan-yukawa-coulomb"],
 )
 def test_tracer_counts_the_layers(tmp_path, argv, counted):
     out = tmp_path / "trace.json"

@@ -93,6 +93,18 @@ def _refuse_unused(ns, flags, used, what):
     check_domain(not unused, f"{what} does not use {', '.join(unused)}")
 
 
+def _flag_pair(ns, first, second):
+    """The values of two flags (argparse destinations) that go together:
+    a tuple when both were given, ``None`` when neither was; one given
+    without the other is refused."""
+    values = (getattr(ns, first), getattr(ns, second))
+    if values.count(None) == 1:
+        given, missing = (first, second) if values[1] is None else (second, first)
+        flag = lambda f: f"--{f.replace('_', '-')}"
+        raise ParameterDomainError(f"{flag(given)} needs {flag(missing)}")
+    return None if values[0] is None else values
+
+
 def _spec(ns) -> pot.PotentialSpec:
     names = ("s", "kappa", "v", "v1", "kappa1")
     _refuse_unused(ns, names, pot.FAMILY_PARAMETERS[ns.family], f"family {ns.family}")
@@ -173,9 +185,7 @@ def cmd_transition(ns, spec, q) -> dict:
 
 def cmd_tricritical(ns) -> int:
     q = _quad(ns)
-    guess = None
-    if ns.guess_a is not None and ns.guess_param is not None:
-        guess = (ns.guess_a, ns.guess_param)
+    guess = _flag_pair(ns, "guess_a", "guess_param")
     tc = find_tricritical(ns.family, ns.kappa1, guess, q)
     param_name = "v1_t" if ns.family == pot.DOUBLE_YUKAWA else "kappa1_t"
     rows = [(tc.a_t, tc.param_t, *tc.residuals, tc.jacobian_condition)]
@@ -185,10 +195,14 @@ def cmd_tricritical(ns) -> int:
 
 
 def cmd_first_order(ns, spec, q) -> dict:
-    if ns.a_lo is not None and ns.a_hi is not None:
-        bracket = (ns.a_lo, ns.a_hi)
-    else:
+    bracket = _flag_pair(ns, "a_lo", "a_hi")
+    if bracket is None:
         tp = find_transition(spec, (0.5, 12.0), q)
+        if tp.order == "second":
+            raise ClassificationError(
+                f"E4 = {tp.e4_at_a_star:.3e} > 0 at the E2 root A = {tp.a_star}: "
+                "the transition is second order, with no branch crossing"
+            )
         bracket = first_order_bracket(spec, tp.a_star, q)
     a_trans, eps_jump = find_first_order(spec, bracket, q)
     return {"a_trans": a_trans, "eps_jump": eps_jump, "delta_jump": math.exp(eps_jump)}

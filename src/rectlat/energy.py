@@ -89,7 +89,8 @@ def split_integral(
     table or a stack of them (last axis = nodes), each row integrated
     under one shared ladder.
     """
-    check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
+    if not 0 < area < math.inf:  # the message is formatted only for a refusal
+        check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
     return integrate_split(
         table_of,
         lambda u: pot.weight_direct(spec, area, u),

@@ -130,7 +130,7 @@ def _p4_table(grid):
 
 
 def _p2_p4_table(grid):
-    return grid.cached("p2p4", lambda u: np.stack([curvature_table(grid), _p4_table(grid)]))
+    return grid.cached("p2p4", lambda u: np.stack([curvature_bracket(u), quartic_bracket(u)]))
 
 
 def _series_table(grid):

@@ -124,6 +124,35 @@ class TestSolverCommands:
         assert code == 2
         assert "coexistence condition undefined" in capsys.readouterr().err
 
+    def test_first_order_refuses_second_order_root(self, capsys):
+        # E4 = +0.043 at the E2 root: refused before any coexistence walk
+        argv = ["first-order", "--family", "double-yukawa", "--v1", "60", "--kappa1", "2"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "second order" in captured.err
+        assert "coexistence" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["first-order", "--family", "yukawa-coulomb", "--kappa1", "2.0365", "--a-lo", "2.79"],
+             "--a-lo needs --a-hi"),
+            (["first-order", "--family", "yukawa-coulomb", "--kappa1", "2.0365", "--a-hi", "2.8"],
+             "--a-hi needs --a-lo"),
+            (["tricritical", "--family", "double-yukawa", "--kappa1", "2", "--guess-a", "2.7"],
+             "--guess-a needs --guess-param"),
+            (["tricritical", "--family", "double-yukawa", "--kappa1", "2", "--guess-param", "6.8"],
+             "--guess-param needs --guess-a"),
+        ],
+        ids=["a-lo", "a-hi", "guess-a", "guess-param"],
+    )
+    def test_flag_pair_given_alone_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestScanCommand:
     def test_csv_header_and_determinism(self, capsys):

@@ -43,8 +43,7 @@ def test_config_rejects_non_finite(field, bad):
 
 
 def _exp_piece(grid):
-    contrib = grid.weights * np.exp(-grid.nodes)
-    return contrib.sum(), np.abs(contrib).sum()
+    return grid.weights * np.exp(-grid.nodes)
 
 
 def test_exponential_tail_exact():
@@ -55,8 +54,7 @@ def test_exponential_tail_exact():
 def test_polynomial_times_exponential():
     # int_a^inf u^4 e^-u du = Gamma(5, a)
     def piece(grid):
-        contrib = grid.weights * grid.nodes**4 * np.exp(-grid.nodes)
-        return contrib.sum(), np.abs(contrib).sum()
+        return grid.weights * grid.nodes**4 * np.exp(-grid.nodes)
 
     a = math.pi
     expected = math.exp(-a) * (a**4 + 4 * a**3 + 12 * a**2 + 24 * a + 24)
@@ -68,8 +66,7 @@ def test_shifted_decay_scale():
     p = 2000.0
 
     def piece(grid):
-        contrib = grid.weights * np.exp(-p / grid.nodes - grid.nodes)
-        return contrib.sum(), np.abs(contrib).sum()
+        return grid.weights * np.exp(-p / grid.nodes - grid.nodes)
 
     # int_0^inf exp(-p/u - u) du = 2 sqrt(p) K_1(2 sqrt(p)); the value is
     # about 1.7e-38, so the comparison is relative only
@@ -83,8 +80,7 @@ def test_shifted_decay_scale():
 def test_failure_carries_residual():
     # an integrand the panel ladder cannot pin to an impossible tolerance
     def noisy(grid):
-        contrib = grid.weights * np.sin(301.7 * grid.nodes) * np.exp(-0.5 * grid.nodes)
-        return contrib.sum(), np.abs(contrib).sum()
+        return grid.weights * np.sin(301.7 * grid.nodes) * np.exp(-0.5 * grid.nodes)
 
     q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, max_refinements=1)
     with pytest.raises(QuadratureError) as exc:
@@ -99,10 +95,9 @@ def _cosine_piece(ks, levels=None):
     def piece(grid):
         if levels is not None:
             levels.append(grid.level)
-        contrib = (
+        return (
             grid.weights * np.cos(np.multiply.outer(ks, grid.nodes)) * np.exp(-0.5 * grid.nodes)
         )
-        return contrib.sum(axis=-1), np.abs(contrib).sum(axis=-1)
 
     return piece
 

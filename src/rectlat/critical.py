@@ -7,12 +7,16 @@ E4 < 0 the transition is first order and is located as the density where
 the square-lattice branch and the symmetry-broken branch exchange
 stability; the branch energies are compared through the even expansion
 of the energy gap, which stays numerically meaningful at gap sizes far
-below double-precision energy differences.
+below double-precision energy differences.  Where the broken branch lies
+beyond the expansion's range, the crossing is the joint root of
+(gap, d gap/d eps) in (A, eps) of the directly integrated gap: by the
+envelope theorem, the density where the branch minimum reaches zero.
 
-Solvers are plain bracketed Brent iterations (1D) and a damped Newton
-with finite-difference Jacobian (2D), with a nested 1D fallback.  All of
-them consume the quadrature-backed coefficient evaluators, so a solve is
-a few hundred vectorized integrand evaluations.
+Solvers are plain bracketed Brent iterations (1D), a damped Newton with
+finite-difference Jacobian (2D) with a nested 1D fallback, and a plain
+Newton for the deep crossing whose eps rows share stacked integrals.  All
+of them consume the quadrature-backed coefficient evaluators, so a solve
+is a few hundred vectorized integrand evaluations.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ SERIES_EPS_MAX = 0.15
 #: Search cap of the aspect minimization (delta <= 4).
 EPS_CAP = math.log(4.0)
 
-# The bounded minimiser stops within about sqrt(machine eps) * x of a bound,
-# so a minimum pinned at EPS_CAP reads ln 4 - 2e-8, not ln 4.
+# A deep crossing whose eps ends within this relative distance of EPS_CAP
+# is pinned there, not interior.
 _CAP_RTOL = 1e-6
 
 
@@ -128,23 +132,23 @@ def _series_branch(coeffs):
     return x, val, x_barrier
 
 
-def _gap_minimum(spec, area, q, lo, hi, xatol):
-    """Bounded minimum ``(eps, gap)`` of the directly integrated gap over [lo, hi]."""
-    gap = lambda e: energy_gap(spec, area, e, q)
-    x, fx = minimize_scalar(gap, lo, hi, xatol)
-    return float(x), float(fx)
+def _gap_scan(spec, area, q, lo, hi):
+    """The directly integrated gap at 129 equally spaced eps on [lo, hi],
+    as ``(grid, values)`` from one stacked integral."""
+    grid = np.linspace(lo, hi, 129)
+    return grid, energy_gap(spec, area, grid, q)
 
 
 def _direct_minimum(spec, area, q, lo, hi):
     """Coarse scan (129 points) plus bounded refinement of the energy gap over eps."""
-    grid = np.linspace(lo, hi, 129)
-    vals = np.array([energy_gap(spec, area, e, q) for e in grid])
+    grid, vals = _gap_scan(spec, area, q, lo, hi)
     i = int(np.argmin(vals))
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
     if left == right:
         return grid[i], vals[i]
-    return _gap_minimum(spec, area, q, left, right, 1e-12)
+    x, fx = minimize_scalar(lambda e: energy_gap(spec, area, e, q), left, right, 1e-12)
+    return float(x), float(fx)
 
 
 def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
@@ -451,6 +455,70 @@ def _widen_bracket(f, center, width, factor, tries, message):
     raise BracketError(message)
 
 
+# Steps of the deep crossing's finite differences: eps for d gap/d eps
+# (central), relative density for the Jacobian's A column (forward).  The
+# stationary eps moves by about 2 h^2 with the eps step: -1.9e-6 at 1e-3,
+# and flat to 2e-9 for steps between 3e-6 and 3e-5.
+_EPS_STEP = 1e-5
+_AREA_STEP = 1e-6
+
+
+def _gap_and_slope(spec, area, eps, q):
+    """``([gap, d gap/d eps], d^2 gap/d eps^2)`` at (area, eps), central
+    differences over one 3-row stacked gap."""
+    h = _EPS_STEP
+    lo, mid, hi = energy_gap(spec, area, np.array([eps - h, eps, eps + h]), q)
+    return np.array([mid, (hi - lo) / (2.0 * h)]), (hi - 2.0 * mid + lo) / (h * h)
+
+
+def _off_window(bound, name, eps, area):
+    return SearchFailureError(
+        f"broken-branch minimum pinned at the search {name} eps={bound:.6f} "
+        f"(eps_jump={eps:.9f} at A={area:.9f}); "
+        "the crossing is not a coexistence point"
+    )
+
+
+def _deep_crossing(spec, area, eps, floor, q):
+    """Newton's method on ``(gap, d gap/d eps) = 0`` in (A, eps) from a seed.
+
+    By the envelope theorem this is the density where the broken-branch
+    minimum of the directly integrated gap reaches zero, at that minimum.
+    Each step costs two stacked 3-row gaps (at A and at A (1 + 1e-6)).
+    Stops once ``|dA| <= 1e-14 A`` and the eps step is at most 1e-9 or,
+    below 1e-7, no longer halves: roundoff of about 1e-18 in the gap,
+    divided by 2h and by d^2 gap/d eps^2, leaves eps steps of about 3e-10
+    at eps ~ 0.8 and up to 1e-8 just above SERIES_EPS_MAX.
+    Refuses with ``SearchFailureError`` when eps leaves (floor, EPS_CAP)
+    or ends on the cap, and ``NonconvergenceError`` after 30 steps.
+    """
+    trace = []
+    last_step = math.inf
+    for _ in range(30):
+        f, f_ee = _gap_and_slope(spec, area, eps, q)
+        a_up = area * (1.0 + _AREA_STEP)
+        f_a = (_gap_and_slope(spec, a_up, eps, q)[0] - f) / (a_up - area)
+        try:
+            d_area, d_eps = np.linalg.solve([[f_a[0], f[1]], [f_a[1], f_ee]], -f)
+        except np.linalg.LinAlgError:
+            break
+        area, eps = area + d_area, eps + d_eps
+        trace.append((area, eps, float(np.linalg.norm(f))))
+        if not (0.0 < area < math.inf and math.isfinite(eps)):
+            break
+        if not eps < EPS_CAP:
+            raise _off_window(EPS_CAP, "cap", eps, area)
+        if not eps > floor:
+            raise _off_window(floor, "floor", eps, area)
+        stalled = 0.5 * last_step <= abs(d_eps) <= 1e-7
+        last_step = abs(d_eps)
+        if abs(d_area) <= 1e-14 * area and (last_step <= 1e-9 or stalled):
+            if EPS_CAP - eps <= _CAP_RTOL * EPS_CAP:
+                raise _off_window(EPS_CAP, "cap", eps, area)
+            return area, eps
+    raise NonconvergenceError("deep first-order crossing did not converge", trace=trace)
+
+
 def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     """Density where the square and symmetry-broken branch energies cross.
 
@@ -459,11 +527,15 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     crossings far below the absolute precision of the energies
     themselves.  When the branch minimum there lies beyond
     ``SERIES_EPS_MAX`` the crossing is relocated against the directly
-    integrated gap, minimised over eps above half the barrier location
-    and at most ``EPS_CAP`` (delta <= 4).  Returns ``(a_trans, eps_jump)``;
-    raises ``ClassificationError`` when no barrier separates the branches
-    at the crossing, and ``SearchFailureError`` when the broken-branch
-    minimum sits on the aspect cap, where it is no coexistence point.
+    integrated gap by one Newton solve of ``(gap, d gap/d eps) = 0`` in
+    (A, eps), seeded with the series crossing and the deepest point of a
+    129-point eps scan above half the barrier location and up to
+    ``EPS_CAP`` (delta <= 4).  Returns ``(a_trans, eps_jump)``; raises
+    ``ClassificationError`` when no barrier separates the branches at the
+    crossing, ``SearchFailureError`` when the broken-branch minimum leaves
+    that window or ends on the aspect cap, where it is no coexistence
+    point, and ``NonconvergenceError`` when the Newton solve does not
+    converge.
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
     g = lambda a: _crossing_gap(spec, a, q)
@@ -482,32 +554,12 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     x, _, x_barrier = branch
     eps_jump = math.sqrt(x)
     if eps_jump > SERIES_EPS_MAX:
-        # deep first-order regime: the truncated expansion only seeds; relocate
-        # the crossing against the directly-integrated gap, keeping the broken
-        # branch separated by half the barrier location
+        # deep first-order regime: the truncated expansion only seeds the
+        # density; eps starts from the deepest point of a scan that keeps the
+        # broken branch above half the barrier location
         floor = 0.5 * math.sqrt(x_barrier)
-        # the branch minimizer moves negligibly across the root window, so a
-        # generous basin located once at the seed density stays valid
-        eps_seed, _ = _direct_minimum(spec, a_trans, q, floor, EPS_CAP)
-        lo_e = max(floor, 0.6 * eps_seed)
-        hi_e = min(EPS_CAP, 1.6 * eps_seed)
-        last = {}
-
-        def g_direct(a):
-            last["eps"], gap = _gap_minimum(spec, a, q, lo_e, hi_e, 1e-11)
-            return -gap
-
-        message = "could not re-bracket the deep first-order crossing"
-        lo, hi = _widen_bracket(g_direct, a_trans, 2e-3 * a_trans, 3.0, 30, message)
-        a_trans = brentq(g_direct, lo, hi, xtol=1e-13, rtol=1e-12)
-        g_direct(a_trans)
-        eps_jump = last["eps"]
-        if EPS_CAP - eps_jump <= _CAP_RTOL * EPS_CAP:
-            raise SearchFailureError(
-                f"broken-branch minimum pinned at the search cap eps={EPS_CAP:.6f} "
-                f"(eps_jump={eps_jump:.9f} at A={a_trans:.9f}); "
-                "the crossing is not a coexistence point"
-            )
+        grid, vals = _gap_scan(spec, a_trans, q, floor, EPS_CAP)
+        a_trans, eps_jump = _deep_crossing(spec, a_trans, grid[int(np.argmin(vals))], floor, q)
     return float(a_trans), float(eps_jump)
 
 

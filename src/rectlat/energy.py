@@ -116,12 +116,7 @@ def lattice_energy(
     return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 
 
-def energy_gap(
-    spec: pot.PotentialSpec,
-    area: float,
-    eps: float,
-    q: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = DEFAULT_CONFIG):
     """E(A, e^eps) - E(A, 1), evaluated as a single integral.
 
     The aspect-dependent and square-lattice theta products are
@@ -132,8 +127,17 @@ def energy_gap(
     result keeps absolute accuracy near the machine level even when the
     gap itself is many orders below the energies.  Background and
     self-term constants cancel identically in the difference.
+
+    A 1-D array of ``eps`` gives one gap per entry from one stacked
+    integral (one ladder, one set of measure weights); each entry equals
+    the scalar call bit for bit.  The bracket table is still built one
+    ``eps`` at a time, which keeps the temporaries of one row in memory.
     """
-    return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
+    if np.ndim(eps) == 0:
+        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
+    return split_integral(
+        spec, area, lambda g: np.stack([theta_product_gap(g.nodes, e) for e in eps]), q
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .critical import (
     kappa1_upper,
     a_star_min,
 )
-from .errors import BracketError, RectlatError, SearchFailureError
+from .errors import BracketError, NonconvergenceError, RectlatError, SearchFailureError
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .solvers import RTOL_MIN, brentq
@@ -80,8 +80,8 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     """Rows for one parameter point: the E2 root, plus (in the first-order
     regime) the branch-crossing row, with the E2 root kept as the flagged
     artificial extension of the second-order curve.  A crossing that cannot
-    be bracketed, or whose broken branch is pinned at the aspect cap, keeps
-    its row, marked failed."""
+    be bracketed, whose broken branch is pinned at the aspect cap, or whose
+    deep solve does not converge keeps its row, marked failed."""
     tp = find_transition(spec, a_bracket, q)
     base = dict(
         family=spec.family,
@@ -108,7 +108,7 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
     try:
         a_trans, eps_jump = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
         crossing = dict(a_star=a_trans, eps_jump=eps_jump, status="ok")
-    except (BracketError, SearchFailureError) as err:
+    except (BracketError, SearchFailureError, NonconvergenceError) as err:
         crossing = dict(a_star=None, eps_jump=0.0, status=_failure_status(err))
     rows.append(PhaseDiagramRow(order="first", **crossing, **base))
     return rows

@@ -16,7 +16,7 @@ from rectlat.critical import (
     fit_exponent,
     minimize_aspect,
 )
-from rectlat.energy import LatticeState, lattice_energy
+from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
 from rectlat.errors import (
     BracketError,
     ClassificationError,
@@ -54,6 +54,22 @@ class TestMinimizeAspect:
         eps_min, energy = minimize_aspect(dy98, 3.6)
         assert eps_min > 0.15
         assert energy < lattice_energy(dy98, LatticeState(3.6, 0.0))
+
+    def test_direct_scan_is_one_gap_call(self, dy98, monkeypatch):
+        # the 129-point scan of the direct path is one stacked integral;
+        # the bounded refinement after it makes scalar calls
+        scans = []
+        original = rectlat.critical.energy_gap
+
+        def recording(spec, area, eps, q):
+            if np.ndim(eps):
+                scans.append(len(eps))
+            return original(spec, area, eps, q)
+
+        monkeypatch.setattr(rectlat.critical, "energy_gap", recording)
+        eps_min, _ = minimize_aspect(dy98, 3.6)
+        assert eps_min > 0.15
+        assert scans == [129]
 
 
 class TestFindTransition:
@@ -208,6 +224,59 @@ class TestFindFirstOrder:
         tp = find_transition(dy98, (2.0, 3.2))
         with pytest.raises((BracketError, ClassificationError)):
             find_first_order(dy98, (tp.a_star * 0.999, tp.a_star * 1.001))
+
+
+@pytest.fixture(scope="module")
+def deep_crossings(q):
+    """Deep first-order crossings ``(spec, a_trans, eps_jump)`` of the
+    phase-diagram scans: Yukawa-Coulomb and double Yukawa at kappa1 = 2."""
+    specs = [derive_yukawa_coulomb(k) for k in (1.9433, 2.03)]
+    specs += [derive_double_yukawa(v1, 2.0) for v1 in (3.702, 6.347)]
+    out = []
+    for spec in specs:
+        tp = find_transition(spec, (2.3, 3.4), q)
+        out.append((spec, *find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)))
+    return out
+
+
+@pytest.mark.parametrize("i", range(4), ids=["yc-1.9433", "yc-2.03", "dy-3.702", "dy-6.347"])
+class TestDeepCrossingGates:
+    def test_gap_vanishes_at_the_crossing(self, deep_crossings, i, q):
+        spec, a, eps_jump = deep_crossings[i]
+        assert eps_jump > rectlat.critical.SERIES_EPS_MAX
+        assert abs(energy_gap(spec, a, eps_jump, q)) <= 1e-15
+
+    def test_jump_is_the_global_minimum(self, deep_crossings, i, q):
+        # no eps up to the cap lies below the broken branch, and the deepest
+        # point of a fine scan on that branch sits next to eps_jump
+        spec, a, eps_jump = deep_crossings[i]
+        grid = np.linspace(0.0, rectlat.critical.EPS_CAP, 513)
+        vals = energy_gap(spec, a, grid, q)
+        assert vals.min() >= energy_gap(spec, a, eps_jump, q) - q.abs_tol
+        branch = grid > 0.5 * eps_jump
+        nearest = grid[branch][np.argmin(vals[branch])]
+        assert abs(nearest - eps_jump) <= grid[1]
+        assert rectlat.critical.EPS_CAP - eps_jump > 1e-6 * rectlat.critical.EPS_CAP
+
+    def test_jump_is_stationary(self, deep_crossings, i, q):
+        # a five-point difference (bias of order h^4) puts the stationary
+        # eps within 1e-8 of eps_jump; 2e-9 was measured
+        spec, a, eps_jump = deep_crossings[i]
+        h = 1e-3
+        g = energy_gap(spec, a, eps_jump + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), q)
+        slope = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
+        curvature = (-g[0] + 16.0 * g[1] - 30.0 * g[2] + 16.0 * g[3] - g[4]) / (12.0 * h * h)
+        assert curvature > 0.0
+        assert abs(slope / curvature) <= 1e-8
+
+
+def test_deep_crossing_branch_energies_agree_with_the_direct_sum(deep_crossings):
+    # double Yukawa v1 = 6.347 only: Yukawa-Coulomb has no direct sum, and
+    # at v1 = 3.702 kappa2 = 1.2e-3 makes it tens of thousands of shells
+    spec, a, eps_jump = deep_crossings[3]
+    square = direct_lattice_sum(spec, LatticeState(a, 0.0))
+    broken = direct_lattice_sum(spec, LatticeState(a, eps_jump))
+    assert broken == pytest.approx(square, rel=1e-12, abs=0.0)
 
 
 class TestFitExponent:

@@ -7,7 +7,7 @@ from rectlat.critical import a_star_min, a_star_min_zero_limit
 from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
 from rectlat.errors import ParameterDomainError, UnsupportedOracleError
 from rectlat.expansion import e2_e4_closed, landau_series
-from rectlat.potentials import derive_yukawa_coulomb, riesz, yukawa
+from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 from rectlat.quadrature import QuadratureConfig
 from rectlat.theta import theta3
 
@@ -168,6 +168,21 @@ class TestEnergyGap:
             spec, LatticeState(area, 0.0)
         )
         assert gap == pytest.approx(diff, abs=1e-12)
+
+    @pytest.mark.parametrize("split", [math.pi, 2.0], ids=["split-pi", "split-2"])
+    @pytest.mark.parametrize(
+        "spec, area",
+        [(derive_yukawa_coulomb(1.95), 2.83), (derive_double_yukawa(4.05, 2.0), 2.7)],
+        ids=["yukawa-coulomb", "double-yukawa"],
+    )
+    def test_stacked_eps_rows_match_scalar_calls(self, spec, area, split):
+        q = QuadratureConfig(split_point=split)
+        eps = np.linspace(-0.3, math.log(4.0), 33)
+        rows = energy_gap(spec, area, eps, q)
+        assert rows.shape == eps.shape
+        for e, row in zip(eps, rows):
+            assert row.hex() == float(energy_gap(spec, area, e, q)).hex()
+        assert isinstance(energy_gap(spec, area, 0.3, q), float)
 
     def test_gap_even_in_eps(self, dy98):
         assert energy_gap(dy98, 3.0, 0.4) == pytest.approx(

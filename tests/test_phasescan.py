@@ -6,6 +6,7 @@ import pytest
 
 from rectlat import phasescan
 from rectlat.critical import EPS_CAP, minimize_aspect
+from rectlat.errors import NonconvergenceError
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
     PhaseDiagramRow,
@@ -139,6 +140,22 @@ class TestDeepFirstOrderRows:
         assert crossing.order == "first"
         assert crossing.a_star is None
         assert crossing.status.startswith("failed: SearchFailureError")
+
+    def test_unconverged_crossing_is_a_row(self, monkeypatch, q):
+        # a deep solve that does not converge fails its crossing row only:
+        # the E2 root keeps its extension row
+        def unconverged(spec, bracket, q):
+            raise NonconvergenceError("deep first-order crossing did not converge")
+
+        monkeypatch.setattr(phasescan, "find_first_order", unconverged)
+        rows = phasescan._transition_rows(derive_yukawa_coulomb(2.0), (2.80, 2.83), q)
+        extension, crossing = rows
+        assert extension.status == "artificial-extension"
+        assert crossing.order == "first"
+        assert crossing.a_star is None
+        assert crossing.status == (
+            "failed: NonconvergenceError: deep first-order crossing did not converge"
+        )
 
     def test_interior_crossing_still_ok(self, yc_deep_rows):
         rows = yc_deep_rows[4:6]

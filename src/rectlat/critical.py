@@ -13,10 +13,13 @@ beyond the expansion's range, the crossing is the joint root of
 envelope theorem, the density where the branch minimum reaches zero.
 
 Solvers are plain bracketed Brent iterations (1D), a damped Newton with
-finite-difference Jacobian (2D) with a nested 1D fallback, and a plain
-Newton for the deep crossing whose eps rows share stacked integrals.  All
-of them consume the quadrature-backed coefficient evaluators, so a solve
-is a few hundred vectorized integrand evaluations.
+finite-difference Jacobian (2D) that gives up once its residual stalls
+and hands the solve to a nested 1D fallback, and a plain Newton for the
+deep crossing whose eps rows share stacked integrals.  All of them
+consume the quadrature-backed coefficient evaluators, so a solve is a few
+hundred vectorized integrand evaluations.  The 129-point eps scans that
+seed the direct-gap refinements only rank their points, so they run on
+level-0 estimates of the gap (one grid, no convergence test).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import potentials as pot
-from .energy import LatticeState, energy_gap, lattice_energy
+from .energy import LatticeState, energy_gap, gap_estimates, lattice_energy
 from .errors import (
     BracketError,
     ClassificationError,
@@ -133,20 +136,24 @@ def _series_branch(coeffs):
 
 
 def _gap_scan(spec, area, q, lo, hi):
-    """The directly integrated gap at 129 equally spaced eps on [lo, hi],
-    as ``(grid, values)`` from one stacked integral."""
+    """``(grid, i)``: 129 equally spaced eps on [lo, hi] and the index of
+    the one where the directly integrated gap is lowest.
+
+    The points are ranked on level-0 estimates of the gap from one
+    stacked pass (``gap_estimates``); callers refine from the returned
+    point against the converged ``energy_gap``.
+    """
     grid = np.linspace(lo, hi, 129)
-    return grid, energy_gap(spec, area, grid, q)
+    return grid, int(np.argmin(gap_estimates(spec, area, grid, q)))
 
 
 def _direct_minimum(spec, area, q, lo, hi):
-    """Coarse scan (129 points) plus bounded refinement of the energy gap over eps."""
-    grid, vals = _gap_scan(spec, area, q, lo, hi)
-    i = int(np.argmin(vals))
+    """Minimum ``(eps, gap)`` of the energy gap over [lo, hi]: the bounded
+    minimiser on ``energy_gap`` between the neighbours of the lowest point
+    of a 129-point scan (``_gap_scan``)."""
+    grid, i = _gap_scan(spec, area, q, lo, hi)
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
-    if left == right:
-        return grid[i], vals[i]
     x, fx = minimize_scalar(lambda e: energy_gap(spec, area, e, q), left, right, 1e-12)
     return float(x), float(fx)
 
@@ -231,12 +238,26 @@ def _kappa2_of_v1(kappa1: float, v1: float) -> float:
     return (kappa1 * v1 - ek) / (v1 + ek)
 
 
+# A 2D Newton solve gives up once its residual norm has not halved over
+# this many accepted steps.  The slowest converging solve seen (kappa1 =
+# 2.0364884871389908 in kappa1_upper's walk) goes 10 steps without halving
+# (17 steps in all, the last ones at the noise floor); 8 would hand it to
+# the nested fallback.
+_STALL_STEPS = 12
+
+
 def _newton2(F, z0, in_domain, steps, scale):
-    """Damped 2D Newton with FD Jacobian, at most 60 steps; returns
-    (z, residuals, cond, trace)."""
+    """Damped 2D Newton with FD Jacobian; returns (z, residuals, cond, trace).
+
+    Raises ``NonconvergenceError`` (with the trace) naming the stop that
+    fired: a singular Jacobian, an exhausted line search, a residual norm
+    that did not halve over ``_STALL_STEPS`` accepted steps (the starting
+    residual counts as step 0), or the cap of 60 steps.
+    """
     z = np.array(z0, dtype=float)
     trace = []
     f = np.array(F(z))
+    norms = [float(np.linalg.norm(f))]  # after each accepted step
     noise = 1e-12 * scale
     for _ in range(60):
         jac = np.empty((2, 2))
@@ -248,8 +269,8 @@ def _newton2(F, z0, in_domain, steps, scale):
             jac[:, i] = (np.array(F(zp)) - np.array(F(zm))) / (2.0 * h)
         try:
             dz = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
+        except np.linalg.LinAlgError as err:
+            raise NonconvergenceError("2D Newton stopped: singular Jacobian", trace=trace) from err
         lam = 1.0
         accepted = False
         while lam >= 2.0**-10:
@@ -265,12 +286,18 @@ def _newton2(F, z0, in_domain, steps, scale):
             lam *= 0.5
         trace.append((z[0], z[1], float(np.linalg.norm(f))))
         if not accepted:
-            break
+            raise NonconvergenceError("2D Newton stopped: line search exhausted", trace=trace)
         step_ok = np.max(np.abs(lam * dz) / np.maximum(np.abs(z), 1e-8)) < 1e-12
         if step_ok and np.all(np.abs(f) <= 10 * noise):
             cond = float(np.linalg.cond(jac))
             return z, f, cond, trace
-    raise NonconvergenceError("2D Newton did not converge", trace=trace)
+        norms.append(trace[-1][2])
+        if len(norms) > _STALL_STEPS and norms[-1] > 0.5 * norms[-1 - _STALL_STEPS]:
+            raise NonconvergenceError(
+                f"2D Newton stopped: residual did not halve over {_STALL_STEPS} steps",
+                trace=trace,
+            )
+    raise NonconvergenceError("2D Newton stopped: 60-step cap reached", trace=trace)
 
 
 def _residual_scale(F, z0):
@@ -530,7 +557,8 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     integrated gap by one Newton solve of ``(gap, d gap/d eps) = 0`` in
     (A, eps), seeded with the series crossing and the deepest point of a
     129-point eps scan above half the barrier location and up to
-    ``EPS_CAP`` (delta <= 4).  Returns ``(a_trans, eps_jump)``; raises
+    ``EPS_CAP`` (delta <= 4), ranked on level-0 estimates of the gap
+    (``_gap_scan``).  Returns ``(a_trans, eps_jump)``; raises
     ``ClassificationError`` when no barrier separates the branches at the
     crossing, ``SearchFailureError`` when the broken-branch minimum leaves
     that window or ends on the aspect cap, where it is no coexistence
@@ -558,8 +586,8 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
         # density; eps starts from the deepest point of a scan that keeps the
         # broken branch above half the barrier location
         floor = 0.5 * math.sqrt(x_barrier)
-        grid, vals = _gap_scan(spec, a_trans, q, floor, EPS_CAP)
-        a_trans, eps_jump = _deep_crossing(spec, a_trans, grid[int(np.argmin(vals))], floor, q)
+        grid, i = _gap_scan(spec, a_trans, q, floor, EPS_CAP)
+        a_trans, eps_jump = _deep_crossing(spec, a_trans, grid[i], floor, q)
     return float(a_trans), float(eps_jump)
 
 

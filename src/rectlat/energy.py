@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials as pot
-from .errors import NonconvergenceError, ParameterDomainError, UnsupportedOracleError, check_domain
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, estimate_split, integrate_split
 from .theta import theta_product, theta_product_gap
 
 
@@ -89,9 +89,15 @@ def split_integral(
     table or a stack of them (last axis = nodes), each row integrated
     under one shared ladder.
     """
+    return _against_measure(integrate_split, spec, area, table_of, q)
+
+
+def _against_measure(kernel, spec, area, table_of, q):
+    """``kernel`` (``integrate_split`` or ``estimate_split``) against the
+    potential's measure."""
     if not 0 < area < math.inf:  # the message is formatted only for a refusal
         check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
-    return integrate_split(
+    return kernel(
         table_of,
         lambda u: pot.weight_direct(spec, area, u),
         lambda u: pot.weight_transformed(spec, area, u),
@@ -135,16 +141,34 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     """
     if np.ndim(eps) == 0:
         return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
-    return split_integral(
-        spec, area, lambda g: np.stack([theta_product_gap(g.nodes, e) for e in eps]), q
-    )
+    return split_integral(spec, area, _gap_rows(eps), q)
+
+
+def _gap_rows(eps):
+    """The pair-gap table of each entry of ``eps``, one ``theta_product_gap``
+    call per entry, stacked (last axis = nodes)."""
+    return lambda g: np.stack([theta_product_gap(g.nodes, e) for e in eps])
+
+
+def gap_estimates(
+    spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """Level-0 estimates of ``energy_gap`` at each entry of a 1-D ``eps``.
+
+    One pass over the split kernel's level-0 grid with no convergence
+    test (``quadrature.estimate_split``), a third of the nodes of a
+    converged stacked ``energy_gap``.  Only good for ranking the entries;
+    take values from ``energy_gap``.
+    """
+    return _against_measure(estimate_split, spec, area, _gap_rows(eps), q)
 
 
 # ---------------------------------------------------------------------------
 # direct-sum oracle
 # ---------------------------------------------------------------------------
 
-_MAX_SHELLS = 200_000
+#: Most shells ``direct_lattice_sum`` sums (about 1e8 pair terms).
+SHELL_CAP = 5_000
 
 
 def _shell_points(m: int):
@@ -162,7 +186,9 @@ def direct_lattice_sum(
 
     Supported for potentials whose tail makes the sum absolutely
     convergent with a computable shell bound: Yukawa, double Yukawa
-    (kappa2 > 0) and Riesz with s > 2.
+    (kappa2 > 0) and Riesz with s > 2.  The number of shells is predicted
+    from that bound before summing; a sum that would need more than
+    ``SHELL_CAP`` shells is refused with ``UnsupportedOracleError``.
     """
     if cutoff_tol <= 0:
         raise ParameterDomainError("cutoff_tol must be positive")
@@ -177,32 +203,32 @@ def direct_lattice_sum(
     area, delta = state.area, state.delta
     dmin = math.sqrt(area) * min(math.sqrt(delta), 1.0 / math.sqrt(delta))
 
+    # The shells m' >= m lie at r >= dmin m' with 8 m' points each, and T(m)
+    # bounds their sum; shells 1..n are summed, n = floor(reach) the last
+    # shell before T falls below cutoff_tol (T(reach) = cutoff_tol).
     if spec.family == pot.RIESZ:
         s = spec.s
-
-        def shell_tail(m, r_min):
-            # sum_{m'>=m} 8 m' (dmin m')^-s, bounded by the integral
-            return 8.0 * dmin ** (-s) * m ** (2.0 - s) / (s - 2.0)
-
+        # T(m) = 8 dmin^-s m^(2-s) / (s-2), the integral bound; the log is
+        # clipped where the count overflows, far above any cap
+        log_reach = (math.log(8.0 / ((s - 2.0) * cutoff_tol)) - s * math.log(dmin)) / (s - 2.0)
+        reach = math.exp(min(log_reach, 700.0))
     else:
         if spec.family == pot.YUKAWA:
             strength, decay = spec.v, spec.kappa
         else:
             strength, decay = spec.v1 + spec.v2, spec.kappa2
-
-        def shell_tail(m, r_min):
-            # geometric envelope of 8 m' strength e^{-decay r}/r over shells
-            ratio = math.exp(-decay * dmin)
-            return 8.0 * m * strength * math.exp(-decay * r_min) / r_min / (1.0 - ratio) * 2.0
-
+        # T(m) = 16 strength e^{-x m} / (dmin (1 - e^{-x})), x = decay dmin:
+        # twice the geometric envelope of 8 m' strength e^{-decay r} / r
+        x = decay * dmin
+        reach = math.log(16.0 * strength / (dmin * -math.expm1(-x) * cutoff_tol)) / x
+    if not reach <= SHELL_CAP:
+        raise UnsupportedOracleError(
+            f"direct lattice sum needs about {reach:.6g} shells to reach cutoff "
+            f"{cutoff_tol:g}, above the cap of {SHELL_CAP}"
+        )
     acc = 0.0
-    for m in range(1, _MAX_SHELLS + 1):
+    for m in range(1, max(1, math.floor(reach)) + 1):
         j, k = _shell_points(m)
         r = np.sqrt(area * (j * j / delta + k * k * delta))
         acc += 0.5 * float(np.sum(pot.potential_value(spec, r)))
-        if shell_tail(m + 1, dmin * (m + 1)) < cutoff_tol:
-            return acc
-    raise NonconvergenceError(
-        f"direct lattice sum did not reach cutoff {cutoff_tol:g} within "
-        f"{_MAX_SHELLS} shells"
-    )
+    return acc

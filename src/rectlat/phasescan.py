@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -169,6 +168,9 @@ def _polish_critical_point(job):
 def _map_jobs(fn, jobs, workers):
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # imported here: the pool's modules cost every command their import time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

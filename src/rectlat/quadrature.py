@@ -26,6 +26,10 @@ its own ladder would give, and the joint pass and the shared table leave
 every node product, every sum and its order as a level-by-level ladder
 with one table per side would have them.
 
+``estimate_split`` runs the same split kernel on the level-0 grids
+alone, without a convergence test, for callers that only rank a stack
+of integrands by value.
+
 Node placement is a pure function of the integration window, so results
 are bit-reproducible run to run and independent of evaluation order.
 Grids (and expensive node-wise bracket tables attached to them) are
@@ -209,17 +213,13 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
     )
 
 
-def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, front: float):
-    """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
+def _split_pieces(table_of, w_direct, w_transformed, q, front: float):
+    """The two sides of a split integral as ``integrate`` pieces.
 
-    ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
-    axis = nodes); ``w_direct`` and ``w_transformed`` give the measure
-    weights on ``[a, inf)`` and on ``(0, a)`` mapped to ``[pi^2/a, inf)``.
     ``front * weights * B`` is formed once per grid: the two sides share
     it whenever they resolve to the same grid (always at ``a = pi``).
     """
     a = q.split_point
-    b = math.pi**2 / a
     last = [None, None]  # the last grid seen and front * weights * B on it
 
     def side(weight):
@@ -230,4 +230,29 @@ def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, fr
 
         return piece
 
-    return integrate([(a, side(w_direct)), (b, side(w_transformed))], decay_scale, q)
+    return [(a, side(w_direct)), (math.pi**2 / a, side(w_transformed))]
+
+
+def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, front: float):
+    """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
+
+    ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
+    axis = nodes); ``w_direct`` and ``w_transformed`` give the measure
+    weights on ``[a, inf)`` and on ``(0, a)`` mapped to ``[pi^2/a, inf)``.
+    """
+    return integrate(_split_pieces(table_of, w_direct, w_transformed, q, front), decay_scale, q)
+
+
+def estimate_split(table_of, w_direct, w_transformed, decay_scale: float, q, front: float):
+    """``integrate_split`` on its level-0 grids alone: one pass, no
+    convergence test, a third of the nodes of the ladder's first pass.
+
+    For ranking a stack of integrands by value, where only their order is
+    used and level 0 is already close to the converged value.  Arguments
+    as for ``integrate_split``.
+    """
+    hi = _tail_cutoff(decay_scale)
+    value = 0.0
+    for lo, piece in _split_pieces(table_of, w_direct, w_transformed, q, front):
+        value += piece(grid_for(lo, hi, 0)).sum(axis=-1)
+    return value

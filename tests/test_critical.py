@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rectlat.critical
+import rectlat.quadrature
 from rectlat.critical import (
     a_star_min,
     a_star_min_zero_limit,
@@ -56,20 +57,70 @@ class TestMinimizeAspect:
         assert energy < lattice_energy(dy98, LatticeState(3.6, 0.0))
 
     def test_direct_scan_is_one_gap_call(self, dy98, monkeypatch):
-        # the 129-point scan of the direct path is one stacked integral;
-        # the bounded refinement after it makes scalar calls
-        scans = []
-        original = rectlat.critical.energy_gap
+        # the 129-point scan of the direct path is one stacked ranking pass
+        # on the level-0 grid; the bounded refinement after it makes scalar
+        # energy_gap calls
+        ranked, levels, refined = [], [], []
+        rank = rectlat.critical.gap_estimates
+        gap = rectlat.critical.energy_gap
+        grid_for = rectlat.quadrature.grid_for
 
-        def recording(spec, area, eps, q):
-            if np.ndim(eps):
-                scans.append(len(eps))
-            return original(spec, area, eps, q)
+        def recording_grid(lo, hi, level):
+            levels.append(level)
+            return grid_for(lo, hi, level)
 
-        monkeypatch.setattr(rectlat.critical, "energy_gap", recording)
+        def recording_rank(spec, area, eps, q):
+            ranked.append(len(eps))
+            with monkeypatch.context() as m:
+                m.setattr(rectlat.quadrature, "grid_for", recording_grid)
+                return rank(spec, area, eps, q)
+
+        def recording_gap(spec, area, eps, q):
+            refined.append(np.ndim(eps))
+            return gap(spec, area, eps, q)
+
+        monkeypatch.setattr(rectlat.critical, "gap_estimates", recording_rank)
+        monkeypatch.setattr(rectlat.critical, "energy_gap", recording_gap)
         eps_min, _ = minimize_aspect(dy98, 3.6)
         assert eps_min > 0.15
-        assert scans == [129]
+        assert ranked == [129]
+        assert levels and set(levels) == {0}
+        assert refined and set(refined) == {0}
+
+
+@pytest.fixture(scope="module")
+def gap_scans(q):
+    """Every ``_gap_scan`` call ``(spec, area, lo, hi, i)`` of the deep rows
+    of the phase-diagram scans (double Yukawa kappa1 = 2 at the seven
+    smallest v1 of its grid, Yukawa-Coulomb kappa1 in 1.9..2.03) and of
+    ``minimize_aspect`` for v1 = 9.8, kappa1 = 2 at A = 3.0, 3.5, 3.6."""
+    from rectlat.phasescan import scan_critical_curve, scan_yukawa_coulomb
+
+    calls = []
+    scan = rectlat.critical._gap_scan
+
+    def recording(spec, area, q, lo, hi):
+        grid, i = scan(spec, area, q, lo, hi)
+        calls.append((spec, area, lo, hi, i))
+        return grid, i
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rectlat.critical, "_gap_scan", recording)
+        scan_critical_curve(2.0, np.geomspace(3.702, 60.0, 32)[:8], q=q)
+        scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q)
+        deep_rows = len(calls)
+        for area in (3.0, 3.5, 3.6):
+            minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
+    assert deep_rows == 10
+    return calls
+
+
+def test_ranking_argmin_is_the_converged_argmin(gap_scans, q):
+    # level-0 estimates pick the same scan point as the converged gaps
+    assert len(gap_scans) == 13
+    for spec, area, lo, hi, i in gap_scans:
+        grid = np.linspace(lo, hi, 129)
+        assert i == int(np.argmin(energy_gap(spec, area, grid, q)))
 
 
 class TestFindTransition:
@@ -113,6 +164,45 @@ class TestFindTricritical:
     def test_unknown_family(self):
         with pytest.raises(ParameterDomainError):
             find_tricritical("riesz")
+
+    def test_stalled_newton_names_its_stop(self):
+        # above the window's upper end the residual sits at the noise floor:
+        # Newton gives up after 12 steps without halving it, the nested
+        # fallback fails too, and the error keeps Newton's trace
+        with pytest.raises(NonconvergenceError) as info:
+            find_tricritical(
+                "double-yukawa",
+                2.0367853460277026,
+                initial_guess=(2.788128306275666, 4.375750101824825),
+            )
+        assert "residual did not halve over 12 steps" in str(info.value.__cause__)
+        assert 0 < len(info.value.trace) <= 13
+
+    def test_slow_solve_still_converges_by_newton(self):
+        # the slowest converging solve of kappa1_upper's walk: 17 steps, the
+        # last ones at the noise floor, where its residual goes 10 steps
+        # without halving, inside the 12-step stall window
+        tc = find_tricritical(
+            "double-yukawa",
+            2.0364884871389908,
+            initial_guess=(2.7946657176283027, 3.9435661780237883),
+        )
+        assert tc.jacobian_condition == pytest.approx(1957.48, rel=1e-5)
+
+    def test_kappa1_upper_stops_stalled_solves_early(self, monkeypatch, q):
+        # most of the walk's Newton solves fail; each now stops after 12
+        # steps without halving its residual instead of crawling on for up
+        # to 60 (10,978 coefficient evaluations before, 6,553 measured after)
+        calls = []
+        inner = rectlat.critical.e2_e4_closed
+
+        def counted(spec, area, q):
+            calls.append(area)
+            return inner(spec, area, q)
+
+        monkeypatch.setattr(rectlat.critical, "e2_e4_closed", counted)
+        rectlat.critical.kappa1_upper(q)
+        assert len(calls) <= 7000
 
     def test_each_point_evaluated_once_per_solve(self, monkeypatch):
         # a solve near the window's upper end: Newton gives up and the nested

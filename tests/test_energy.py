@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ class TestAgainstDirectSum:
             expected, rel=3e-6
         )
         assert lattice_energy(spec, st) == pytest.approx(expected, rel=1e-12)
+
+    def test_refuses_sums_past_the_shell_cap(self):
+        # near the double-Yukawa border kappa2 = 1.35e-3 predicts about
+        # 18,700 shells; the refusal comes before any of them is summed
+        spec = derive_double_yukawa(3.702, 2.0)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedOracleError, match="about 1868[0-9].* shells"):
+            direct_lattice_sum(spec, LatticeState(2.8135, 0.0))
+        assert time.perf_counter() - start < 1.0
 
     def test_unsupported_oracles(self):
         with pytest.raises(UnsupportedOracleError):

@@ -28,22 +28,37 @@ from rectlat.expansion import (
     e2_e4_closed,
     landau_series,
 )
-from rectlat.quadrature import Grid, QuadratureConfig, _joint_grid, _tail_cutoff, grid_for
+from rectlat.quadrature import (
+    Grid,
+    QuadratureConfig,
+    _joint_grid,
+    _tail_cutoff,
+    estimate_split,
+    grid_for,
+)
+
+
+def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, level):
+    """``(value, scale)`` of one level of the split integral, one table per side."""
+    hi = _tail_cutoff(decay_scale)
+    a = q.split_point
+    value = 0.0
+    scale = 0.0
+    for lo, weight in ((a, w_direct), (math.pi**2 / a, w_transformed)):
+        grid = Grid(lo, hi, level)
+        contrib = front * grid.weights * table_of(grid) * weight(grid.nodes)
+        value += contrib.sum(axis=-1)
+        scale += np.abs(contrib).sum(axis=-1)
+    return value, scale
 
 
 def reference_ladder(table_of, w_direct, w_transformed, decay_scale, q, front):
     """``(value, level)``: the split integral level by level, one table per side."""
-    hi = _tail_cutoff(decay_scale)
-    a = q.split_point
     prev = kept = None
     for level in range(q.max_refinements + 1):
-        value = 0.0
-        scale = 0.0
-        for lo, weight in ((a, w_direct), (math.pi**2 / a, w_transformed)):
-            grid = Grid(lo, hi, level)
-            contrib = front * grid.weights * table_of(grid) * weight(grid.nodes)
-            value += contrib.sum(axis=-1)
-            scale += np.abs(contrib).sum(axis=-1)
+        value, scale = reference_level(
+            table_of, w_direct, w_transformed, decay_scale, q, front, level
+        )
         if prev is not None:
             if kept is not None:
                 value = np.where(kept, prev, value)
@@ -145,6 +160,33 @@ def test_pair_gap_runs_once_per_pass(monkeypatch, split):
         for lo in los:
             expected.append(sum(grid_for(lo, hi, lv).nodes.size for lv in levels))
     assert sizes == expected
+
+
+@SPLITS
+def test_estimate_is_the_reference_level_0(split):
+    # the ranking pass of the eps scans: level 0 of the split kernel alone,
+    # its table formed once per grid like the ladder's
+    q = QuadratureConfig(split_point=split)
+    eps = np.linspace(0.2, 1.2, 5)
+    rows = energy._gap_rows(eps)
+    measure = (
+        lambda u: pot.weight_direct(DY, 2.6, u),
+        lambda u: pot.weight_transformed(DY, 2.6, u),
+        pot.tail_scale(DY, 2.6),
+        q,
+        pot.front_factor(DY, 2.6),
+    )
+    formed = []
+
+    def counted(grid):
+        formed.append(grid)
+        return rows(grid)
+
+    value = estimate_split(counted, *measure)
+    expected, _ = reference_level(rows, *measure, level=0)
+    assert value.tobytes() == expected.tobytes()
+    assert len(formed) == (1 if split == math.pi else 2)
+    assert energy.gap_estimates(DY, 2.6, eps, q).tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -88,7 +88,18 @@ def test_no_scipy_at_run_time(load):
     # importing scipy.optimize and scipy.special took about 0.55 s of every
     # command's start-up; the package and the scripts do without them
     report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    code = f"import runpy, sys\n{load}\n{report}"
+    assert _fresh_interpreter(f"import runpy, sys\n{load}\n{report}") == "[]\n"
+
+
+def test_no_process_pool_at_import():
+    # the pool and its modules load only when a scan starts one
+    pool = ("multiprocessing", "concurrent.futures", "subprocess", "socket")
+    report = f"print(sorted(m for m in {pool!r} if m in sys.modules))"
+    assert _fresh_interpreter(f"import sys\nimport rectlat.cli\n{report}") == "[]\n"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on the sources."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -98,4 +109,4 @@ def test_no_scipy_at_run_time(load):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout

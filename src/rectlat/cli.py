@@ -119,6 +119,8 @@ def _parse_grid(text: str) -> np.ndarray:
     except ValueError:
         raise ParameterDomainError(message) from None
     check_domain(n >= 1 and kind in ("lin", "log"), message, lo=lo, hi=hi)
+    positive = kind == "lin" or (lo > 0 and hi > 0)
+    check_domain(positive, f"a log grid needs both ends positive, got {text!r}")
     return np.linspace(lo, hi, n) if kind == "lin" else np.geomspace(lo, hi, n)
 
 
@@ -146,6 +148,7 @@ def _family_command(compute):
 
 
 def cmd_energy(ns, spec, q) -> dict:
+    check_domain(ns.delta > 0, f"delta must be finite and positive, got {ns.delta}", delta=ns.delta)
     value = lattice_energy(spec, LatticeState(ns.area, math.log(ns.delta)), q)
     return {"A": ns.area, "delta": ns.delta, "energy": value}
 
@@ -237,8 +240,6 @@ def cmd_scan(ns) -> int:
     flags = ("kappa1", "v1_grid", "a_grid", "kappa1_grid", "workers", "no_bounds")
     _refuse_unused(ns, flags, _SCAN_FLAGS[ns.mode], f"{ns.mode} scan")
     workers = 1 if ns.workers is None else ns.workers
-    if workers < 1:
-        raise ParameterDomainError(f"--workers must be at least 1, got {workers}")
     if ns.mode != "critical-curve" and not ns.kappa1_grid:
         raise ParameterDomainError(f"{ns.mode} scan requires --kappa1-grid")
     config = {"command": "scan", "mode": ns.mode, "workers": workers}

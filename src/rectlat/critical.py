@@ -15,11 +15,14 @@ envelope theorem, the density where the branch minimum reaches zero.
 Solvers are plain bracketed Brent iterations (1D), a damped Newton with
 finite-difference Jacobian (2D) that gives up once its residual stalls
 and hands the solve to a nested 1D fallback, and a plain Newton for the
-deep crossing whose eps rows share stacked integrals.  All of them
-consume the quadrature-backed coefficient evaluators, so a solve is a few
-hundred vectorized integrand evaluations.  The 129-point eps scans that
-seed the direct-gap refinements only rank their points, so they run on
-level-0 estimates of the gap (one grid, no convergence test).
+deep crossing whose eps rows share stacked integrals and, within a step,
+one table.  All of them consume the quadrature-backed coefficient
+evaluators, so a solve is a few hundred vectorized integrand evaluations.
+The eps scans that seed the direct-gap refinements only rank their
+points, so they run on level-0 estimates of the gap (one grid, no
+convergence test).  Every scan ranks a suffix of one fixed 129-point
+lattice on [0, EPS_CAP] (``energy.GAP_LATTICE``), whose pair-gap table is
+built once per grid and shared by all of them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import potentials as pot
-from .energy import LatticeState, energy_gap, gap_estimates, lattice_energy
+from .energy import (
+    EPS_CAP,
+    GAP_LATTICE,
+    LatticeState,
+    energy_gap,
+    gap_estimates,
+    lattice_energy,
+)
 from .errors import (
     BracketError,
     ClassificationError,
@@ -47,9 +57,6 @@ from .solvers import RTOL_MIN, brentq, minimize_scalar
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
-
-#: Search cap of the aspect minimization (delta <= 4).
-EPS_CAP = math.log(4.0)
 
 # A deep crossing whose eps ends within this relative distance of EPS_CAP
 # is pinned there, not interior.
@@ -135,23 +142,25 @@ def _series_branch(coeffs):
     return x, val, x_barrier
 
 
-def _gap_scan(spec, area, q, lo, hi):
-    """``(grid, i)``: 129 equally spaced eps on [lo, hi] and the index of
-    the one where the directly integrated gap is lowest.
+def _gap_scan(spec, area, q, lo):
+    """``(grid, i)``: the points of ``GAP_LATTICE`` at or above ``lo`` and
+    the index of the one where the directly integrated gap is lowest.
 
-    The points are ranked on level-0 estimates of the gap from one
-    stacked pass (``gap_estimates``); callers refine from the returned
-    point against the converged ``energy_gap``.
+    The grid is a suffix of the lattice, so its pair-gap rows are sliced
+    from the lattice's table, built once per grid.  The points are ranked
+    on level-0 estimates of the gap from one stacked pass
+    (``gap_estimates``); callers refine from the returned point against
+    the converged ``energy_gap``.
     """
-    grid = np.linspace(lo, hi, 129)
+    grid = GAP_LATTICE[np.searchsorted(GAP_LATTICE, lo) :]
     return grid, int(np.argmin(gap_estimates(spec, area, grid, q)))
 
 
-def _direct_minimum(spec, area, q, lo, hi):
-    """Minimum ``(eps, gap)`` of the energy gap over [lo, hi]: the bounded
-    minimiser on ``energy_gap`` between the neighbours of the lowest point
-    of a 129-point scan (``_gap_scan``)."""
-    grid, i = _gap_scan(spec, area, q, lo, hi)
+def _direct_minimum(spec, area, q):
+    """Minimum ``(eps, gap)`` of the energy gap over [0, EPS_CAP]: the
+    bounded minimiser on ``energy_gap`` between the neighbours of the
+    lowest point of the whole 129-point lattice (``_gap_scan``)."""
+    grid, i = _gap_scan(spec, area, q, 0.0)
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
     x, fx = minimize_scalar(lambda e: energy_gap(spec, area, e, q), left, right, 1e-12)
@@ -174,7 +183,7 @@ def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
         eps_min = 0.0
     else:
         # outside the trusted series range: minimize the directly-integrated gap
-        eps_d, val_d = _direct_minimum(spec, area, q, 0.0, EPS_CAP)
+        eps_d, val_d = _direct_minimum(spec, area, q)
         eps_min = 0.0 if val_d >= 0.0 else eps_d
     return eps_min, lattice_energy(spec, LatticeState(area, eps_min), q)
 
@@ -511,7 +520,8 @@ def _deep_crossing(spec, area, eps, floor, q):
 
     By the envelope theorem this is the density where the broken-branch
     minimum of the directly integrated gap reaches zero, at that minimum.
-    Each step costs two stacked 3-row gaps (at A and at A (1 + 1e-6)).
+    Each step costs two stacked 3-row gaps (at A and at A (1 + 1e-6)),
+    which share one table of their three eps rows (``energy._gap_rows``).
     Stops once ``|dA| <= 1e-14 A`` and the eps step is at most 1e-9 or,
     below 1e-7, no longer halves: roundoff of about 1e-18 in the gap,
     divided by 2h and by d^2 gap/d eps^2, leaves eps steps of about 3e-10
@@ -555,10 +565,10 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     themselves.  When the branch minimum there lies beyond
     ``SERIES_EPS_MAX`` the crossing is relocated against the directly
     integrated gap by one Newton solve of ``(gap, d gap/d eps) = 0`` in
-    (A, eps), seeded with the series crossing and the deepest point of a
-    129-point eps scan above half the barrier location and up to
-    ``EPS_CAP`` (delta <= 4), ranked on level-0 estimates of the gap
-    (``_gap_scan``).  Returns ``(a_trans, eps_jump)``; raises
+    (A, eps), seeded with the series crossing and the deepest point of
+    the eps lattice (129 points on [0, ``EPS_CAP``], delta <= 4) at or
+    above half the barrier location, ranked on level-0 estimates of the
+    gap (``_gap_scan``).  Returns ``(a_trans, eps_jump)``; raises
     ``ClassificationError`` when no barrier separates the branches at the
     crossing, ``SearchFailureError`` when the broken-branch minimum leaves
     that window or ends on the aspect cap, where it is no coexistence
@@ -586,7 +596,9 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
         # density; eps starts from the deepest point of a scan that keeps the
         # broken branch above half the barrier location
         floor = 0.5 * math.sqrt(x_barrier)
-        grid, i = _gap_scan(spec, a_trans, q, floor, EPS_CAP)
+        if not floor < EPS_CAP:
+            raise _off_window(EPS_CAP, "cap", eps_jump, a_trans)
+        grid, i = _gap_scan(spec, a_trans, q, floor)
         a_trans, eps_jump = _deep_crossing(spec, a_trans, grid[i], floor, q)
     return float(a_trans), float(eps_jump)
 

@@ -136,18 +136,56 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
 
     A 1-D array of ``eps`` gives one gap per entry from one stacked
     integral (one ladder, one set of measure weights); each entry equals
-    the scalar call bit for bit.  The bracket table is still built one
-    ``eps`` at a time, which keeps the temporaries of one row in memory.
+    the scalar call bit for bit.  Its table comes from ``_gap_rows``, so
+    two calls on the same ``eps`` in a row build it once.
     """
     if np.ndim(eps) == 0:
         return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
     return split_integral(spec, area, _gap_rows(eps), q)
 
 
+#: Search cap of the aspect minimization (delta <= 4).
+EPS_CAP = math.log(4.0)
+
+#: The eps lattice of the direct-gap scans: 129 equal steps over the
+#: aspect range [0, EPS_CAP].  Its pair-gap table is built once per grid
+#: and cached there like the other bracket tables.
+GAP_LATTICE = np.linspace(0.0, EPS_CAP, 129)
+
+# The last stack of eps rows built off the lattice and its table on each
+# grid: a deep crossing's Newton step asks for the same three rows at two
+# densities.  One stack only, so it never grows with the number of steps.
+_last_rows = {"eps": None, "tables": {}}
+
+
+def _stack(u, eps):
+    return np.stack([theta_product_gap(u, e) for e in eps])
+
+
 def _gap_rows(eps):
-    """The pair-gap table of each entry of ``eps``, one ``theta_product_gap``
-    call per entry, stacked (last axis = nodes)."""
-    return lambda g: np.stack([theta_product_gap(g.nodes, e) for e in eps])
+    """``table_of(grid)`` for the pair-gap rows of each entry of ``eps``
+    (last axis = nodes), each row one ``theta_product_gap`` call.
+
+    A suffix of ``GAP_LATTICE`` is sliced from the lattice's table
+    (``Grid.cached``); the table of any other stack is kept until another
+    stack is asked for.  Either way every row is bit for bit a fresh one.
+    """
+    eps = np.asarray(eps, dtype=float)
+    start = GAP_LATTICE.size - eps.size
+    if start >= 0 and np.array_equal(eps, GAP_LATTICE[start:]):
+        return lambda g: g.cached("pair_gap_lattice", lambda u: _stack(u, GAP_LATTICE))[start:]
+    key = eps.tobytes()
+    if _last_rows["eps"] != key:
+        _last_rows.update(eps=key, tables={})
+    tables = _last_rows["tables"]
+
+    def table_of(g):
+        tab = tables.get(g)
+        if tab is None:
+            tab = tables[g] = _stack(g.nodes, eps)
+        return tab
+
+    return table_of
 
 
 def gap_estimates(
@@ -158,7 +196,8 @@ def gap_estimates(
     One pass over the split kernel's level-0 grid with no convergence
     test (``quadrature.estimate_split``), a third of the nodes of a
     converged stacked ``energy_gap``.  Only good for ranking the entries;
-    take values from ``energy_gap``.
+    take values from ``energy_gap``.  The rows of a suffix of
+    ``GAP_LATTICE`` come from its table cached on the level-0 grid.
     """
     return _against_measure(estimate_split, spec, area, _gap_rows(eps), q)
 

@@ -2,10 +2,13 @@
 
 Scans are split into a cheap serial seeding pass (warm-started along the
 grid, which dominates robustness) and an embarrassingly parallel polish
-pass over the seeded brackets.  Because every polished point depends
-only on its own seed, the emitted rows are byte-identical for any worker
-count.  Failures are recorded per row and the scan continues; boundary
-regions of parameter space legitimately fail.
+pass over the seeded brackets.  The polish runs in this process until it
+has taken ``POOL_AFTER_S``, and only then hands the points left to a
+pool of forked workers, which inherit the tables built so far.  Because
+every polished point depends only on its own seed, the emitted rows are
+byte-identical for any worker count.  Failures are recorded per row and
+the scan continues; boundary regions of parameter space legitimately
+fail.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
+import time
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -30,7 +35,13 @@ from .critical import (
     kappa1_upper,
     a_star_min,
 )
-from .errors import BracketError, NonconvergenceError, RectlatError, SearchFailureError
+from .errors import (
+    BracketError,
+    NonconvergenceError,
+    RectlatError,
+    SearchFailureError,
+    check_domain,
+)
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .solvers import RTOL_MIN, brentq
@@ -165,14 +176,41 @@ def _polish_critical_point(job):
         return [_failed_row(spec.family, point, err)]
 
 
-def _map_jobs(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    # imported here: the pool's modules cost every command their import time
-    from concurrent.futures import ProcessPoolExecutor
+#: Seconds of jobs ``_map_jobs`` runs in this process before it forks
+#: workers for the rest, so that a scan this short never pays for pool
+#: start-up.
+POOL_AFTER_S = 0.3
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+
+def _check_workers(workers):
+    check_domain(
+        isinstance(workers, numbers.Integral) and workers >= 1,
+        f"--workers must be an integer of at least 1, got {workers!r}",
+    )
+
+
+def _map_jobs(fn, jobs, workers):
+    """``[fn(job) for job in jobs]``, in order.
+
+    Jobs run here, in grid order, until they have taken more than
+    ``POOL_AFTER_S``; the ones left then go to a pool of at most
+    ``workers`` processes and no more than there are jobs left.  The
+    workers are forked (the Linux default) and so start with this
+    process's tables.
+    """
+    results = []
+    start = time.perf_counter()
+    for i, job in enumerate(jobs):
+        results.append(fn(job))
+        left = len(jobs) - i - 1
+        if workers > 1 and left > 1 and time.perf_counter() - start > POOL_AFTER_S:
+            # imported here: the pool's modules cost every command their import time
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
+                results.extend(pool.map(fn, jobs[i + 1 :]))
+            break
+    return results
 
 
 def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
@@ -210,6 +248,7 @@ def scan_critical_curve(
     Sweeps either the strength v1 directly, or a density grid that is
     converted to strengths by inverting the critical curve.
     """
+    _check_workers(workers)
     if (v1_grid is None) == (a_grid is None):
         raise ValueError("provide exactly one of v1_grid or a_grid")
     if a_grid is not None:
@@ -241,6 +280,7 @@ def scan_yukawa_coulomb(
 ) -> list[PhaseDiagramRow]:
     """Transition rows of the Yukawa-Coulomb family over a kappa1 grid,
     with the tricritical point appended as its own row."""
+    _check_workers(workers)
     rows = _scan_rows(pot.YUKAWA_COULOMB, [(None, k1) for k1 in kappa1_grid], q, workers)
     rows.append(tricritical_row(pot.YUKAWA_COULOMB, find_tricritical(pot.YUKAWA_COULOMB, q=q)))
     return rows
@@ -323,6 +363,7 @@ def scan_a_star_min(
     workers: int = 1,
 ):
     """Limiting critical density of the large-v1 regime along kappa1."""
+    _check_workers(workers)
     jobs = [(float(k1), q) for k1 in kappa1_grid]
     return _map_jobs(_a_star_min_job, jobs, workers)
 

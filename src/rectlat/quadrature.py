@@ -33,7 +33,9 @@ of integrands by value.
 Node placement is a pure function of the integration window, so results
 are bit-reproducible run to run and independent of evaluation order.
 Grids (and expensive node-wise bracket tables attached to them) are
-cached process-wide.
+cached process-wide: the curvature and series tables, and the pair-gap
+table of the eps lattice that every direct-gap scan ranks
+(``energy.GAP_LATTICE``), each built once per grid.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rectlat.critical
+import rectlat.energy
 import rectlat.quadrature
 from rectlat.critical import (
     a_star_min,
@@ -17,12 +18,19 @@ from rectlat.critical import (
     fit_exponent,
     minimize_aspect,
 )
-from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
+from rectlat.energy import (
+    GAP_LATTICE,
+    LatticeState,
+    direct_lattice_sum,
+    energy_gap,
+    lattice_energy,
+)
 from rectlat.errors import (
     BracketError,
     ClassificationError,
     NonconvergenceError,
     ParameterDomainError,
+    SearchFailureError,
 )
 from rectlat.expansion import e2_closed, e4_closed
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
@@ -90,7 +98,7 @@ class TestMinimizeAspect:
 
 @pytest.fixture(scope="module")
 def gap_scans(q):
-    """Every ``_gap_scan`` call ``(spec, area, lo, hi, i)`` of the deep rows
+    """Every ``_gap_scan`` call ``(spec, area, grid, i)`` of the deep rows
     of the phase-diagram scans (double Yukawa kappa1 = 2 at the seven
     smallest v1 of its grid, Yukawa-Coulomb kappa1 in 1.9..2.03) and of
     ``minimize_aspect`` for v1 = 9.8, kappa1 = 2 at A = 3.0, 3.5, 3.6."""
@@ -99,9 +107,9 @@ def gap_scans(q):
     calls = []
     scan = rectlat.critical._gap_scan
 
-    def recording(spec, area, q, lo, hi):
-        grid, i = scan(spec, area, q, lo, hi)
-        calls.append((spec, area, lo, hi, i))
+    def recording(spec, area, q, lo):
+        grid, i = scan(spec, area, q, lo)
+        calls.append((spec, area, grid, i))
         return grid, i
 
     with pytest.MonkeyPatch.context() as m:
@@ -116,11 +124,36 @@ def gap_scans(q):
 
 
 def test_ranking_argmin_is_the_converged_argmin(gap_scans, q):
-    # level-0 estimates pick the same scan point as the converged gaps
+    # level-0 estimates pick the same point of the lattice suffix as the
+    # converged gaps; the deep rows scan 96 to 129 points
     assert len(gap_scans) == 13
-    for spec, area, lo, hi, i in gap_scans:
-        grid = np.linspace(lo, hi, 129)
+    for spec, area, grid, i in gap_scans:
+        assert 96 <= grid.size <= 129
+        assert grid.tobytes() == GAP_LATTICE[GAP_LATTICE.size - grid.size :].tobytes()
         assert i == int(np.argmin(energy_gap(spec, area, grid, q)))
+
+
+def _tables_per_grid():
+    grids = [*rectlat.quadrature._GRID_CACHE.values(), *rectlat.quadrature._JOINT_CACHE.values()]
+    return {id(g): len(g._tables) for g in grids}
+
+
+def test_deep_scan_tables_do_not_grow_with_rows(q):
+    # a deep row's tables are per grid (the eps lattice) or one stack at a
+    # time (a Newton step's three eps rows), so ten times the rows on the
+    # same grids leave as many tables on each grid and one stack of rows
+    from rectlat.phasescan import scan_critical_curve
+
+    def deep_rows(n):
+        rows = scan_critical_curve(2.0, v1_grid=np.geomspace(3.75, 5.5, n), q=q)
+        assert sum(r.status == "ok" and r.eps_jump > 0.15 for r in rows) == n
+        return _tables_per_grid()
+
+    few = deep_rows(4)
+    many = deep_rows(40)
+    assert {g: many[g] for g in few} == few
+    assert max(many.values()) == max(few.values())
+    assert len(rectlat.energy._last_rows["tables"]) <= 2
 
 
 class TestFindTransition:
@@ -309,6 +342,26 @@ class TestFindFirstOrder:
         assert eps_jump > rectlat.critical.SERIES_EPS_MAX  # the deep path ran
         after_series_solve = events[events.index("brent") + 1 :]
         assert after_series_solve.count("coefficients") == 1
+
+    def test_barrier_beyond_the_cap_is_a_search_failure(self, monkeypatch, q):
+        # a series barrier so deep that half of it lies past EPS_CAP leaves
+        # no lattice point to seed from: the crossing is refused as pinned
+        # at the cap, not failed on an empty scan
+        solved = []
+        brent = rectlat.critical.brentq
+        branch = rectlat.critical._series_branch
+
+        def marked_brent(*args, **kwargs):
+            root = brent(*args, **kwargs)
+            solved.append(root)
+            return root
+
+        monkeypatch.setattr(rectlat.critical, "brentq", marked_brent)
+        monkeypatch.setattr(
+            rectlat.critical, "_series_branch", lambda c: (16.0, -1.0, 9.0) if solved else branch(c)
+        )
+        with pytest.raises(SearchFailureError, match="search cap"):
+            find_first_order(derive_yukawa_coulomb(2.0), (2.8133, 2.8136), q)
 
     def test_second_order_family_rejected(self, dy98):
         tp = find_transition(dy98, (2.0, 3.2))

@@ -188,3 +188,38 @@ def test_yukawa_strength_defaults_to_one():
         docs.append(out.getvalue())
     assert docs[0] == docs[1]
     assert json.loads(docs[0])["meta"]["config"]["potential"]["v"] == 1.0
+
+
+# Finite values another library would refuse with its own words: math.log
+# of a non-positive delta, numpy's geomspace through zero.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["energy", "--family", "yukawa", "--kappa", "1", "--area", "1.3", "--delta", "0"],
+         "delta must be finite and positive, got 0.0"),
+        (["energy", "--family", "yukawa", "--kappa", "1", "--area", "1.3", "--delta=-2"],
+         "delta must be finite and positive, got -2.0"),
+        (["scan", "--mode", "critical-curve", "--kappa1", "2", "--v1-grid", "0:5:log:3"],
+         "a log grid needs both ends positive, got '0:5:log:3'"),
+        (["scan", "--mode", "a-star-min", "--kappa1-grid=-1:-5:log:3"],
+         "a log grid needs both ends positive, got '-1:-5:log:3'"),
+        (["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2:0:log:2"],
+         "a log grid needs both ends positive, got '2:0:log:2'"),
+    ],
+    ids=["delta-0", "delta-negative", "log-grid-from-0", "log-grid-negative", "log-grid-to-0"],
+)
+def test_non_positive_input_exits_2_with_its_name(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
+def test_non_positive_lin_grid_still_runs():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["scan", "--mode", "a-star-min", "--kappa1-grid", "0:1:lin:2"])
+    assert code == 0
+    assert out.getvalue().splitlines()[1] == "0,,failed: ParameterDomainError"

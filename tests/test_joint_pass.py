@@ -225,3 +225,74 @@ def test_joint_grid_is_cached_and_holds_both_levels():
         part = grid_for(math.pi, hi, level)
         assert g.nodes[span].tobytes() == part.nodes.tobytes()
         assert g.weights[span].tobytes() == part.weights.tobytes()
+
+
+@SPLITS
+@pytest.mark.parametrize(
+    "spec, area", [(YC, 2.8), (DY, 2.6)], ids=["yukawa-coulomb", "double-yukawa"]
+)
+def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
+    # a suffix of the scan lattice takes its rows from the lattice's table,
+    # built once on each level-0 grid: the table, and the estimates from
+    # it, are bit for bit those of a fresh stack
+    q = QuadratureConfig(split_point=split)
+    lattice = energy.GAP_LATTICE
+    measure = (
+        lambda u: pot.weight_direct(spec, area, u),
+        lambda u: pot.weight_transformed(spec, area, u),
+        pot.tail_scale(spec, area),
+        q,
+        pot.front_factor(spec, area),
+    )
+    built = []
+    real = energy.theta_product_gap
+
+    def counted(u, eps):
+        built.append(eps)
+        return real(u, eps)
+
+    hi = _tail_cutoff(pot.tail_scale(spec, area))
+    grids = {grid_for(lo, hi, 0) for lo in (split, math.pi**2 / split)}
+    monkeypatch.setattr(energy, "theta_product_gap", counted)
+    for start in (0, 33, 128):
+        suffix = lattice[start:].copy()  # equal to the lattice's suffix, not a view of it
+        fresh = estimate_split(lambda g: np.stack([real(g.nodes, e) for e in suffix]), *measure)
+        assert energy.gap_estimates(spec, area, suffix, q).tobytes() == fresh.tobytes()
+        if start == 0:  # the first scan on a grid builds its table (unless one was built before)
+            first = len(built)
+            assert first in (0, lattice.size * len(grids))
+        assert len(built) == first
+    monkeypatch.undo()
+    for g in grids:
+        table = g._tables["pair_gap_lattice"]
+        assert table.tobytes() == np.stack([real(g.nodes, e) for e in lattice]).tobytes()
+
+
+def test_newton_step_builds_its_rows_once(monkeypatch):
+    # the two gaps of a deep-crossing Newton step, at A and at A (1 + 1e-6),
+    # share one table of their three eps rows; the next stack replaces it
+    q = QuadratureConfig()
+    built = []
+    real = energy.theta_product_gap
+
+    def counted(u, eps):
+        built.append(eps)
+        return real(u, eps)
+
+    def fresh(area, eps):
+        rows = lambda g: np.stack([real(g.nodes, e) for e in eps])
+        return energy.split_integral(YC, area, rows, q)
+
+    monkeypatch.setattr(energy, "_last_rows", {"eps": None, "tables": {}})
+    monkeypatch.setattr(energy, "theta_product_gap", counted)
+    eps = 0.5 + np.array([-1e-5, 0.0, 1e-5])
+    at_a = energy_gap(YC, 2.8, eps, q)
+    assert len(built) == 3
+    above = energy_gap(YC, 2.8 * (1.0 + 1e-6), eps, q)
+    assert len(built) == 3
+    energy_gap(YC, 2.8, eps + 0.1, q)
+    assert len(built) == 6
+    assert len(energy._last_rows["tables"]) == 1
+    monkeypatch.setattr(energy, "theta_product_gap", real)
+    assert at_a.tobytes() == fresh(2.8, eps).tobytes()
+    assert above.tobytes() == fresh(2.8 * (1.0 + 1e-6), eps).tobytes()

@@ -6,7 +6,7 @@ import pytest
 
 from rectlat import phasescan
 from rectlat.critical import EPS_CAP, minimize_aspect
-from rectlat.errors import NonconvergenceError
+from rectlat.errors import NonconvergenceError, ParameterDomainError
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
     PhaseDiagramRow,
@@ -186,12 +186,96 @@ class TestTricriticalLocusScan:
         assert rows[1][1] < rows[2][1]
 
 
+class _StubPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
+    maps in this process, so no worker is started."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.fixture()
+def stub_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(_StubPool, "started", [])
+    return _StubPool.started
+
+
 class TestWorkers:
     def test_worker_count_does_not_change_rows(self, q):
         v1_grid = np.geomspace(7.5, 15.0, 4)
         serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
         parallel = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=3)
         assert serial == parallel
+
+    def test_forced_pool_matches_serial_rows(self, monkeypatch, q):
+        # deep first-order rows (v1 below the tricritical 6.795) polished by
+        # two forked workers after the parent's first job
+        v1_grid = np.geomspace(3.8, 6.5, 5)
+        serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
+        assert sum(r.status == "ok" and r.eps_jump > 0.15 for r in serial) == 5
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
+        assert scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=2) == serial
+        assert started == [2]
+
+    def test_pool_is_capped_at_the_jobs_left(self, monkeypatch, stub_pool, q):
+        # the parent runs the first job, so three jobs leave two for the pool
+        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
+        rows = scan_a_star_min([1.0, 2.0, 4.0], q=q, workers=5000)
+        assert stub_pool == [2]
+        assert rows == scan_a_star_min([1.0, 2.0, 4.0], q=q)
+
+    def test_cheap_scan_starts_no_pool(self, stub_pool, q):
+        rows = scan_critical_curve(2.0, v1_grid=np.geomspace(7.5, 15.0, 4), q=q, workers=2)
+        assert stub_pool == []
+        assert [r.status for r in rows] == ["ok"] * 4
+
+    def test_one_job_left_runs_here(self, monkeypatch, stub_pool, q):
+        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
+        scan_a_star_min([1.0, 2.0], q=q, workers=2)
+        assert stub_pool == []
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda w: scan_critical_curve(2.0, v1_grid=[9.8], workers=w),
+            lambda w: scan_yukawa_coulomb([2.0], workers=w),
+            lambda w: scan_a_star_min([2.0], workers=w),
+        ],
+        ids=["critical-curve", "yukawa-coulomb", "a-star-min"],
+    )
+    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    def test_workers_are_refused_up_front(self, monkeypatch, scan, workers):
+        def seeding(*args):
+            raise AssertionError("a scan with a bad worker count started")
+
+        monkeypatch.setattr(phasescan, "_coarse_e2_root", seeding)
+        monkeypatch.setattr(phasescan, "a_star_min", seeding)
+        with pytest.raises(ParameterDomainError, match="--workers must be an integer of at least"):
+            scan(workers)
 
 
 class TestEmission:

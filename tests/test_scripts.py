@@ -75,6 +75,18 @@ def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
     assert captured.err.startswith("error: kappa1 must be positive and at most")
 
 
+@pytest.mark.parametrize("name", ["phase_diagram.py", "asmin_curve.py"])
+def test_scripts_refuse_a_worker_count_below_one(monkeypatch, capsys, name):
+    # validated by the scans, as for the CLI; it used to run serially
+    monkeypatch.setattr(sys, "argv", [name, "--points", "2", "--workers", "0"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --workers must be an integer of at least 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "load",
     [

@@ -158,7 +158,7 @@ GAP_LATTICE = np.linspace(0.0, EPS_CAP, 129)
 _last_rows = {"eps": None, "tables": {}}
 
 
-def _stack(u, eps):
+def _gap_stack(u, eps):
     return np.stack([theta_product_gap(u, e) for e in eps])
 
 
@@ -173,7 +173,7 @@ def _gap_rows(eps):
     eps = np.asarray(eps, dtype=float)
     start = GAP_LATTICE.size - eps.size
     if start >= 0 and np.array_equal(eps, GAP_LATTICE[start:]):
-        return lambda g: g.cached("pair_gap_lattice", lambda u: _stack(u, GAP_LATTICE))[start:]
+        return lambda g: g.cached("pair_gap_lattice", lambda u: _gap_stack(u, GAP_LATTICE))[start:]
     key = eps.tobytes()
     if _last_rows["eps"] != key:
         _last_rows.update(eps=key, tables={})
@@ -182,7 +182,7 @@ def _gap_rows(eps):
     def table_of(g):
         tab = tables.get(g)
         if tab is None:
-            tab = tables[g] = _stack(g.nodes, eps)
+            tab = tables[g] = _gap_stack(g.nodes, eps)
         return tab
 
     return table_of

@@ -18,11 +18,10 @@ and hands the solve to a nested 1D fallback, and a plain Newton for the
 deep crossing whose eps rows share stacked integrals and, within a step,
 one table.  All of them consume the quadrature-backed coefficient
 evaluators, so a solve is a few hundred vectorized integrand evaluations.
-The eps scans that seed the direct-gap refinements only rank their
-points, so they run on level-0 estimates of the gap (one grid, no
-convergence test).  Every scan ranks a suffix of one fixed 129-point
-lattice on [0, EPS_CAP] (``energy.GAP_LATTICE``), whose pair-gap table is
-built once per grid and shared by all of them.
+The eps scans that seed the direct-gap refinements are one stacked gap
+each, over a suffix of one fixed 129-point lattice on [0, EPS_CAP]
+(``energy.GAP_LATTICE``), whose pair-gap table is built once per grid and
+shared by all of them.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .energy import (
     GAP_LATTICE,
     LatticeState,
     energy_gap,
-    gap_estimates,
     lattice_energy,
 )
 from .errors import (
@@ -146,14 +144,12 @@ def _gap_scan(spec, area, q, lo):
     """``(grid, i)``: the points of ``GAP_LATTICE`` at or above ``lo`` and
     the index of the one where the directly integrated gap is lowest.
 
-    The grid is a suffix of the lattice, so its pair-gap rows are sliced
-    from the lattice's table, built once per grid.  The points are ranked
-    on level-0 estimates of the gap from one stacked pass
-    (``gap_estimates``); callers refine from the returned point against
-    the converged ``energy_gap``.
+    The gaps are one stacked ``energy_gap``; the grid is a suffix of the
+    lattice, so its pair-gap rows are sliced from the lattice's table,
+    built once per grid.
     """
     grid = GAP_LATTICE[np.searchsorted(GAP_LATTICE, lo) :]
-    return grid, int(np.argmin(gap_estimates(spec, area, grid, q)))
+    return grid, int(np.argmin(energy_gap(spec, area, grid, q)))
 
 
 def _direct_minimum(spec, area, q):
@@ -249,8 +245,8 @@ def _kappa2_of_v1(kappa1: float, v1: float) -> float:
 
 # A 2D Newton solve gives up once its residual norm has not halved over
 # this many accepted steps.  The slowest converging solve seen (kappa1 =
-# 2.0364884871389908 in kappa1_upper's walk) goes 10 steps without halving
-# (17 steps in all, the last ones at the noise floor); 8 would hand it to
+# 2.0365096913453264 in kappa1_upper's walk) goes 4 steps without halving
+# (12 steps in all, the last five at the noise floor); 4 would hand it to
 # the nested fallback.
 _STALL_STEPS = 12
 
@@ -567,13 +563,12 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     integrated gap by one Newton solve of ``(gap, d gap/d eps) = 0`` in
     (A, eps), seeded with the series crossing and the deepest point of
     the eps lattice (129 points on [0, ``EPS_CAP``], delta <= 4) at or
-    above half the barrier location, ranked on level-0 estimates of the
-    gap (``_gap_scan``).  Returns ``(a_trans, eps_jump)``; raises
-    ``ClassificationError`` when no barrier separates the branches at the
-    crossing, ``SearchFailureError`` when the broken-branch minimum leaves
-    that window or ends on the aspect cap, where it is no coexistence
-    point, and ``NonconvergenceError`` when the Newton solve does not
-    converge.
+    above half the barrier location (``_gap_scan``).  Returns
+    ``(a_trans, eps_jump)``; raises ``ClassificationError`` when no
+    barrier separates the branches at the crossing, ``SearchFailureError``
+    when the broken-branch minimum leaves that window or ends on the
+    aspect cap, where it is no coexistence point, and
+    ``NonconvergenceError`` when the Newton solve does not converge.
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
     g = lambda a: _crossing_gap(spec, a, q)
@@ -739,8 +734,8 @@ def _a_star_min_condition(kappa1: float, area: float, q: QuadratureConfig) -> fl
     c = p / math.pi**2
     return integrate_split(
         curvature_table,
-        lambda u: np.exp(-p / u) * (1.0 - (1.0 + k) * area / (2.0 * u)) / np.sqrt(u),
-        lambda u: np.exp(-c * u) * (1.0 - (1.0 + k) * area * u / (2.0 * math.pi**2)) / np.sqrt(u),
+        lambda u, root: np.exp(-p / u) * (1.0 - (1.0 + k) * area / (2.0 * u)) / root,
+        lambda u, root: np.exp(-c * u) * (1.0 - (1.0 + k) * area * u / (2.0 * math.pi**2)) / root,
         p,
         q,
         front=1.0,
@@ -771,8 +766,8 @@ def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
         scale = math.pi ** (-2.0 * power_transformed - 1.0)
         return integrate_split(
             curvature_table,
-            lambda u: u**power_direct,
-            lambda u: scale * u**power_transformed,
+            lambda u, root: u**power_direct,
+            lambda u, root: scale * u**power_transformed,
             0.0,
             q,
             front=1.0,

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import potentials as pot
 from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, estimate_split, integrate_split
-from .theta import theta_product, theta_product_gap
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .theta import theta_product_excess, theta_product_gap
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,12 @@ def split_integral(
     table or a stack of them (last axis = nodes), each row integrated
     under one shared ladder.
     """
-    return _against_measure(integrate_split, spec, area, table_of, q)
-
-
-def _against_measure(kernel, spec, area, table_of, q):
-    """``kernel`` (``integrate_split`` or ``estimate_split``) against the
-    potential's measure."""
     if not 0 < area < math.inf:  # the message is formatted only for a refusal
         check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
-    return kernel(
+    return integrate_split(
         table_of,
-        lambda u: pot.weight_direct(spec, area, u),
-        lambda u: pot.weight_transformed(spec, area, u),
+        lambda u, root: pot.weight_direct(spec, area, u, root),
+        lambda u, root: pot.weight_transformed(spec, area, u, root),
         pot.tail_scale(spec, area),
         q,
         pot.front_factor(spec, area),
@@ -117,7 +111,7 @@ def lattice_energy(
             "the sum is not absolutely convergent otherwise"
         )
     area, eps = state.area, state.eps
-    value = split_integral(spec, area, lambda g: theta_product(g.nodes, eps) - 1.0, q)
+    value = split_integral(spec, area, lambda g: theta_product_excess(g.nodes, eps), q)
     a = q.split_point
     return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 
@@ -186,20 +180,6 @@ def _gap_rows(eps):
         return tab
 
     return table_of
-
-
-def gap_estimates(
-    spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Level-0 estimates of ``energy_gap`` at each entry of a 1-D ``eps``.
-
-    One pass over the split kernel's level-0 grid with no convergence
-    test (``quadrature.estimate_split``), a third of the nodes of a
-    converged stacked ``energy_gap``.  Only good for ranking the entries;
-    take values from ``energy_gap``.  The rows of a suffix of
-    ``GAP_LATTICE`` come from its table cached on the level-0 grid.
-    """
-    return _against_measure(estimate_split, spec, area, _gap_rows(eps), q)
 
 
 # ---------------------------------------------------------------------------

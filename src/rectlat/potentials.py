@@ -265,17 +265,17 @@ def tail_scale(spec: PotentialSpec, area: float) -> float:
     return max(k * k for _, k in laplace_pairs(spec)) * area / 4.0
 
 
-def weight_direct(spec: PotentialSpec, area: float, u: np.ndarray) -> np.ndarray:
+def weight_direct(spec: PotentialSpec, area: float, u: np.ndarray, root=None) -> np.ndarray:
     """Measure weight against a self-transforming bracket, direct side.
 
     For exponential families this is ``sum_i s_i v_i exp(-p_i/u) / sqrt(u)``
     with ``p_i = kappa_i^2 A / 4``; the double-Yukawa pair is combined in a
     cancellation-free form so that nearly equal strengths (the large-v1
-    regime) lose no precision.
+    regime) lose no precision.  ``root``, when given, is ``sqrt(u)``.
     """
     if spec.family == RIESZ:
         return u ** (spec.s / 2.0 - 1.0)
-    rsq = np.sqrt(u)
+    rsq = np.sqrt(u) if root is None else root
     if spec.family == YUKAWA:
         p = spec.kappa**2 * area / 4.0
         return spec.v * np.exp(-p / u) / rsq
@@ -284,11 +284,14 @@ def weight_direct(spec: PotentialSpec, area: float, u: np.ndarray) -> np.ndarray
     return np.exp(-p2 / u) * (spec.v1 * np.expm1((p2 - p1) / u) + _strength_gap(spec)) / rsq
 
 
-def weight_transformed(spec: PotentialSpec, area: float, u: np.ndarray) -> np.ndarray:
-    """Measure weight on the (0, split) part mapped through t -> pi^2/t."""
+def weight_transformed(
+    spec: PotentialSpec, area: float, u: np.ndarray, root=None
+) -> np.ndarray:
+    """Measure weight on the (0, split) part mapped through t -> pi^2/t;
+    ``root``, when given, is ``sqrt(u)``."""
     if spec.family == RIESZ:
         return math.pi ** (spec.s - 1.0) * u ** (-spec.s / 2.0)
-    rsq = np.sqrt(u)
+    rsq = np.sqrt(u) if root is None else root
     pi2 = math.pi**2
     if spec.family == YUKAWA:
         c = spec.kappa**2 * area / (4.0 * pi2)

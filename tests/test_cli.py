@@ -35,6 +35,16 @@ class TestEnergyCommand:
         value = doc["rows"][0]["energy"]
         assert value == lattice_energy(dy98, LatticeState(2.6, 0.0), q)
 
+    @pytest.mark.parametrize("value", ["0", "9", "1000"])
+    def test_max_refinements_out_of_range_exits_2(self, capsys, value):
+        argv = ["energy", "--family", "riesz", "--s", "3", "--area", "1", "--max-refinements", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: max_refinements must be an integer from 1 to 8, got {value}\n"
+        )
+
     def test_aspect_inversion_gives_equal_energy(self, capsys):
         base = ["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2", "--area", "2.6"]
         _, doc1 = run_json(capsys, base + ["--delta", "1.3"])

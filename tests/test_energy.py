@@ -79,6 +79,18 @@ class TestAgainstDirectSum:
         )
         assert lattice_energy(spec, st) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "s, area, eps", [(9.0, 1.0, 0.3), (12.0, 1.0, 0.0), (12.0, 1.0, 0.3), (12.0, 6.0, 0.8)]
+    )
+    def test_steep_riesz_matches_direct_sum(self, s, area, eps):
+        # the weight u^(s/2 - 1) grows across the grid, so the bracket
+        # P(u, eps) - 1 must keep its relative accuracy where it is tiny
+        # (theta_product_excess); the difference P - 1 carried absolute
+        # noise of 1e-16 into errors of up to 3e-11 (or no convergence)
+        spec, st = riesz(s), LatticeState(area, eps)
+        expected = direct_lattice_sum(spec, st, cutoff_tol=1e-18)
+        assert lattice_energy(spec, st) == pytest.approx(expected, rel=1e-13)
+
     def test_refuses_sums_past_the_shell_cap(self):
         # near the double-Yukawa border kappa2 = 1.35e-3 predicts about
         # 18,700 shells; the refusal comes before any of them is summed

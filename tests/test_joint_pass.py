@@ -1,18 +1,22 @@
-"""The joint level-0/1 pass and the shared bracket table against a plain ladder.
+"""The one-grid pass and the shared bracket table against a plain ladder.
 
-The reference ladder below evaluates every level on its own grid and
-every side with its own table, in the summation order of a level-by-level
-ladder: ``((front * weights) * table) * weight`` per node, each side summed
-over its own nodes, the sides added as ``(0.0 + direct) + transformed``.
-The production pass must give the same bits, and must form the bracket
-table once per grid and pass (once per pass at the default split, where
-both sides share a grid; twice at a split with two grids).
+The reference ladder below evaluates every level on a fresh grid with a
+fresh table, and accepts each component at the first level where its own
+null-rule estimate passes, taken from the Legendre coefficients of each
+panel.  It keeps the kernel's arithmetic: ``(front * weights * w) * table``
+per node with ``w`` the measure weight of a half (their sum when both
+halves share the grid at split ``pi``), summed over each grid's nodes and
+added from 0.0.  The production pass must give the same bits, and must
+form the bracket table once per grid and level (once per level at the
+default split, where both halves share a grid; twice at a split with two
+grids).
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss, legvander
 
 import rectlat.critical as critical
 import rectlat.energy as energy
@@ -28,45 +32,47 @@ from rectlat.expansion import (
     e2_e4_closed,
     landau_series,
 )
-from rectlat.quadrature import (
-    Grid,
-    QuadratureConfig,
-    _joint_grid,
-    _tail_cutoff,
-    estimate_split,
-    grid_for,
-)
+from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for, integrate_split
+
+# h/2 times the Legendre coefficients a_22 and a_23 of a panel, from its
+# contributions (h/2) w_j g(x_j)
+_LEGENDRE_22_23 = legvander(leggauss(24)[0], 23)[:, 22:] * np.array([22.5, 23.5])
 
 
 def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, level):
-    """``(value, scale)`` of one level of the split integral, one table per side."""
+    """``(value, scale, error)`` of one level of the split integral."""
     hi = _tail_cutoff(decay_scale)
     a = q.split_point
-    value = 0.0
-    scale = 0.0
-    for lo, weight in ((a, w_direct), (math.pi**2 / a, w_transformed)):
+    if a == math.pi:
+        sides = [(a, lambda u, root: w_direct(u, root) + w_transformed(u, root))]
+    else:
+        sides = [(a, w_direct), (math.pi**2 / a, w_transformed)]
+    value = scale = error = 0.0
+    for lo, weight in sides:
         grid = Grid(lo, hi, level)
-        contrib = front * grid.weights * table_of(grid) * weight(grid.nodes)
+        contrib = (front * grid.weights * weight(grid.nodes, grid.root)) * table_of(grid)
         value += contrib.sum(axis=-1)
         scale += np.abs(contrib).sum(axis=-1)
-    return value, scale
+        panels = contrib.reshape(*contrib.shape[:-1], -1, 24)
+        error += np.abs(panels @ _LEGENDRE_22_23).sum(axis=(-2, -1))
+    return value, scale, error
 
 
 def reference_ladder(table_of, w_direct, w_transformed, decay_scale, q, front):
-    """``(value, level)``: the split integral level by level, one table per side."""
-    prev = kept = None
+    """``(value, level)``: each component at the first level where it passes,
+    and the deepest level any component needed."""
+    value = done = None
     for level in range(q.max_refinements + 1):
-        value, scale = reference_level(
+        v, scale, error = reference_level(
             table_of, w_direct, w_transformed, decay_scale, q, front, level
         )
-        if prev is not None:
-            if kept is not None:
-                value = np.where(kept, prev, value)
-            passed = abs(value - prev) <= np.maximum(q.rel_tol * scale, q.abs_tol)
-            if passed.all():
-                return value, level
-            kept = passed if passed.any() else None
-        prev = value
+        ok = error <= np.maximum(q.rel_tol * scale, q.abs_tol)
+        if value is None:
+            value, done = v, np.zeros(np.shape(v), dtype=bool)
+        value = np.where(ok & ~done, v, value)
+        done = done | ok
+        if done.all():
+            return value, level
     raise AssertionError("reference ladder did not converge")
 
 
@@ -84,13 +90,13 @@ CASES = {
 }
 
 
-def check_against_reference(monkeypatch, run, q):
+def check_against_reference(run, q):
     """Run ``run(q)`` and hold every split integral it makes to the
-    reference ladder: the same bits, and one table per grid and pass.
+    reference ladder: the same bits, and one table per grid and level.
     Returns the deepest level reached."""
     records = []
 
-    def recording(module):
+    def recording(m, module):
         real = module.integrate_split
 
         def record(table_of, *args, **kwargs):
@@ -104,20 +110,19 @@ def check_against_reference(monkeypatch, run, q):
             records.append((table_of, args, kwargs, value, len(formed)))
             return value
 
-        monkeypatch.setattr(module, "integrate_split", record)
+        m.setattr(module, "integrate_split", record)
 
-    recording(energy)
-    recording(critical)
-    run(q)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as m:
+        recording(m, energy)
+        recording(m, critical)
+        run(q)
     assert records
-    grids_per_pass = 1 if q.split_point == math.pi else 2
+    grids_per_level = 1 if q.split_point == math.pi else 2
     deepest = 0
     for table_of, args, kwargs, value, formed in records:
         expected, level = reference_ladder(table_of, *args, **kwargs)
         assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
-        # levels 0 and 1 are one pass; each later level is one more
-        assert formed == level * grids_per_pass
+        assert formed == (level + 1) * grids_per_level
         deepest = max(deepest, level)
     return deepest
 
@@ -127,16 +132,30 @@ SPLITS = pytest.mark.parametrize("split", [math.pi, 2.0], ids=["split-pi", "spli
 
 @SPLITS
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_pass_matches_reference_ladder(monkeypatch, name, split):
-    check_against_reference(monkeypatch, CASES[name], QuadratureConfig(split_point=split))
+def test_pass_matches_reference_ladder(name, split):
+    q = QuadratureConfig(split_point=split)
+    assert check_against_reference(CASES[name], q) == 0
+
+
+def _with_ringing_row(row, u):
+    """``row`` stacked on ``row * cos(6 u)``, which level 0 does not resolve."""
+    return np.stack([row, row * np.cos(6.0 * u)])
 
 
 @SPLITS
 @pytest.mark.parametrize("name", ["energy", "a-star-min"])
 def test_deep_ladder_matches_reference_ladder(monkeypatch, name, split):
-    # a tolerance near roundoff takes these integrals past level 1
-    q = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, split_point=split)
-    assert check_against_reference(monkeypatch, CASES[name], q) > 1
+    # an oscillating companion row takes the stacked ladder past level 1,
+    # while the bracket's own row stays frozen at level 0
+    if name == "energy":
+        excess = energy.theta_product_excess
+        ringing = lambda u, eps: _with_ringing_row(excess(u, eps), u)
+        monkeypatch.setattr(energy, "theta_product_excess", ringing)
+    else:
+        ringing = lambda g: _with_ringing_row(curvature_table(g), g.nodes)
+        monkeypatch.setattr(critical, "curvature_table", ringing)
+    q = QuadratureConfig(split_point=split)
+    assert check_against_reference(CASES[name], q) > 1
 
 
 @SPLITS
@@ -149,82 +168,70 @@ def test_pair_gap_runs_once_per_pass(monkeypatch, split):
         return real(u, eps)
 
     monkeypatch.setattr(energy, "theta_product_gap", counted)
-    # an unreachable tolerance walks the whole ladder: the joint pass, then level 2
+    # an unreachable tolerance walks the whole ladder: levels 0, 1 and 2
     q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, split_point=split, max_refinements=2)
     with pytest.raises(QuadratureError):
         energy_gap(DY, 2.6, 0.3, q)
     hi = _tail_cutoff(pot.tail_scale(DY, 2.6))
     los = [split, math.pi**2 / split] if split != math.pi else [split]
-    expected = []
-    for levels in ((0, 1), (2,)):
-        for lo in los:
-            expected.append(sum(grid_for(lo, hi, lv).nodes.size for lv in levels))
-    assert sizes == expected
+    assert sizes == [grid_for(lo, hi, level).nodes.size for level in range(3) for lo in los]
+
+
+def _measure(spec, area, q):
+    return (
+        lambda u, root: pot.weight_direct(spec, area, u, root),
+        lambda u, root: pot.weight_transformed(spec, area, u, root),
+        pot.tail_scale(spec, area),
+        q,
+        pot.front_factor(spec, area),
+    )
 
 
 @SPLITS
 def test_estimate_is_the_reference_level_0(split):
-    # the ranking pass of the eps scans: level 0 of the split kernel alone,
-    # its table formed once per grid like the ladder's
+    # the eps scans rank a converged stacked gap: accepted on level 0 and
+    # bit for bit the reference's level 0, its table formed once per grid
     q = QuadratureConfig(split_point=split)
     eps = np.linspace(0.2, 1.2, 5)
     rows = energy._gap_rows(eps)
-    measure = (
-        lambda u: pot.weight_direct(DY, 2.6, u),
-        lambda u: pot.weight_transformed(DY, 2.6, u),
-        pot.tail_scale(DY, 2.6),
-        q,
-        pot.front_factor(DY, 2.6),
-    )
+    measure = _measure(DY, 2.6, q)
     formed = []
 
     def counted(grid):
         formed.append(grid)
         return rows(grid)
 
-    value = estimate_split(counted, *measure)
-    expected, _ = reference_level(rows, *measure, level=0)
+    value = integrate_split(counted, *measure)
+    expected, _, _ = reference_level(rows, *measure, level=0)
     assert value.tobytes() == expected.tobytes()
     assert len(formed) == (1 if split == math.pi else 2)
-    assert energy.gap_estimates(DY, 2.6, eps, q).tobytes() == value.tobytes()
+    assert energy_gap(DY, 2.6, eps, q).tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize(
     "table_of", [curvature_table, _p4_table, _p2_p4_table, _series_table],
     ids=["p2", "p4", "p2p4", "series"],
 )
-def test_joint_tables_are_level_tables_side_by_side(monkeypatch, table_of):
-    hi = _tail_cutoff(1.7)
-    levels = (Grid(math.pi, hi, 0), Grid(math.pi, hi, 1))
-    per_level = [table_of(g) for g in levels]
-    joint = Grid.joined(levels)
+def test_cached_tables_are_built_once_on_the_level_nodes(monkeypatch, table_of):
+    grid = Grid(math.pi, _tail_cutoff(1.7), 1)
     seen = []
     real = Grid.cached
 
     def spying(grid, key, builder):
         def spy(u):
-            seen.append(u.size)
+            seen.append(u)
             return builder(u)
 
         return real(grid, key, spy)
 
     monkeypatch.setattr(Grid, "cached", spying)
-    table = table_of(joint)
+    table = table_of(grid)
+    assert table_of(grid) is not None and len(seen) == 1
     monkeypatch.undo()
-    assert seen and set(seen) <= {g.nodes.size for g in levels}
-    assert table.tobytes() == np.concatenate(per_level, axis=-1).tobytes()
-    assert table.shape[-1] == joint.nodes.size
-
-
-def test_joint_grid_is_cached_and_holds_both_levels():
-    hi = _tail_cutoff(0.0)
-    g = _joint_grid(math.pi, hi)
-    assert g is _joint_grid(math.pi, hi)
-    assert g.level == 1
-    for span, level in zip(g.spans, (0, 1)):
-        part = grid_for(math.pi, hi, level)
-        assert g.nodes[span].tobytes() == part.nodes.tobytes()
-        assert g.weights[span].tobytes() == part.weights.tobytes()
+    assert seen[0] is grid.nodes
+    fresh = table_of(Grid(math.pi, _tail_cutoff(1.7), 1))
+    assert table.tobytes() == fresh.tobytes()
+    assert table.shape[-1] == grid.nodes.size
 
 
 @SPLITS
@@ -233,17 +240,10 @@ def test_joint_grid_is_cached_and_holds_both_levels():
 )
 def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
     # a suffix of the scan lattice takes its rows from the lattice's table,
-    # built once on each level-0 grid: the table, and the estimates from
-    # it, are bit for bit those of a fresh stack
+    # built once on each level-0 grid: the table, and the gaps from it,
+    # are bit for bit those of a fresh stack
     q = QuadratureConfig(split_point=split)
     lattice = energy.GAP_LATTICE
-    measure = (
-        lambda u: pot.weight_direct(spec, area, u),
-        lambda u: pot.weight_transformed(spec, area, u),
-        pot.tail_scale(spec, area),
-        q,
-        pot.front_factor(spec, area),
-    )
     built = []
     real = energy.theta_product_gap
 
@@ -256,8 +256,10 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
     monkeypatch.setattr(energy, "theta_product_gap", counted)
     for start in (0, 33, 128):
         suffix = lattice[start:].copy()  # equal to the lattice's suffix, not a view of it
-        fresh = estimate_split(lambda g: np.stack([real(g.nodes, e) for e in suffix]), *measure)
-        assert energy.gap_estimates(spec, area, suffix, q).tobytes() == fresh.tobytes()
+        fresh = integrate_split(
+            lambda g: np.stack([real(g.nodes, e) for e in suffix]), *_measure(spec, area, q)
+        )
+        assert energy_gap(spec, area, suffix, q).tobytes() == fresh.tobytes()
         if start == 0:  # the first scan on a grid builds its table (unless one was built before)
             first = len(built)
             assert first in (0, lattice.size * len(grids))

@@ -7,6 +7,7 @@ import pytest
 from rectlat.errors import ParameterDomainError, QuadratureError
 from rectlat.quadrature import (
     DEFAULT_CONFIG,
+    MAX_REFINEMENTS,
     Grid,
     QuadratureConfig,
     _tail_cutoff,
@@ -24,6 +25,17 @@ def test_config_validation():
         QuadratureConfig(split_point=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, MAX_REFINEMENTS + 1, 10**6])
+def test_config_refuses_max_refinements_outside_its_range(bad):
+    # refused up front, before any grid of 8 * 2^L * 24 nodes is built
+    with pytest.raises(ParameterDomainError, match="max_refinements must be an integer from 1"):
+        QuadratureConfig(max_refinements=bad)
+
+
+def test_config_accepts_integer_max_refinements():
+    assert QuadratureConfig(max_refinements=np.int64(MAX_REFINEMENTS)).max_refinements == 8
 
 
 @pytest.mark.parametrize(
@@ -102,10 +114,33 @@ def _cosine_piece(ks, levels=None):
     return piece
 
 
+def _cosine_exact(k, a=math.pi):
+    """int_a^inf cos(k u) exp(-u/2) du"""
+    return math.exp(-0.5 * a) * (0.5 * math.cos(k * a) - k * math.sin(k * a)) / (0.25 + k * k)
+
+
+def test_under_resolved_level_0_is_refused():
+    # cos(10 u) exp(-u/2) rings across each level-0 panel: the null rule
+    # refuses level 0, whose value misses the tolerance, and the accepted
+    # level meets it against the closed form
+    k = 10.0
+    levels = []
+    value = integrate([(math.pi, _cosine_piece(k, levels))], 0.0)
+    assert levels[0] == 0 and max(levels) > 0
+    exact = _cosine_exact(k)
+    piece = _cosine_piece(k)
+    level_0 = piece(grid_for(math.pi, _tail_cutoff(0.0), 0))
+    tol = DEFAULT_CONFIG.rel_tol * np.abs(level_0).sum()
+    assert abs(level_0.sum() - exact) > tol
+    accepted = piece(grid_for(math.pi, _tail_cutoff(0.0), max(levels)))
+    assert value == accepted.sum()
+    assert abs(value - exact) <= DEFAULT_CONFIG.rel_tol * np.abs(accepted).sum()
+
+
 def test_components_stop_at_their_own_level():
-    ks = (1.0, 6.0, 10.0)
+    ks = (1.0, 2.0, 3.0, 6.0)
     stacked = integrate([(math.pi, _cosine_piece(ks))], 0.0)
-    assert stacked.shape == (3,)
+    assert stacked.shape == (4,)
     reached = []
     for i, k in enumerate(ks):
         levels = []
@@ -113,10 +148,8 @@ def test_components_stop_at_their_own_level():
         reached.append(max(levels))
         # each row is bit-for-bit its own ladder's value, frozen at its level
         assert stacked[i] == alone
-        a = math.pi
-        exact = math.exp(-0.5 * a) * (0.5 * math.cos(k * a) - k * math.sin(k * a)) / (0.25 + k * k)
-        assert stacked[i] == pytest.approx(exact, rel=1e-11, abs=1e-15)
-    assert reached == [1, 2, 3]
+        assert stacked[i] == pytest.approx(_cosine_exact(k), rel=1e-11, abs=1e-15)
+    assert reached == [0, 1, 2, 3]
 
 
 def test_scalar_pieces_return_scalars():

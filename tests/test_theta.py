@@ -12,6 +12,7 @@ from rectlat.theta import (
     theta3_deriv,
     theta3_derivs,
     theta_product,
+    theta_product_excess,
     theta_product_gap,
 )
 
@@ -150,18 +151,34 @@ def test_gap_modular_rescaling():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+def _mp_tau(t):
+    """T(t) - 1 = 2 sum_j e^{-j^2 t}, at the working precision."""
+    jmax = int(mpmath.sqrt(200 / t)) + 2
+    return 2 * mpmath.fsum(mpmath.exp(-j * j * t) for j in range(1, jmax + 1))
+
+
 def _mp_gap(u, eps):
-    """P(u, eps) - P(u, 0) at 60 digits, assembled from T - 1 = 2 sum_j e^{-j^2 t}
-    so that neither the constant mode nor the square-lattice value cancels."""
+    """P(u, eps) - P(u, 0) at 60 digits, assembled from T - 1 so that
+    neither the constant mode nor the square-lattice value cancels."""
     with mpmath.workdps(60):
         u, eps = mpmath.mpf(u), mpmath.mpf(eps)
-
-        def tau(t):
-            jmax = int(mpmath.sqrt(200 / t)) + 2
-            return 2 * mpmath.fsum(mpmath.exp(-j * j * t) for j in range(1, jmax + 1))
-
-        tm, tp, t0 = tau(u * mpmath.exp(-eps)), tau(u * mpmath.exp(eps)), tau(u)
+        tm, tp, t0 = _mp_tau(u * mpmath.exp(-eps)), _mp_tau(u * mpmath.exp(eps)), _mp_tau(u)
         return float((tm + tp - 2 * t0) + (tm * tp - t0 * t0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, math.log(4.0)])
+def test_product_excess_against_high_precision_oracle(eps):
+    # P(u, eps) - 1 keeps its relative accuracy where it is far below 1,
+    # where the plain difference P - 1 has none left (0.0 at u = 300)
+    u = np.array([0.3, 1.0, 2.5, SPLIT, 4.0, 30.0, 300.0])
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eps)
+        want = []
+        for x in map(mpmath.mpf, u):
+            tm, tp = _mp_tau(x * mpmath.exp(-e)), _mp_tau(x * mpmath.exp(e))
+            want.append(float(tm + tp + tm * tp))
+    np.testing.assert_allclose(theta_product_excess(u, eps), want, rtol=1e-14, atol=0.0)
+    assert theta_product(300.0, eps) - 1.0 == 0.0 < want[-1]
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-3, 0.3, math.log(4.0), 2.5])

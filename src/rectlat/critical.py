@@ -22,10 +22,17 @@ The eps scans that seed the direct-gap refinements are one stacked gap
 each, over a suffix of one fixed 129-point lattice on [0, EPS_CAP]
 (``energy.GAP_LATTICE``), whose pair-gap table is built once per grid and
 shared by all of them.
+
+The double-Yukawa tricritical locus ends where its derived screening
+kappa2^t reaches zero, that is at the Yukawa-Coulomb tricritical kappa1
+(``_window_end``, one solve per process and quadrature configuration).
+A double-Yukawa tricritical solve at or above that end is refused as a
+domain error before any integral.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -325,16 +332,27 @@ def find_tricritical(
     """Joint root of (E2, E4).
 
     For the double-Yukawa family ``fixed_param`` is kappa1 and the
-    reported parameter is v1; internally the solver walks (A, kappa2),
-    which stays well-conditioned up to both ends of the tricritical
-    locus.  For Yukawa-Coulomb the unknowns are (A, kappa1) directly, so
-    a ``fixed_param`` is refused.
+    reported parameter is v1; internally the solver walks (A, kappa2).
+    A kappa1 at or above the locus's upper end (``_window_end``, where
+    kappa2^t reaches zero) is refused with ``ParameterDomainError``
+    before any double-Yukawa integral.  For Yukawa-Coulomb the unknowns
+    are (A, kappa1) directly, so a ``fixed_param`` is refused.
+
+    Raises ``NonconvergenceError`` when Newton fails and the nested
+    fallback then finds nothing or ends at kappa2 <= 0; either error
+    carries Newton's trace and has Newton's error as its ``__cause__``.
     """
     if family == pot.DOUBLE_YUKAWA:
         if fixed_param is None:
             raise ParameterDomainError("double-yukawa tricritical solve needs kappa1")
         pot._check_kappa1(fixed_param)
         kappa1 = float(fixed_param)
+        end = _window_end(q)
+        check_domain(
+            kappa1 < end,
+            f"kappa1={kappa1!r} is at or above the tricritical window's upper end "
+            f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
+        )
         if initial_guess is None:
             initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
         z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
@@ -392,13 +410,23 @@ def find_tricritical(
         return result(z, f, cond)
     except NonconvergenceError as err:
         z = _nested_fallback(F, z0, in_domain)
-        if z is None:
-            raise NonconvergenceError(
-                "tricritical solve failed (Newton and nested fallback)",
-                trace=err.trace,
-            ) from err
-        f = np.array(F(z))
-        return result(np.array(z), f, float("nan"))
+        try:
+            if z is None:
+                raise NonconvergenceError("tricritical solve failed (Newton and nested fallback)")
+            return result(np.array(z), np.array(F(z)), float("nan"))
+        except NonconvergenceError as refusal:
+            # either refusal keeps Newton's reason and trace
+            refusal.trace = err.trace
+            raise refusal from err
+
+
+@functools.lru_cache(maxsize=8)
+def _window_end(q: QuadratureConfig) -> float:
+    """Upper end of the double-Yukawa tricritical window, where kappa2^t
+    reaches zero: the member there is the Yukawa-Coulomb potential, so the
+    end is its tricritical kappa1.  One solve per process and
+    configuration; an error of that solve propagates."""
+    return find_tricritical(pot.YUKAWA_COULOMB, q=q).param_t
 
 
 def _nested_fallback(F, z0, in_domain):
@@ -788,8 +816,10 @@ def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 def _tricritical_chain(kappa1_values, q, seed=(2.7163619942, 0.4371973853)):
     """Warm-started tricritical solves along a kappa1 walk (double Yukawa).
 
-    Yields (kappa1, A_t, kappa2_t) and raises NonconvergenceError from the
-    solver only after losing the continuation entirely.
+    Returns (kappa1, A_t, kappa2_t, v1_t) rows and raises
+    NonconvergenceError from the solver only after losing the
+    continuation entirely, or ParameterDomainError for a kappa1 at or
+    above the window's upper end (``_window_end``).
     """
     z = np.array(seed)
     out = []
@@ -810,7 +840,14 @@ def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     tricritical strength v1^t(kappa1) with the admissibility border
     v1 = exp(kappa1)/kappa1 (equivalently, where the derived screening
     kappa2^t reaches zero).  A trust-region secant walk on kappa2^t(kappa1)
-    stops once its step falls below 1e-10 relative."""
+    stops once its step falls below 1e-10 relative.  A solve refused at
+    or above the exact end (``_window_end``) counts as a failed one, so
+    it costs no integral and the walk takes the same steps.
+
+    The value sits 1.98e-10 relative below the exact end: Newton's
+    relative step test cannot pass as kappa2^t -> 0, and one such
+    refused solve just below the end bounds the walk.  Returning
+    ``_window_end`` itself would replace the walk."""
     pts = _tricritical_chain([2.0, 2.02, 2.03], q)
     k_a, _, h_a, _ = pts[-2]
     k_b, _, h_b, _ = pts[-1]
@@ -826,7 +863,7 @@ def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
             return float(k_c)
         try:
             row = _tricritical_chain([k_c], q, seed=seed)[0]
-        except NonconvergenceError:
+        except (NonconvergenceError, ParameterDomainError):
             k_fail = k_c
             continue
         seed = (row[1], row[2])

@@ -190,16 +190,37 @@ class TestFindTricritical:
         with pytest.raises(ParameterDomainError):
             find_tricritical("riesz")
 
+    @pytest.fixture
+    def warm_end(self, q):
+        # the window's end is one Yukawa-Coulomb solve per process; warm it
+        # so that counts and point sets below hold in any test order
+        return rectlat.critical._window_end(q)
+
+    @pytest.mark.parametrize("kappa1", [None, 2.05, 3.0], ids=["end", "2.05", "3.0"])
+    def test_refused_at_and_above_the_window_end(self, warm_end, kappa1, monkeypatch):
+        calls = []
+        inner = rectlat.critical.e2_e4_closed
+        monkeypatch.setattr(
+            rectlat.critical, "e2_e4_closed", lambda *a: calls.append(a) or inner(*a)
+        )
+        with pytest.raises(ParameterDomainError, match="kappa1"):
+            find_tricritical("double-yukawa", warm_end if kappa1 is None else kappa1)
+        assert calls == []
+
     def test_stalled_newton_names_its_stop(self):
-        # above the window's upper end the residual sits at the noise floor:
-        # Newton gives up after 12 steps without halving it, the nested
-        # fallback fails too, and the error keeps Newton's trace
+        # just below the window's upper end kappa2^t ~ 6e-5 and Newton's
+        # relative step test cannot pass.  From a start whose residual already
+        # sits at the noise floor (2.9e-16: the sixth iterate of the last solve
+        # of kappa1_upper's walk) it gives up after 12 steps without halving
+        # it, the nested fallback ends at kappa2 < 0, and that refusal keeps
+        # Newton's reason and trace
         with pytest.raises(NonconvergenceError) as info:
             find_tricritical(
                 "double-yukawa",
-                2.0367853460277026,
-                initial_guess=(2.788128306275666, 4.375750101824825),
+                2.0365177598760758,
+                initial_guess=(2.7954339468905824, 3.7635837505035576),
             )
+        assert "left the admissible region" in str(info.value)
         assert "residual did not halve over 12 steps" in str(info.value.__cause__)
         assert 0 < len(info.value.trace) <= 13
 
@@ -214,10 +235,12 @@ class TestFindTricritical:
         )
         assert tc.jacobian_condition == pytest.approx(3969.41, rel=1e-5)
 
-    def test_kappa1_upper_stops_stalled_solves_early(self, monkeypatch, q):
-        # most of the walk's Newton solves fail; each now stops after 12
-        # steps without halving its residual instead of crawling on for up
-        # to 60 (10,978 coefficient evaluations before, 6,553 measured after)
+    def test_kappa1_upper_stops_stalled_solves_early(self, warm_end, monkeypatch, q):
+        # the walk's failed Newton solves below the end stop after 12 steps
+        # without halving their residual instead of crawling on for up to 60,
+        # and the ones at or above the end are refused before any integral
+        # (10,978 coefficient evaluations with neither, 6,294 with the stall
+        # stop alone, 1,995 measured with both)
         calls = []
         inner = rectlat.critical.e2_e4_closed
 
@@ -227,9 +250,25 @@ class TestFindTricritical:
 
         monkeypatch.setattr(rectlat.critical, "e2_e4_closed", counted)
         rectlat.critical.kappa1_upper(q)
-        assert len(calls) <= 7000
+        assert len(calls) <= 2100
 
-    def test_each_point_evaluated_once_per_solve(self, monkeypatch):
+    def test_kappa1_upper_runs_no_newton_above_the_end(self, warm_end, monkeypatch, q):
+        # refused solves count as failed ones, so the walk takes the steps it
+        # took when they ran and failed, and ends on the same value
+        tried, newton = [], []
+        solve, inner = rectlat.critical.find_tricritical, rectlat.critical._newton2
+
+        def traced_solve(family, kappa1, **kw):
+            tried.append(kappa1)
+            return solve(family, kappa1, **kw)
+
+        monkeypatch.setattr(rectlat.critical, "find_tricritical", traced_solve)
+        monkeypatch.setattr(rectlat.critical, "_newton2", lambda *a: newton.append(a) or inner(*a))
+        assert rectlat.critical.kappa1_upper(q) == 2.036517759703578
+        assert any(k >= warm_end for k in tried)
+        assert len(newton) == sum(k < warm_end for k in tried)
+
+    def test_each_point_evaluated_once_per_solve(self, warm_end, monkeypatch):
         # a solve near the window's upper end: Newton gives up and the nested
         # fallback revisits the points its brackets and Newton already saw
         seen = []

@@ -121,9 +121,11 @@ def test_out_of_domain_kappa1_is_a_domain_error(call):
         ["tricritical", "--family", "double-yukawa", "--kappa1=-1"],
         ["tricritical", "--family", "double-yukawa", "--kappa1", "nan"],
         ["tricritical", "--family", "yukawa-coulomb", "--kappa1", "5"],
+        # above the tricritical window's upper end (kappa1 = 2.0365...)
+        ["tricritical", "--family", "double-yukawa", "--kappa1", "2.05"],
     ],
     ids=["energy-dy-1000", "energy-yc-800", "tricritical-1000", "tricritical-0",
-         "tricritical--1", "tricritical-nan", "tricritical-yc-5"],
+         "tricritical--1", "tricritical-nan", "tricritical-yc-5", "tricritical-2.05"],
 )
 def test_out_of_domain_kappa1_exits_2(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -16,7 +16,9 @@ Solvers are plain bracketed Brent iterations (1D), a damped Newton with
 finite-difference Jacobian (2D) that gives up once its residual stalls
 and hands the solve to a nested 1D fallback, and a plain Newton for the
 deep crossing whose eps rows share stacked integrals and, within a step,
-one table.  All of them consume the quadrature-backed coefficient
+one table.  The branch crossing is bracketed on its own sign, by a walk
+to lower densities from the E2 root, where the broken branch lies below
+the square one.  All of them consume the quadrature-backed coefficient
 evaluators, so a solve is a few hundred vectorized integrand evaluations.
 The eps scans that seed the direct-gap refinements are one stacked gap
 each, over a suffix of one fixed 129-point lattice on [0, EPS_CAP]
@@ -27,7 +29,9 @@ The double-Yukawa tricritical locus ends where its derived screening
 kappa2^t reaches zero, that is at the Yukawa-Coulomb tricritical kappa1
 (``_window_end``, one solve per process and quadrature configuration).
 A double-Yukawa tricritical solve at or above that end is refused as a
-domain error before any integral.
+domain error before any integral.  Its lower end (``kappa1_lower``) is
+where the tricritical strength v1^t reaches 1e4: one Newton solve of
+(E2, E4) = 0 in (A, kappa1) at that v1.
 """
 
 from __future__ import annotations
@@ -312,6 +316,15 @@ def _newton2(F, z0, in_domain, steps, scale):
     raise NonconvergenceError("2D Newton stopped: 60-step cap reached", trace=trace)
 
 
+# The (A, kappa1) unknowns of the Yukawa-Coulomb tricritical solve and of
+# kappa1_lower: their domain and finite-difference steps.
+def _positive(z):
+    return z[0] > 0.0 and z[1] > 0.0
+
+
+_RELATIVE_STEPS = (lambda z: 1e-6 * z[0], lambda z: 1e-6 * z[1])
+
+
 def _residual_scale(F, z0):
     """Characteristic residual magnitudes: the variation of F under a
     few-percent density change, used to convert residuals to scaled units."""
@@ -383,10 +396,7 @@ def find_tricritical(
         def coefficients(z):
             return e2_e4_closed(pot.derive_yukawa_coulomb(z[1]), z[0], q)
 
-        def in_domain(z):
-            return z[0] > 0.0 and z[1] > 0.0
-
-        steps = (lambda z: 1e-6 * z[0], lambda z: 1e-6 * z[1])
+        in_domain, steps = _positive, _RELATIVE_STEPS
 
         def result(z, f, cond):
             return TricriticalPoint(float(z[0]), float(z[1]), tuple(f), cond)
@@ -501,20 +511,6 @@ def _crossing_gap(spec, area, q):
     return -1.0 if branch is None else -branch[1]
 
 
-def _widen_bracket(f, center, width, factor, tries, message):
-    """Symmetric bracket ``center -/+ width``, widened by ``factor`` until
-    ``f`` changes sign; ``BracketError(message)`` after ``tries`` widenings
-    or once the lower end would reach a non-positive density."""
-    for _ in range(tries):
-        lo, hi = center - width, center + width
-        if lo <= 0.0:
-            break
-        if np.sign(f(lo)) * np.sign(f(hi)) < 0:
-            return lo, hi
-        width *= factor
-    raise BracketError(message)
-
-
 # Steps of the deep crossing's finite differences: eps for d gap/d eps
 # (central), relative density for the Jacobian's A column (forward).  The
 # stationary eps moves by about 2 h^2 with the eps step: -1.9e-6 at 1e-3,
@@ -627,49 +623,29 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
 
 
 def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFIG):
-    """A small bracket around the branch-crossing density.
+    """A bracket of the branch-energy crossing, walked left from the E2 root.
 
-    Seeds from the root of the sixth-order coexistence condition
-    E2 = E4^2 / (4 E6) and widens geometrically until the crossing
-    changes sign; raises ``BracketError`` when E6 <= 0 at any density the
-    walks or the root search visit (the condition has no meaning there)
-    or when either walk would reach a non-positive density first.
+    At the E2 root ``a_hint`` (E2 = 0, E4 < 0) the broken branch lies
+    below the square one, so the crossing gap (``_crossing_gap``) is
+    positive; the walk steps left, doubling from ``1e-6 * a_hint``, until
+    it turns negative, and returns the last step.  Raises ``BracketError``
+    when the gap is not positive at ``a_hint``, or when the walk reaches a
+    non-positive density without a sign change (within 20 steps).
     """
-
-    def coex(a):
-        c2, c4, c6, _ = _gap_coefficients(spec, a, q)
-        if not c6 > 0:
-            raise BracketError(f"coexistence condition undefined at A={a}: E6={c6:.3e} <= 0")
-        return c2 - c4 * c4 / (4.0 * c6)
-
-    # walk left from the E2 root hint until the condition turns positive
-    lo = hi = None
-    a = a_hint
-    step = 1e-6 * a_hint
-    val = coex(a)
-    for _ in range(80):
-        if val > 0:
-            lo, hi = a, a + step
-            break
-        a -= step
-        step *= 2.0
-        if a <= 0.0:
-            break
-        val = coex(a)
-    if lo is None:
-        raise BracketError("could not bracket the coexistence condition")
-    # walk right until the condition turns non-positive
-    for _ in range(80):
-        if not coex(hi) > 0:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise BracketError("could not bracket the coexistence condition from above")
-    proxy = brentq(coex, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
-    width = max(1e-9 * proxy, 4.0 * abs(proxy - a_hint) * 1e-6)
-    message = "could not bracket the branch-energy crossing"
-    return _widen_bracket(lambda a: _crossing_gap(spec, a, q), proxy, width, 4.0, 60, message)
+    hi = float(a_hint)
+    g_hi = _crossing_gap(spec, hi, q)
+    if not g_hi > 0:
+        raise BracketError(
+            f"branch-energy crossing gap {g_hi:.3e} is not positive at the E2 root A={hi}"
+        )
+    step = 1e-6 * hi
+    lo = hi - step
+    while lo > 0.0:
+        if _crossing_gap(spec, lo, q) < 0:
+            return lo, hi
+        hi, step = lo, 2.0 * step
+        lo = hi - step
+    raise BracketError(f"could not bracket the branch-energy crossing below A={a_hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +790,8 @@ def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 
 def _tricritical_chain(kappa1_values, q, seed=(2.7163619942, 0.4371973853)):
-    """Warm-started tricritical solves along a kappa1 walk (double Yukawa).
+    """Warm-started tricritical solves along a kappa1 walk (double Yukawa),
+    the steps of ``kappa1_upper``'s secant walk.
 
     Returns (kappa1, A_t, kappa2_t, v1_t) rows and raises
     NonconvergenceError from the solver only after losing the
@@ -872,36 +849,20 @@ def kappa1_upper(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     raise NonconvergenceError("kappa1 upper bound iteration did not converge")
 
 
+#: Tricritical strength v1^t that marks the lower end of the window.
+_LOWER_END_V1 = 1e4
+
+
 def kappa1_lower(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Lower end of the tricritical window, declared where the tricritical
-    strength v1^t exceeds 1e4, located by bisection on kappa1 to 1e-4."""
-    walk = [2.0, 1.9, 1.8, 1.7, 1.6, 1.5]
-    pts = _tricritical_chain(walk, q)
-    k_good, seed = walk[-1], (pts[-1][1], pts[-1][2])
-    v1_good = pts[-1][3]
-    step = 0.02
-    k_bad = None
-    while k_bad is None:
-        k_try = k_good - step
-        try:
-            row = _tricritical_chain([k_try], q, seed=seed)[0]
-        except NonconvergenceError:
-            step *= 0.5
-            if step < 1e-6:
-                raise
-            continue
-        if row[3] > 1e4:
-            k_bad = k_try
-        else:
-            k_good, seed, v1_good = k_try, (row[1], row[2]), row[3]
-    while k_good - k_bad > 1e-4:
-        k_mid = 0.5 * (k_good + k_bad)
-        try:
-            row = _tricritical_chain([k_mid], q, seed=seed)[0]
-            if row[3] > 1e4:
-                k_bad = k_mid
-            else:
-                k_good, seed = k_mid, (row[1], row[2])
-        except NonconvergenceError:
-            k_bad = k_mid
-    return 0.5 * (k_good + k_bad)
+    """Lower end of the tricritical window: the kappa1 where the tricritical
+    strength v1^t reaches 1e4, on its way to diverging.
+
+    One Newton solve of (E2, E4) = 0 in (A, kappa1) over the double-Yukawa
+    members with v1 = 1e4, with the unknowns and finite-difference steps of
+    the Yukawa-Coulomb tricritical solve.  There is no fallback: a failed
+    solve raises Newton's ``NonconvergenceError`` with its trace.
+    """
+    F = lambda z: e2_e4_closed(pot.derive_double_yukawa(_LOWER_END_V1, z[1]), z[0], q)
+    z0 = (2.56, 1.44)
+    z, _, _, _ = _newton2(F, z0, _positive, _RELATIVE_STEPS, _residual_scale(F, z0))
+    return float(z[1])

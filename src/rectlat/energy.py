@@ -81,13 +81,20 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
 
 
 def split_integral(
-    spec: pot.PotentialSpec, area: float, table_of, q: QuadratureConfig = DEFAULT_CONFIG
+    spec: pot.PotentialSpec,
+    area: float,
+    table_of,
+    q: QuadratureConfig = DEFAULT_CONFIG,
+    eps_max: float = 0.0,
 ):
     """``quadrature.integrate_split`` against the potential's measure.
 
     ``table_of(grid)`` returns the bracket on the grid's nodes, either one
     table or a stack of them (last axis = nodes), each row integrated
-    under one shared ladder.
+    under one shared ladder.  ``eps_max`` is the largest ``|eps|`` of the
+    brackets: a Riesz weight has no exponential decay, so a bracket that
+    falls only like ``exp(-u e^-|eps|)`` needs a wider tail cutoff.  The
+    exponential families keep their grids.
     """
     if not 0 < area < math.inf:  # the message is formatted only for a refusal
         check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
@@ -98,6 +105,7 @@ def split_integral(
         pot.tail_scale(spec, area),
         q,
         pot.front_factor(spec, area),
+        eps_max if spec.family == pot.RIESZ else 0.0,
     )
 
 
@@ -111,7 +119,7 @@ def lattice_energy(
             "the sum is not absolutely convergent otherwise"
         )
     area, eps = state.area, state.eps
-    value = split_integral(spec, area, lambda g: theta_product_excess(g.nodes, eps), q)
+    value = split_integral(spec, area, lambda g: theta_product_excess(g.nodes, eps), q, abs(eps))
     a = q.split_point
     return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 
@@ -134,8 +142,9 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     two calls on the same ``eps`` in a row build it once.
     """
     if np.ndim(eps) == 0:
-        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q)
-    return split_integral(spec, area, _gap_rows(eps), q)
+        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q, abs(eps))
+    eps_max = float(np.max(np.abs(eps), initial=0.0))
+    return split_integral(spec, area, _gap_rows(eps), q, eps_max)
 
 
 #: Search cap of the aspect minimization (delta <= 4).

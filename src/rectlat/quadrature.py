@@ -140,14 +140,18 @@ class Grid:
 _GRID_CACHE: dict[tuple, Grid] = {}
 
 
-def _tail_cutoff(decay_scale: float) -> float:
+def _tail_cutoff(decay_scale: float, eps_max: float = 0.0) -> float:
     """Upper limit beyond which exp(-u - p/u) is negligible relative to
     its peak exp(-2 sqrt(p)), with ~40 extra e-foldings of margin; bucketed
-    so that nearby decay scales share grids (and their tables)."""
+    so that nearby decay scales share grids (and their tables).  A bracket
+    that decays only like exp(-u e^-eps_max) against a weight without
+    exponential decay (Riesz, eps != 0) takes ``ceil(eps_max / ln 1.5)``
+    more buckets, a factor of at least e^eps_max."""
     p = max(decay_scale, 0.0)
     d = 2.0 * math.sqrt(p) + _BASE_HI
     hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
-    return _BASE_HI * 1.5 ** max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
+    buckets = max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
+    return _BASE_HI * 1.5 ** (buckets + math.ceil(eps_max / math.log(1.5)))
 
 
 def grid_for(lo: float, hi: float, level: int) -> Grid:
@@ -173,7 +177,9 @@ def _level_sums(pieces, hi: float, level: int):
     return value, scale, error
 
 
-def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
+def integrate(
+    pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0
+):
     """Sum of semi-infinite integrals with a shared refinement ladder.
 
     ``pieces`` is a sequence of ``(lo, fn)`` where ``fn(grid)`` returns
@@ -183,8 +189,10 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
     values and its error the null-rule estimate.  A component is accepted
     at the first level where the error is at most ``max(rel_tol * scale,
     abs_tol)``; its value is frozen there while the others refine.
+    ``eps_max`` widens the tail cutoff for slowly decaying brackets
+    (``_tail_cutoff``).
     """
-    hi = _tail_cutoff(decay_scale)
+    hi = _tail_cutoff(decay_scale, eps_max)
     frozen = None  # components accepted at an earlier level, their values in kept
     for level in range(q.max_refinements + 1):
         value, scale, error = _level_sums(pieces, hi, level)
@@ -203,13 +211,16 @@ def integrate(pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG):
     )
 
 
-def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, front: float):
+def integrate_split(
+    table_of, w_direct, w_transformed, decay_scale: float, q, front: float, eps_max: float = 0.0
+):
     """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
 
     ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
     axis = nodes); ``w_direct(u, root)`` and ``w_transformed(u, root)``
     give the measure weights on ``[a, inf)`` and on ``(0, a)`` mapped to
     ``[pi^2/a, inf)``, from the nodes ``u`` and their square roots.
+    ``eps_max`` is passed to ``integrate``.
     """
     a = q.split_point
 
@@ -218,6 +229,6 @@ def integrate_split(table_of, w_direct, w_transformed, decay_scale: float, q, fr
 
     if a == math.pi:  # both halves start at pi: one piece on one grid
         both = lambda u, root: w_direct(u, root) + w_transformed(u, root)
-        return integrate([(a, piece(both))], decay_scale, q)
+        return integrate([(a, piece(both))], decay_scale, q, eps_max)
     pieces = [(a, piece(w_direct)), (math.pi**2 / a, piece(w_transformed))]
-    return integrate(pieces, decay_scale, q)
+    return integrate(pieces, decay_scale, q, eps_max)

@@ -129,19 +129,20 @@ class TestSolverCommands:
         assert row["eps_jump"] > 0.0
 
     def test_first_order_unbracketable_exit_code(self, capsys):
-        # the bracket walk reaches a density where E6 < 0
+        # the crossing bracketed below the E2 root has its broken-branch
+        # minimum on the search floor: no coexistence point to bracket
         code = main(["first-order", "--family", "yukawa-coulomb", "--kappa1", "1.85"])
-        assert code == 2
-        assert "coexistence condition undefined" in capsys.readouterr().err
+        assert code == 4
+        assert "pinned at the search floor" in capsys.readouterr().err
 
     def test_first_order_refuses_second_order_root(self, capsys):
-        # E4 = +0.043 at the E2 root: refused before any coexistence walk
+        # E4 = +0.043 at the E2 root: refused before any bracket walk
         argv = ["first-order", "--family", "double-yukawa", "--v1", "60", "--kappa1", "2"]
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "second order" in captured.err
-        assert "coexistence" not in captured.err
+        assert "branch-energy crossing" not in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",

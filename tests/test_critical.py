@@ -16,6 +16,7 @@ from rectlat.critical import (
     find_tricritical,
     first_order_bracket,
     fit_exponent,
+    kappa1_lower,
     minimize_aspect,
 )
 from rectlat.energy import (
@@ -34,6 +35,7 @@ from rectlat.errors import (
 )
 from rectlat.expansion import e2_closed, e4_closed
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
+from rectlat.solvers import RTOL_MIN, brentq
 
 
 class TestMinimizeAspect:
@@ -112,16 +114,16 @@ def gap_scans(q):
         deep_rows = len(calls)
         for area in (3.0, 3.5, 3.6):
             minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
-    assert deep_rows == 10
+    assert deep_rows == 11
     return calls
 
 
 def test_ranking_argmin_is_the_converged_argmin(gap_scans, q):
     # each scan picks the lowest converged gap of a suffix of the lattice;
-    # the deep rows scan 96 to 129 points
-    assert len(gap_scans) == 13
+    # the deep rows scan 92 (Yukawa-Coulomb kappa1 = 1.9) to 129 points
+    assert len(gap_scans) == 14
     for spec, area, grid, i in gap_scans:
-        assert 96 <= grid.size <= 129
+        assert 92 <= grid.size <= 129
         assert grid.tobytes() == GAP_LATTICE[GAP_LATTICE.size - grid.size :].tobytes()
         assert i == int(np.argmin(energy_gap(spec, area, grid, q)))
 
@@ -289,6 +291,65 @@ class TestFindTricritical:
         assert len(set(seen)) == len(seen)
 
 
+class TestKappa1Lower:
+    """The lower end of the window: the kappa1 where v1^t reaches 1e4."""
+
+    def test_matches_the_nested_solve(self, q):
+        # Brent on E2 in A at each kappa1, then Brent on E4 there in kappa1
+        def e4_on_the_e2_root(kappa1):
+            spec = derive_double_yukawa(1e4, kappa1)
+            a = brentq(lambda a: e2_closed(spec, a, q), 2.3, 2.8, xtol=1e-15, rtol=RTOL_MIN)
+            return e4_closed(spec, a, q)
+
+        nested = brentq(e4_on_the_e2_root, 1.42, 1.45, xtol=1e-15, rtol=RTOL_MIN)
+        assert kappa1_lower(q) == pytest.approx(nested, rel=1e-10)
+
+    def test_round_trip_gives_v1_1e4(self, q):
+        tc = find_tricritical("double-yukawa", kappa1_lower(q), initial_guess=(2.56, 1e4), q=q)
+        assert tc.param_t == pytest.approx(1e4, rel=1e-9)
+
+    def test_one_newton_solve(self, monkeypatch, q):
+        # no walk in kappa1, no bisection, no nested fallback
+        solves = []
+        inner = rectlat.critical._newton2
+        monkeypatch.setattr(rectlat.critical, "_newton2", lambda *a: solves.append(a) or inner(*a))
+        monkeypatch.setattr(rectlat.critical, "_nested_fallback", None)
+        kappa1_lower(q)
+        assert len(solves) == 1
+
+
+# First-order rows of the phase-diagram scans (double Yukawa at kappa1 = 2,
+# Yukawa-Coulomb) and Yukawa-Coulomb kappa1 = 2.0365: (a_trans, eps_jump)
+# as the sixth-order-seeded bracket gave them, from the E2 root in (2.3, 3.4)
+FIRST_ORDER_ROWS = {
+    ("dy", 3.702): (2.813527272607724, 0.782119606096469),
+    ("dy", 4.050041502534): (2.8105143480103054, 0.7746469137963431),
+    ("dy", 4.43080393631764): (2.8023655174640507, 0.7482924934063651),
+    ("dy", 4.84736354178214): (2.7899334129955573, 0.698051459305232),
+    ("dy", 5.30308577041812): (2.7739595497990814, 0.6199666488021165),
+    ("dy", 5.80165247479495): (2.755073799890426, 0.5075119973403898),
+    ("dy", 6.34709165483486): (2.733809937593046, 0.33866491898539686),
+    ("yc", 1.94333333333333): (2.8336577362847306, 1.341899097605313),
+    ("yc", 1.98666666666667): (2.819218827623045, 0.928924335657596),
+    ("yc", 2.03): (2.7989115111982974, 0.3184875614379419),
+    ("yc", 2.0365): (2.795443562575859, 0.016493219054961178),
+}
+
+
+@pytest.mark.parametrize("row", list(FIRST_ORDER_ROWS), ids=lambda r: f"{r[0]}-{r[1]}")
+def test_bracket_from_the_e2_root_keeps_the_crossing(row, q):
+    family, param = row
+    spec = derive_double_yukawa(param, 2.0) if family == "dy" else derive_yukawa_coulomb(param)
+    tp = find_transition(spec, (2.3, 3.4), q)
+    lo, hi = first_order_bracket(spec, tp.a_star, q)
+    gap = rectlat.critical._crossing_gap
+    assert lo < hi <= tp.a_star
+    assert gap(spec, lo, q) < 0.0 < gap(spec, hi, q)
+    a_trans, eps_jump = find_first_order(spec, (lo, hi), q)
+    assert a_trans == pytest.approx(FIRST_ORDER_ROWS[row][0], rel=1e-12)
+    assert eps_jump == pytest.approx(FIRST_ORDER_ROWS[row][1], abs=1e-8)
+
+
 class TestFindFirstOrder:
     def test_locates_branch_crossing(self, yc_near_tricritical, q):
         spec = yc_near_tricritical
@@ -309,45 +370,25 @@ class TestFindFirstOrder:
         )
 
     def test_bracket_walk_is_bounded(self):
-        # a purely repulsive potential has no branch crossing: the bracket
-        # search must give up quickly, not creep on
+        # a purely repulsive potential has no broken branch below the square
+        # one: the crossing gap is not positive where the walk starts, and
+        # the bracket search gives up at once
         start = time.perf_counter()
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match="not positive at the E2 root"):
             first_order_bracket(yukawa(1.0), 2.6)
         assert time.perf_counter() - start < 10.0
 
-    def test_negative_e6_refused_at_the_seed(self, monkeypatch):
-        # yukawa(1.0) has E6 < 0 at A = 2.6, where the coexistence condition
-        # E2 = E4^2 / (4 E6) means nothing: refuse before walking
+    def test_walk_without_a_sign_change_ends_at_zero_density(self, monkeypatch):
+        # the 20th doubling step from 1e-6 A passes A = 0: the root and 19
+        # densities are evaluated
         seen = []
-        original = rectlat.critical._gap_coefficients
-
-        def counting(spec, area, q):
-            seen.append(area)
-            return original(spec, area, q)
-
-        monkeypatch.setattr(rectlat.critical, "_gap_coefficients", counting)
-        with pytest.raises(BracketError, match="E6"):
+        monkeypatch.setattr(
+            rectlat.critical, "_crossing_gap", lambda spec, a, q: seen.append(a) or 1.0
+        )
+        with pytest.raises(BracketError, match="could not bracket"):
             first_order_bracket(yukawa(1.0), 2.6)
-        assert seen == [2.6]
-
-    def test_negative_e6_refused_along_the_walk(self, monkeypatch):
-        # yukawa-coulomb kappa1 = 1.9: E6 > 0 at the E2 root, but the walk
-        # to the left reaches A = 2.8255 with E6 = -4.6e-5, where
-        # E2 = E4^2 / (4 E6) means nothing: it refuses there
-        seen = []
-        original = rectlat.critical._gap_coefficients
-
-        def recording(spec, area, q):
-            coeffs = original(spec, area, q)
-            seen.append(coeffs[2])
-            return coeffs
-
-        monkeypatch.setattr(rectlat.critical, "_gap_coefficients", recording)
-        with pytest.raises(BracketError, match="coexistence condition undefined at A=2.825"):
-            first_order_bracket(derive_yukawa_coulomb(1.9), 2.872559667652469)
-        assert len(seen) > 1
-        assert seen[-1] <= 0.0 < min(seen[:-1])
+        assert len(seen) == 20
+        assert all(a > 0.0 for a in seen)
 
     def test_landau_rows_evaluated_once_at_the_crossing(self, monkeypatch, q):
         # after the series Brent solve, the branch at the crossing (its

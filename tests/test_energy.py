@@ -91,6 +91,19 @@ class TestAgainstDirectSum:
         expected = direct_lattice_sum(spec, st, cutoff_tol=1e-18)
         assert lattice_energy(spec, st) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("s", [9.0, 12.0])
+    @pytest.mark.parametrize("eps", [1.0, math.log(4.0)], ids=["eps-1", "eps-ln4"])
+    def test_riesz_tail_reaches_far_enough_at_large_eps(self, s, eps):
+        # a Riesz bracket at eps != 0 decays only like exp(-u e^-|eps|)
+        # against a weight without exponential decay: with the cutoff of
+        # eps = 0, riesz(12) was 1e-5 short at eps = ln 4
+        spec = riesz(s)
+        square = direct_lattice_sum(spec, LatticeState(1.0), cutoff_tol=1e-17)
+        expected = direct_lattice_sum(spec, LatticeState(1.0, eps), cutoff_tol=1e-17)
+        assert lattice_energy(spec, LatticeState(1.0, eps)) == pytest.approx(expected, rel=1e-13)
+        gaps = energy_gap(spec, 1.0, np.array([0.5 * eps, -eps]))
+        assert gaps[1] == pytest.approx(expected - square, rel=1e-13)
+
     def test_refuses_sums_past_the_shell_cap(self):
         # near the double-Yukawa border kappa2 = 1.35e-3 predicts about
         # 18,700 shells; the refusal comes before any of them is summed

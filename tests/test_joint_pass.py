@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 import rectlat.critical as critical
 import rectlat.energy as energy
-from rectlat import derive_double_yukawa, derive_yukawa_coulomb
+from rectlat import derive_double_yukawa, derive_yukawa_coulomb, riesz
 from rectlat import potentials as pot
 from rectlat.energy import LatticeState, energy_gap, lattice_energy
 from rectlat.errors import QuadratureError
@@ -39,9 +39,9 @@ from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for, i
 _LEGENDRE_22_23 = legvander(leggauss(24)[0], 23)[:, 22:] * np.array([22.5, 23.5])
 
 
-def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, level):
+def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, level, eps_max=0.0):
     """``(value, scale, error)`` of one level of the split integral."""
-    hi = _tail_cutoff(decay_scale)
+    hi = _tail_cutoff(decay_scale, eps_max)
     a = q.split_point
     if a == math.pi:
         sides = [(a, lambda u, root: w_direct(u, root) + w_transformed(u, root))]
@@ -58,13 +58,13 @@ def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, le
     return value, scale, error
 
 
-def reference_ladder(table_of, w_direct, w_transformed, decay_scale, q, front):
+def reference_ladder(table_of, w_direct, w_transformed, decay_scale, q, front, eps_max=0.0):
     """``(value, level)``: each component at the first level where it passes,
     and the deepest level any component needed."""
     value = done = None
     for level in range(q.max_refinements + 1):
         v, scale, error = reference_level(
-            table_of, w_direct, w_transformed, decay_scale, q, front, level
+            table_of, w_direct, w_transformed, decay_scale, q, front, level, eps_max
         )
         ok = error <= np.maximum(q.rel_tol * scale, q.abs_tol)
         if value is None:
@@ -87,6 +87,8 @@ CASES = {
     "e2-e4": lambda q: e2_e4_closed(YC, 2.7, q),
     "landau": lambda q: landau_series(DY, 2.61, q),
     "a-star-min": lambda q: critical._a_star_min_condition(2.0, 1.1, q),
+    "riesz-energy": lambda q: lattice_energy(riesz(12.0), LatticeState(1.0, math.log(4.0)), q),
+    "riesz-gaps": lambda q: energy_gap(riesz(9.0), 1.0, np.array([0.5, -1.0]), q),
 }
 
 

@@ -111,35 +111,36 @@ def yc_deep_rows(q):
 
 
 class TestDeepFirstOrderRows:
-    def test_bracket_walk_failure_is_a_row(self, yc_deep_rows):
-        # the bracket walk for kappa1 = 1.85 reaches a density where E6 < 0:
-        # the crossing row fails and the E2 root keeps its extension row
+    def test_floor_pinned_crossing_is_a_row(self, yc_deep_rows):
+        # kappa1 = 1.85: the crossing bracketed below the E2 root has its
+        # broken-branch minimum on the search floor, so it is no coexistence
+        # point; the crossing row fails and the E2 root keeps its extension row
         extension, crossing = yc_deep_rows[0:2]
         assert extension.kappa1 == crossing.kappa1 == 1.85
         assert extension.status == "artificial-extension"
         assert crossing.a_star is None
-        assert crossing.status.startswith("failed: BracketError")
+        assert crossing.status.startswith(
+            "failed: SearchFailureError: broken-branch minimum pinned at the search floor"
+        )
 
-    def test_undefined_coexistence_condition_is_not_ok(self, yc_deep_rows):
-        # the bracket walk at kappa1 = 1.9 passes A = 2.8255, where E6 < 0
+    def test_cap_pinned_crossing_is_not_ok(self, yc_deep_rows):
+        # kappa1 = 1.9: the broken-branch minimum of the crossing runs to EPS_CAP
         extension, crossing = yc_deep_rows[2:4]
         assert extension.kappa1 == crossing.kappa1 == 1.9
         assert extension.status == "artificial-extension"
         assert crossing.order == "first"
         assert crossing.a_star is None
-        assert crossing.status.startswith("failed: BracketError: coexistence condition undefined")
+        assert crossing.status.startswith(
+            "failed: SearchFailureError: broken-branch minimum pinned at the search cap"
+        )
 
-    def test_cap_pinned_crossing_is_not_ok(self, monkeypatch, q):
-        # across the bracket of the sixth-order seed that ignored E6 < 0, the
-        # broken-branch minimum at kappa1 = 1.9 sits on EPS_CAP
-        bracket = (2.7948723064211847, 2.8744017966528923)
-        monkeypatch.setattr(phasescan, "first_order_bracket", lambda spec, a, q: bracket)
-        rows = phasescan._transition_rows(derive_yukawa_coulomb(1.9), (2.85, 2.9), q)
-        extension, crossing = rows
-        assert extension.status == "artificial-extension"
-        assert crossing.order == "first"
-        assert crossing.a_star is None
-        assert crossing.status.startswith("failed: SearchFailureError")
+    def test_no_ok_crossing_below_kappa1_1_9(self, q):
+        # the bracket from the E2 root reaches every one of these crossings;
+        # none is a coexistence point inside the search window
+        rows = scan_yukawa_coulomb([1.5, 1.8, 1.85, 1.9], q=q)
+        crossings = [r for r in rows if r.order == "first" and r.status != "artificial-extension"]
+        assert [r.kappa1 for r in crossings] == [1.5, 1.8, 1.85, 1.9]
+        assert all(r.status.startswith("failed: SearchFailureError") for r in crossings)
 
     def test_unconverged_crossing_is_a_row(self, monkeypatch, q):
         # a deep solve that does not converge fails its crossing row only:

@@ -123,10 +123,21 @@ class TestDeepFirstOrderRows:
             "failed: SearchFailureError: broken-branch minimum pinned at the search floor"
         )
 
-    def test_cap_pinned_crossing_is_not_ok(self, yc_deep_rows):
-        # kappa1 = 1.9: the broken-branch minimum of the crossing runs to EPS_CAP
+    def test_undefined_coexistence_condition_is_not_ok(self, yc_deep_rows):
+        # kappa1 = 1.9: the crossing bracketed below the E2 root has no
+        # coexistence point inside the search window, so its scan row fails
         extension, crossing = yc_deep_rows[2:4]
         assert extension.kappa1 == crossing.kappa1 == 1.9
+        assert extension.status == "artificial-extension"
+        assert crossing.order == "first"
+        assert crossing.a_star is None
+        assert crossing.status.startswith("failed: SearchFailureError")
+
+    def test_cap_pinned_crossing_is_not_ok(self, q):
+        # across the bracket the E2-root walk finds at kappa1 = 1.9, the
+        # broken-branch minimum runs to EPS_CAP
+        rows = phasescan._transition_rows(derive_yukawa_coulomb(1.9), (2.85, 2.9), q)
+        extension, crossing = rows
         assert extension.status == "artificial-extension"
         assert crossing.order == "first"
         assert crossing.a_star is None

@@ -336,6 +336,13 @@ def _residual_scale(F, z0):
     return np.maximum(s, 1e-300)
 
 
+def _check_guess(guess):
+    """Refuse an initial guess (A, param) unless both are finite and positive."""
+    a, param = guess
+    message = f"tricritical initial guess (A, param) must be positive, got {guess!r}"
+    check_domain(a > 0 and param > 0, message, guess_a=a, guess_param=param)
+
+
 def find_tricritical(
     family: str,
     fixed_param: Optional[float] = None,
@@ -349,7 +356,8 @@ def find_tricritical(
     A kappa1 at or above the locus's upper end (``_window_end``, where
     kappa2^t reaches zero) is refused with ``ParameterDomainError``
     before any double-Yukawa integral.  For Yukawa-Coulomb the unknowns
-    are (A, kappa1) directly, so a ``fixed_param`` is refused.
+    are (A, kappa1) directly, so a ``fixed_param`` is refused.  So is an
+    ``initial_guess`` (A, v1 or kappa1) that is not finite and positive.
 
     Raises ``NonconvergenceError`` when Newton fails and the nested
     fallback then finds nothing or ends at kappa2 <= 0; either error
@@ -360,14 +368,15 @@ def find_tricritical(
             raise ParameterDomainError("double-yukawa tricritical solve needs kappa1")
         pot._check_kappa1(fixed_param)
         kappa1 = float(fixed_param)
+        if initial_guess is None:
+            initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
+        _check_guess(initial_guess)
         end = _window_end(q)
         check_domain(
             kappa1 < end,
             f"kappa1={kappa1!r} is at or above the tricritical window's upper end "
             f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
         )
-        if initial_guess is None:
-            initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
         z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
 
         def coefficients(z):
@@ -391,6 +400,7 @@ def find_tricritical(
         check_domain(fixed_param is None, message)
         if initial_guess is None:
             initial_guess = (2.8, 2.04)
+        _check_guess(initial_guess)
         z0 = initial_guess
 
         def coefficients(z):

@@ -139,12 +139,22 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     A 1-D array of ``eps`` gives one gap per entry from one stacked
     integral (one ladder, one set of measure weights); each entry equals
     the scalar call bit for bit.  Its table comes from ``_gap_rows``, so
-    two calls on the same ``eps`` in a row build it once.
+    two calls on the same ``eps`` in a row build it once.  An ``eps`` that
+    is not finite, or above ``GAP_EPS_BOUND`` in size, is refused before
+    any table is built.
     """
-    if np.ndim(eps) == 0:
-        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q, abs(eps))
     eps_max = float(np.max(np.abs(eps), initial=0.0))
+    if not eps_max <= GAP_EPS_BOUND:  # the message is formatted only for a refusal
+        message = f"|eps| must be at most {GAP_EPS_BOUND}, got {eps_max}"
+        check_domain(eps_max <= GAP_EPS_BOUND, message, eps=eps_max)
+    if np.ndim(eps) == 0:
+        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q, eps_max)
     return split_integral(spec, area, _gap_rows(eps), q, eps_max)
+
+
+#: Largest ``|eps|`` of ``energy_gap``: the pair-gap series takes
+#: ``ceil(sqrt(40 e^|eps| / pi))`` terms per node, 1,440 at this bound.
+GAP_EPS_BOUND = 12.0
 
 
 #: Search cap of the aspect minimization (delta <= 4).

@@ -14,13 +14,16 @@ Two independent evaluation routes are provided.
   reduce to explicit combinations of ``theta3`` and its t-derivatives
   (``_p2_direct``, ``_p4_direct``); integrating them against the
   potential measure gives ``e2_closed`` / ``e4_closed``, or both at once
-  from ``e2_e4_closed``.
-* Series: at every quadrature node the product
-  ``sum_{j,k} exp(-(j^2 e^-eps + k^2 e^eps) t)`` is built as a truncated
-  power series in eps by series-exponentiation over (j, k) shells, and
-  the coefficient rows are integrated against the same measure.  This
-  route needs no hand-derived integrands and is the authority for the
-  sixth-order coefficient, for which no closed bracket is carried.
+  from ``e2_e4_closed``.  All three read rows of one table of the two
+  brackets cached on each grid.
+* Series: at every quadrature node each 1D factor ``T(u e^(+-eps))`` of
+  the theta product is built as a truncated power series in eps, its
+  terms ``exp(-j^2 u e^eps)`` by series-exponentiation, and the rows are
+  the Cauchy product of the factor and its mirror, whose coefficients
+  carry ``(-1)^m``.  The coefficient rows are integrated against the
+  same measure.  This route needs no hand-derived integrands and no theta
+  derivatives, and is the authority for the sixth-order coefficient, for
+  which no closed bracket is carried.
 
 Both routes exploit the exact rescaling ``B(t) = (pi/t) B(pi^2/t)``
 obeyed by every eps-coefficient of the theta product; ``theta.modular_reduce``
@@ -87,50 +90,44 @@ def quartic_bracket(u):
     return modular_reduce(u, _p4_direct)
 
 
-# (j, k) shells entering the series route; exp(-(j^2+k^2) pi) decides the cut
-_JS = 5
-_SH_J, _SH_K = [a.ravel().astype(float) for a in np.meshgrid(np.arange(_JS + 1), np.arange(_JS + 1))]
-_sh_keep = (_SH_J + _SH_K) > 0
-_SH_J, _SH_K = _SH_J[_sh_keep], _SH_K[_sh_keep]
-_SH_MULT = (2.0 - (_SH_J == 0)) * (2.0 - (_SH_K == 0))
 _FACT = np.array([math.factorial(m) for m in range(TRUNCATION_ORDER + 1)])
+# exponent series of exp(-j^2 u e^eps), j = 1..5, per unit u: exp(-25 pi)
+# ~ 1e-34 decides the cut
+_EXPONENTS = -np.arange(1.0, 6.0)[:, None] ** 2 / _FACT
 
 
 def _series_rows_direct(u: np.ndarray) -> np.ndarray:
-    """Coefficient rows c_m(u) of the theta-product eps-series, u >= ~1.
+    """Coefficient rows c_m(u) of the theta-product eps-series, u >= pi.
 
-    Each (j, k) term contributes exp of the series of
-    ``-(j^2 e^-eps + k^2 e^eps) u``, whose m-th coefficient is
-    ``-u (j^2 (-1)^m + k^2) / m!``.
+    ``T(u e^eps) = 1 + 2 sum_j exp(-j^2 u e^eps)``, each term the exp of
+    the series with m-th coefficient ``-j^2 u / m!``.  The mirrored factor
+    ``T(u e^-eps)`` has the coefficients times ``(-1)^m``, and the rows
+    are the truncated Cauchy product of the two.
     """
-    j2 = _SH_J**2
-    k2 = _SH_K**2
-    m = np.arange(TRUNCATION_ORDER + 1)
-    signs = (-1.0) ** m
-    # exponent series, shape (pairs, nodes, order+1)
-    coef = (j2[:, None] * signs[None, :] + k2[:, None]) / _FACT[None, :]
-    s = -u[None, :, None] * coef[:, None, :]
-    e = exp_coeffs_batch(s)
-    rows = np.einsum("p,pno->on", _SH_MULT, e)
-    rows[0] += 1.0  # the (0,0) pair: exp of the zero series
-    return rows
+    orders = np.arange(TRUNCATION_ORDER + 1)
+    a = 2.0 * exp_coeffs_batch(np.multiply.outer(u, _EXPONENTS)).sum(axis=-2)
+    a[:, 0] += 1.0
+    b = a * (-1.0) ** orders
+    return np.stack([(a[:, : m + 1] * b[:, m::-1]).sum(axis=-1) for m in orders])
 
 
 def _series_rows(u: np.ndarray) -> np.ndarray:
     return modular_reduce(u, _series_rows_direct)
 
 
+def _p2_p4_table(grid):
+    """The eps^2 and eps^4 brackets on the grid's nodes, one table cached
+    on the grid; E2 alone and E4 alone integrate one row of it."""
+    return grid.cached("p2p4", lambda u: np.stack([curvature_bracket(u), quartic_bracket(u)]))
+
+
 def curvature_table(grid):
-    """The curvature bracket on the grid's nodes, cached on the grid."""
-    return grid.cached("p2", curvature_bracket)
+    """The curvature bracket on the grid's nodes: row 0 of the cached table."""
+    return _p2_p4_table(grid)[0]
 
 
 def _p4_table(grid):
-    return grid.cached("p4", quartic_bracket)
-
-
-def _p2_p4_table(grid):
-    return grid.cached("p2p4", lambda u: np.stack([curvature_bracket(u), quartic_bracket(u)]))
+    return _p2_p4_table(grid)[1]
 
 
 def _series_table(grid):

@@ -1,29 +1,25 @@
 """Third Jacobi theta function on the real nome axis, with t-derivatives.
 
 Everything here works with ``T(t) = theta3(exp(-t)) = sum_j exp(-j^2 t)``
-and its derivatives ``T^(n)(t) = sum_j (-j^2)^n exp(-j^2 t)`` for
-``n <= 4``, on ``t in (0, inf)``.
-
-For ``t >= pi`` the defining series converges after a handful of terms.
-For ``t < pi`` evaluation goes through the modular identity::
+on ``t in (0, inf)``, and its derivatives
+``T^(n)(t) = sum_j (-j^2)^n exp(-j^2 t)`` for ``n <= 4`` on ``t >= pi``,
+where the defining series converges after a handful of terms.  ``T``
+itself is also needed below pi (the energy's theta product at
+``u e^-eps``), where it goes through the modular identity::
 
     T(t) = sqrt(pi/t) * T(pi^2/t)
 
-whose right-hand side again needs only a few terms.  Derivatives on the
-small-``t`` branch are obtained analytically (Leibniz on the prefactor,
-Faa di Bruno through ``u = pi^2/t``), never by numerical differencing:
-downstream integrands multiply them by powers of ``t`` up to ``t^4`` and
-would amplify differencing noise.
+whose right-hand side again needs only a few terms.
 
 The brackets the energy integrals use (the theta product's
 eps-coefficients and its gap) obey ``B(u) = (pi/u) B(pi^2/u)``;
 ``modular_reduce`` applies that, so their series only see ``u >= pi``.
 
-The module also evaluates the symmetric product
-``P(u, e) = T(u exp(-e)) * T(u exp(e))``, its excess ``P - 1`` over the
-constant mode, and, in a cancellation-free form, its deviation from the
-square-lattice value ``P(u, 0)``.  That gap
-factorises into 1D theta differences ``d(+-) = T(u e^(+-e)) - T(u)``::
+The module also evaluates the excess ``P - 1`` of the symmetric product
+``P(u, e) = T(u exp(-e)) * T(u exp(e))`` over the constant mode, and, in
+a cancellation-free form, its deviation from the square-lattice value
+``P(u, 0)``.  That gap factorises into 1D theta differences
+``d(+-) = T(u e^(+-e)) - T(u)``::
 
     P(u, e) - P(u, 0) = T(u) (d- + d+) + d- d+
 
@@ -54,107 +50,50 @@ _J = np.arange(1, _JMAX + 1)
 _JSQ = (_J * _J).astype(float)
 
 
-def _derivs_direct(t: np.ndarray, nmax: int) -> list[np.ndarray]:
-    """Series evaluation of T and derivatives; valid for t >= ~1."""
-    ex = np.exp(-np.multiply.outer(t, _JSQ))
-    out = [1.0 + 2.0 * ex.sum(axis=-1)]
-    for n in range(1, nmax + 1):
-        out.append(2.0 * np.sum((-_JSQ) ** n * ex, axis=-1))
-    return out
-
-
-def _derivs_transformed(t: np.ndarray, nmax: int) -> list[np.ndarray]:
-    """Analytic derivatives of sqrt(pi/t)*T(pi^2/t); valid for t < pi."""
-    pi2 = math.pi**2
-    u = pi2 / t
-    tu = _derivs_direct(u, nmax)
-
-    # chain-rule derivatives of u(t) = pi^2/t
-    u1 = -pi2 / t**2
-    h = [tu[0]]
-    if nmax >= 1:
-        h.append(tu[1] * u1)
-    if nmax >= 2:
-        u2 = 2 * pi2 / t**3
-        h.append(tu[2] * u1**2 + tu[1] * u2)
-    if nmax >= 3:
-        u3 = -6 * pi2 / t**4
-        h.append(tu[3] * u1**3 + 3 * tu[2] * u1 * u2 + tu[1] * u3)
-    if nmax >= 4:
-        u4 = 24 * pi2 / t**5
-        h.append(
-            tu[4] * u1**4
-            + 6 * tu[3] * u1**2 * u2
-            + tu[2] * (4 * u1 * u3 + 3 * u2**2)
-            + tu[1] * u4
-        )
-
-    # Leibniz against the prefactor sqrt(pi) * t^(-1/2)
-    root = math.sqrt(math.pi)
-    p = [
-        t**-0.5,
-        -0.5 * t**-1.5,
-        0.75 * t**-2.5,
-        -1.875 * t**-3.5,
-        6.5625 * t**-4.5,
-    ]
-    binom = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
-    out = []
-    for n in range(nmax + 1):
-        acc = np.zeros_like(t)
-        for k in range(n + 1):
-            acc = acc + binom[n][k] * p[k] * h[n - k]
-        out.append(root * acc)
-    return out
-
-
 def theta3_derivs(t, nmax: int = 4) -> list[np.ndarray]:
-    """T(t) and its first ``nmax`` t-derivatives, elementwise on ``t``."""
+    """T(t) and its first ``nmax`` t-derivatives, elementwise on ``t >= pi``.
+
+    Smaller ``t`` is refused: the brackets built from these derivatives
+    reach it only through ``modular_reduce``, which maps it above pi."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("theta argument t must be positive")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = [np.empty_like(t) for _ in range(nmax + 1)]
-    big = t >= SPLIT
-    if big.any():
-        vals = _derivs_direct(t[big], nmax)
-        for n in range(nmax + 1):
-            out[n][big] = vals[n]
-    if (~big).any():
-        vals = _derivs_transformed(t[~big], nmax)
-        for n in range(nmax + 1):
-            out[n][~big] = vals[n]
-    if scalar:
-        out = [float(v[0]) for v in out]
-    return out
+    if not np.all(t >= SPLIT):
+        raise ValueError("theta derivatives take t >= pi; map smaller t through modular_reduce")
+    ex = np.exp(-np.multiply.outer(np.atleast_1d(t), _JSQ))
+    out = [1.0 + 2.0 * ex.sum(axis=-1)]
+    out += [2.0 * np.sum((-_JSQ) ** n * ex, axis=-1) for n in range(1, nmax + 1)]
+    return [float(v[0]) for v in out] if t.ndim == 0 else out
 
 
 def theta3(t):
-    """theta3(exp(-t)) for t > 0; scalar in, scalar out."""
-    return theta3_derivs(t, nmax=0)[0]
+    """theta3(exp(-t)) for t > 0, elementwise; scalar in, scalar out."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError("theta argument t must be positive")
+    out = 1.0 + _theta_excess(np.atleast_1d(t))
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def theta3_deriv(t, n: int):
-    """n-th t-derivative of theta3(exp(-t)), 0 <= n <= 4."""
+    """n-th t-derivative of theta3(exp(-t)), 0 <= n <= 4, at t >= pi."""
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= 4:
         raise ValueError(f"derivative order must be an integer in 0..4, got {n!r}")
     return theta3_derivs(t, nmax=n)[n]
 
 
-def theta_product(u, eps: float):
-    """P(u, eps) = T(u e^-eps) * T(u e^eps), elementwise on ``u``."""
-    u = np.asarray(u, dtype=float)
-    return theta3(u * math.exp(-eps)) * theta3(u * math.exp(eps))
+def _excess_direct(t: np.ndarray) -> np.ndarray:
+    return 2.0 * np.exp(-np.multiply.outer(t, _JSQ)).sum(axis=-1)
 
 
 def _theta_excess(t: np.ndarray) -> np.ndarray:
     """T(t) - 1: the series without its leading 1 for t >= pi, where T is
-    within 0.09 of 1; the difference is harmless below that."""
+    within 0.09 of 1; below pi the modular identity, where the difference
+    is harmless."""
     out = np.empty_like(t)
     big = t >= SPLIT
-    out[big] = 2.0 * np.exp(-np.multiply.outer(t[big], _JSQ)).sum(axis=-1)
-    out[~big] = theta3_derivs(t[~big], nmax=0)[0] - 1.0
+    out[big] = _excess_direct(t[big])
+    small = t[~big]
+    theta = 1.0 + _excess_direct(math.pi**2 / small)
+    out[~big] = math.sqrt(math.pi) * (small**-0.5 * theta) - 1.0
     return out
 
 

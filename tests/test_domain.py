@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rectlat.critical as critical
 from rectlat.cli import main
 from rectlat.critical import find_tricritical
 from rectlat.energy import LatticeState
@@ -109,6 +110,44 @@ def test_non_finite_flag_exits_2(argv):
 def test_out_of_domain_kappa1_is_a_domain_error(call):
     with pytest.raises(ParameterDomainError, match="kappa1"):
         call()
+
+
+# A tricritical guess that is not finite and positive is refused before any
+# integral, in the guess's own words: v1 = -e^2 would divide by zero in the
+# map v1 -> kappa2, and A = -1 was refused as a probe's area of -1.03.
+BAD_GUESSES = [
+    ("double-yukawa", 2.0, (2.7, -math.exp(2.0))),
+    ("double-yukawa", 2.0, (2.7, math.inf)),
+    ("double-yukawa", 2.0, (-1.0, 6.8)),
+    ("double-yukawa", 2.0, (math.nan, 6.8)),
+    ("yukawa-coulomb", None, (2.8, 0.0)),
+    ("yukawa-coulomb", None, (-math.inf, 2.04)),
+]
+BAD_GUESS_IDS = ["dy-minus-e2", "dy-inf", "dy-a-negative", "dy-a-nan", "yc-zero", "yc-a-minus-inf"]
+
+
+@pytest.mark.parametrize("family, kappa1, guess", BAD_GUESSES, ids=BAD_GUESS_IDS)
+def test_bad_tricritical_guess_is_a_domain_error(monkeypatch, family, kappa1, guess):
+    def no_integral(*args):
+        raise AssertionError("an integral was started")
+
+    monkeypatch.setattr(critical, "e2_e4_closed", no_integral)
+    with pytest.raises(ParameterDomainError, match="guess"):
+        find_tricritical(family, kappa1, guess)
+
+
+@pytest.mark.parametrize("family, kappa1, guess", BAD_GUESSES, ids=BAD_GUESS_IDS)
+def test_bad_tricritical_guess_exits_2(family, kappa1, guess):
+    argv = ["tricritical", "--family", family, f"--guess-a={guess[0]!r}",
+            f"--guess-param={guess[1]!r}"]
+    if kappa1 is not None:
+        argv += ["--kappa1", str(kappa1)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "guess" in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+import rectlat.energy as energy
 from rectlat.critical import a_star_min, a_star_min_zero_limit
 from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
 from rectlat.errors import ParameterDomainError, UnsupportedOracleError
@@ -150,6 +152,15 @@ class TestBackgroundRegularization:
             lattice_energy(riesz(2.0), LatticeState(1.0))
 
 
+def test_extreme_aspect_runs_without_warnings():
+    # delta = 1e-300 puts one theta factor at t ~ 1e-300, through the
+    # modular identity, without an overflowing power of t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = lattice_energy(yukawa(1.0), LatticeState(1.0, math.log(1e-300)))
+    assert value == pytest.approx(2.8542516842622246e150, rel=1e-13)
+
+
 class TestSplitPointInvariance:
     def test_energy_independent_of_split(self, dy98):
         st = LatticeState(2.6, 0.21)
@@ -218,6 +229,23 @@ class TestEnergyGap:
         for e, row in zip(eps, rows):
             assert row.hex() == float(energy_gap(spec, area, e, q)).hex()
         assert isinstance(energy_gap(spec, area, 0.3, q), float)
+
+    @pytest.mark.parametrize(
+        "eps", [30.0, -30.0, math.nan, math.inf, np.array([0.1, 30.0]), np.array([0.1, math.nan])],
+        ids=["30", "-30", "nan", "inf", "stack-30", "stack-nan"],
+    )
+    def test_eps_out_of_range_is_refused_before_any_table(self, monkeypatch, dy98, eps):
+        # |eps| = 30 would take 1.2e7 series terms per node
+        def no_integral(*args, **kwargs):
+            raise AssertionError("an integral was started")
+
+        monkeypatch.setattr(energy, "split_integral", no_integral)
+        with pytest.raises(ParameterDomainError, match="eps"):
+            energy_gap(dy98, 2.6, eps)
+
+    def test_eps_bound_covers_the_planned_aspect_range(self, dy98):
+        assert energy.GAP_EPS_BOUND >= math.log(256.0)
+        assert math.isfinite(energy_gap(dy98, 2.6, -energy.GAP_EPS_BOUND))
 
     def test_gap_even_in_eps(self, dy98):
         assert energy_gap(dy98, 3.0, 0.4) == pytest.approx(

@@ -6,12 +6,9 @@ import pytest
 
 from rectlat.theta import (
     SPLIT,
-    _derivs_direct,
-    _derivs_transformed,
     theta3,
     theta3_deriv,
     theta3_derivs,
-    theta_product,
     theta_product_excess,
     theta_product_gap,
 )
@@ -26,6 +23,12 @@ def brute_theta_deriv(t, n, jmax=400):
         if abs(term) < 1e-18 * max(abs(total), 1.0):
             break
     return total
+
+
+def theta_product(u, eps):
+    """P(u, eps) = T(u e^-eps) T(u e^eps), elementwise on ``u``."""
+    u = np.asarray(u, dtype=float)
+    return theta3(u * math.exp(-eps)) * theta3(u * math.exp(eps))
 
 
 def test_large_t_limit():
@@ -47,23 +50,23 @@ def test_modular_identity_both_sides():
 
 
 def test_deriv_order_zero_is_theta3():
-    for t in (0.05, 0.7, 3.0, 12.0):
+    for t in (SPLIT, 3.5, 12.0, 40.0):
         assert theta3_deriv(t, 0) == theta3(t)
 
 
 def test_first_deriv_against_term_sum():
-    assert theta3_deriv(1.0, 1) == pytest.approx(brute_theta_deriv(1.0, 1), rel=1e-14)
-    # value quoted from the explicit terms -2(e^-1 + 4e^-4 + 9e^-9 + ...)
-    assert theta3_deriv(1.0, 1) == pytest.approx(-0.884508971746323, abs=1e-12)
+    assert theta3_deriv(4.0, 1) == pytest.approx(brute_theta_deriv(4.0, 1), rel=1e-14)
+    # value quoted from the explicit terms -2(e^-4 + 4e^-16 + 9e^-36 + ...)
+    assert theta3_deriv(4.0, 1) == pytest.approx(-0.03663217805887029, abs=1e-15)
 
 
 def test_second_deriv_positive():
-    for t in (0.02, 0.4, 1.0, 6.0):
+    for t in (SPLIT, 4.0, 6.0, 40.0):
         assert theta3_deriv(t, 2) > 0.0
 
 
 def test_first_deriv_negative_everywhere():
-    for t in np.geomspace(1e-3, 50, 20):
+    for t in np.geomspace(SPLIT, 50, 20):
         assert theta3_deriv(t, 1) < 0.0
 
 
@@ -73,9 +76,19 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         theta3(-1.0)
     with pytest.raises(ValueError):
-        theta3_deriv(1.0, 5)
+        theta3_deriv(4.0, 5)
     with pytest.raises(ValueError):
-        theta3_deriv(1.0, -1)
+        theta3_deriv(4.0, -1)
+
+
+@pytest.mark.parametrize(
+    "t", [1.0, np.nextafter(SPLIT, 0.0), np.array([SPLIT, 3.0]), math.nan],
+    ids=["one", "below-pi", "array", "nan"],
+)
+def test_derivatives_refuse_t_below_pi(t):
+    # the brackets reach small t only through modular_reduce
+    with pytest.raises(ValueError, match="t >= pi"):
+        theta3_derivs(t, nmax=0)
 
 
 def _theta_minus_one(t):
@@ -88,7 +101,7 @@ def _theta_minus_one(t):
 def test_finite_difference_consistency():
     # derivatives n=1,2 against central differences, step 1e-4*t; the constant
     # mode drops out of the differences exactly
-    for t in np.geomspace(1e-3, 50, 50):
+    for t in np.geomspace(SPLIT, 50, 50):
         h = 1e-4 * t
         d1 = (_theta_minus_one(t + h) - _theta_minus_one(t - h)) / (2 * h)
         assert theta3_deriv(t, 1) == pytest.approx(d1, rel=1e-6)
@@ -97,26 +110,24 @@ def test_finite_difference_consistency():
 
 
 def test_higher_derivs_against_brute_sum():
-    for t in (0.3, 1.3, math.pi, 7.0):
+    for t in (SPLIT, 4.0, 7.0, 15.0):
         vals = theta3_derivs(t, nmax=4)
         for n in range(5):
             assert vals[n] == pytest.approx(brute_theta_deriv(t, n), rel=1e-13)
 
 
 def test_modular_consistency_at_switch_point():
-    t = np.array([SPLIT])
-    direct = _derivs_direct(t, 4)
-    transformed = _derivs_transformed(t, 4)
-    for n in range(5):
-        assert direct[n][0] == pytest.approx(transformed[n][0], rel=1e-13)
+    # T just below pi comes from the modular identity, T at pi from the series
+    below = np.nextafter(SPLIT, 0.0)
+    t = np.array([below, SPLIT])
+    assert theta3(below) == pytest.approx(theta3(SPLIT), rel=1e-15)
+    np.testing.assert_allclose(theta3(t) - 1.0, [_theta_minus_one(x) for x in t], rtol=1e-14)
 
 
 def test_stability_positivity():
-    # t T T' + t^2 T T'' - t^2 (T')^2 > 0; assembled from the derivative
-    # values where the combination keeps enough leading digits (below
-    # t ~ 0.5 it cancels to an exponentially small remainder and the
-    # rescaled bracket in the expansion module takes over)
-    for t in np.geomspace(0.5, 50, 40):
+    # t T T' + t^2 T T'' - t^2 (T')^2 > 0 on the derivatives' domain t >= pi;
+    # below it the rescaled bracket in the expansion module takes over
+    for t in np.geomspace(SPLIT, 50, 40):
         t0, t1, t2 = theta3_derivs(t, nmax=2)
         assert t * t0 * t1 + t * t * (t0 * t2 - t1 * t1) > 0.0
 

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .expansion import curvature_table, e2_closed, e2_e4_closed, e4_closed, landau_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
-from .solvers import RTOL_MIN, brentq, minimize_scalar
+from .solvers import RTOL_MIN, brentq, minimize_scalar, sign_change
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
@@ -201,18 +201,13 @@ def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
 
 
 def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> TransitionPoint:
-    """Bracketed root of E2(A), classified by the sign of E4 there."""
+    """Root of E2(A) on ``a_bracket``, classified by the sign of E4 there;
+    a bracket without a sign change is refused with ``BracketError``."""
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
-    f_lo = e2_closed(spec, lo, q)
-    f_hi = e2_closed(spec, hi, q)
-    if not (np.sign(f_lo) * np.sign(f_hi) < 0):
-        raise BracketError(
-            f"E2 does not change sign on [{lo}, {hi}] "
-            f"(values {f_lo:.6e}, {f_hi:.6e})"
-        )
-    a_star = brentq(
-        lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=RTOL_MIN
-    )
+    try:
+        a_star = brentq(lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
+    except BracketError as err:
+        raise BracketError(f"E2 does not change sign on [{lo}, {hi}]: {err}") from err
     e2v, e4v = e2_e4_closed(spec, a_star, q)
     return TransitionPoint(
         a_star=float(a_star),
@@ -598,7 +593,8 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     (A, eps), seeded with the series crossing and the deepest point of
     the eps lattice (129 points on [0, ``EPS_CAP``], delta <= 4) at or
     above half the barrier location (``_gap_scan``).  Returns
-    ``(a_trans, eps_jump)``; raises ``ClassificationError`` when no
+    ``(a_trans, eps_jump)``; raises ``BracketError`` when the crossing gap
+    does not change sign on ``a_bracket``, ``ClassificationError`` when no
     barrier separates the branches at the crossing, ``SearchFailureError``
     when the broken-branch minimum leaves that window or ends on the
     aspect cap, where it is no coexistence point, and
@@ -606,13 +602,10 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
     g = lambda a: _crossing_gap(spec, a, q)
-    g_lo, g_hi = g(lo), g(hi)
-    if not (np.sign(g_lo) * np.sign(g_hi) < 0):
-        raise BracketError(
-            f"branch-energy crossing not bracketed on [{lo}, {hi}] "
-            f"(gap signs {g_lo:.3e}, {g_hi:.3e})"
-        )
-    a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
+    try:
+        a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
+    except BracketError as err:
+        raise BracketError(f"branch-energy crossing not bracketed on [{lo}, {hi}]: {err}") from err
     branch = _series_branch(_gap_coefficients(spec, a_trans, q))
     if branch is None or branch[2] is None:
         raise ClassificationError(
@@ -642,20 +635,23 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
     when the gap is not positive at ``a_hint``, or when the walk reaches a
     non-positive density without a sign change (within 20 steps).
     """
+    g = functools.lru_cache(maxsize=None)(lambda a: _crossing_gap(spec, a, q))
+
+    def walk(a):
+        step = 1e-6 * a
+        while a > 0.0:
+            yield a
+            a, step = a - step, 2.0 * step
+
     hi = float(a_hint)
-    g_hi = _crossing_gap(spec, hi, q)
-    if not g_hi > 0:
+    if not g(hi) > 0:
         raise BracketError(
-            f"branch-energy crossing gap {g_hi:.3e} is not positive at the E2 root A={hi}"
+            f"branch-energy crossing gap {g(hi):.3e} is not positive at the E2 root A={hi}"
         )
-    step = 1e-6 * hi
-    lo = hi - step
-    while lo > 0.0:
-        if _crossing_gap(spec, lo, q) < 0:
-            return lo, hi
-        hi, step = lo, 2.0 * step
-        lo = hi - step
-    raise BracketError(f"could not bracket the branch-energy crossing below A={a_hint}")
+    bracket = sign_change(g, walk(hi))
+    if bracket is None:
+        raise BracketError(f"could not bracket the branch-energy crossing below A={a_hint}")
+    return bracket[::-1]  # the walk runs leftward
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +753,15 @@ def _a_star_min_condition(kappa1: float, area: float, q: QuadratureConfig) -> fl
 
 
 def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Limiting transition density of the double-Yukawa family at v1 -> inf."""
+    """Limiting transition density of the double-Yukawa family at v1 -> inf,
+    bracketed at the first sign change on a 41-point grid over A in [0.2, 20]."""
     check_domain(kappa1 > 0, "kappa1 must be positive", kappa1=kappa1)
     f = lambda a: _a_star_min_condition(kappa1, a, q)
     grid = np.geomspace(0.2, 20.0, 41)
-    vals = [f(a) for a in grid]
-    for i in range(len(grid) - 1):
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            return brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=RTOL_MIN)
-    if all(v == 0.0 for v in vals):
+    bracket = sign_change(f, grid)
+    if bracket is not None:
+        return brentq(f, *bracket, xtol=1e-15, rtol=RTOL_MIN)
+    if all(f(a) == 0.0 for a in grid):  # a refusal only: the values are taken again
         raise BracketError(
             f"limiting condition underflows for kappa1={kappa1}: the overall "
             f"scale exp(-kappa1 sqrt(A)) is below double precision"

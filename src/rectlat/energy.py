@@ -29,7 +29,7 @@ import numpy as np
 from . import potentials as pot
 from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
-from .theta import theta_product_excess, theta_product_gap
+from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,6 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     return split_integral(spec, area, _gap_rows(eps), q, eps_max)
 
 
-#: Largest ``|eps|`` of ``energy_gap``: the pair-gap series takes
-#: ``ceil(sqrt(40 e^|eps| / pi))`` terms per node, 1,440 at this bound.
-GAP_EPS_BOUND = 12.0
-
-
 #: Search cap of the aspect minimization (delta <= 4).
 EPS_CAP = math.log(4.0)
 
@@ -228,8 +223,8 @@ def direct_lattice_sum(
     from that bound before summing; a sum that would need more than
     ``SHELL_CAP`` shells is refused with ``UnsupportedOracleError``.
     """
-    if cutoff_tol <= 0:
-        raise ParameterDomainError("cutoff_tol must be positive")
+    message = f"cutoff_tol must be positive, got {cutoff_tol}"
+    check_domain(cutoff_tol > 0, message, cutoff_tol=cutoff_tol)
     if spec.family == pot.YUKAWA_COULOMB:
         raise UnsupportedOracleError(
             "direct sum of the Yukawa-Coulomb potential is only conditionally "

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .solvers import RTOL_MIN, brentq
+from .solvers import RTOL_MIN, brentq, sign_change
 
 SCAN_CSV_HEADER = (
     "family,kappa1,v1,a_star,order,eps_jump,e2_residual,e4_value,status"
@@ -125,36 +125,21 @@ def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
 
 
 def _coarse_e2_root(spec, q, hint=None):
-    """Cheap warm-startable E2 root (bisection to ~1e-3 relative); without
-    a hint, the first sign change on a 25-point grid over A in [0.3, 20]."""
+    """Cheap warm-startable E2 root: Brent to 1e-3 relative on a bracket
+    widened symmetrically around ``hint`` (40 tries), or else at the first
+    sign change on a 25-point grid over A in [0.3, 20]; None without one."""
     f = lambda a: e2_closed(spec, a, q)
+    bracket = None
     if hint is not None:
         a, b = hint * 0.9, hint * 1.1
-        fa, fb = f(a), f(b)
         for _ in range(40):
-            if np.sign(fa) * np.sign(fb) < 0:
+            if np.sign(f(a)) * np.sign(f(b)) < 0:
+                bracket = (a, b)
                 break
             a, b = a * 0.85, b * 1.15
-            fa, fb = f(a), f(b)
-        else:
-            return None
     else:
-        grid = np.geomspace(0.3, 20.0, 25)
-        vals = [f(x) for x in grid]
-        for i in range(len(grid) - 1):
-            if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
-                break
-        else:
-            return None
-    while (b - a) > 1e-3 * b:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if np.sign(fm) == np.sign(fa):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+        bracket = sign_change(f, np.geomspace(0.3, 20.0, 25))
+    return None if bracket is None else brentq(f, *bracket, xtol=sys.float_info.min, rtol=1e-3)
 
 
 def _member(family, point):
@@ -264,13 +249,9 @@ def _v1_on_critical_curve(kappa1, area, q):
     def g(v1):
         return e2_closed(pot.derive_double_yukawa(v1, kappa1), area, q)
 
-    lo, hi = border * 1.0005, border * 4.0
-    g_lo = g(lo)
-    for _ in range(40):
-        if np.sign(g(hi)) != np.sign(g_lo):
-            return brentq(g, lo, hi, xtol=1e-13, rtol=RTOL_MIN)
-        lo, hi = hi, hi * 2.0
-    return None
+    strengths = [border * 1.0005] + [border * 2.0**k for k in range(2, 42)]
+    bracket = sign_change(g, strengths)
+    return None if bracket is None else brentq(g, *bracket, xtol=1e-13, rtol=RTOL_MIN)
 
 
 def scan_yukawa_coulomb(
@@ -354,7 +335,7 @@ def _a_star_min_job(args):
     try:
         return (k1, a_star_min(k1, q), "ok")
     except RectlatError as err:
-        return (k1, None, f"failed: {type(err).__name__}")
+        return (k1, None, _failure_status(err))
 
 
 def scan_a_star_min(

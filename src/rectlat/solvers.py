@@ -1,8 +1,10 @@
 """Bracketed root finding and bounded scalar minimization (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4 and 5).
 
-``brentq`` is scipy's ``brentq`` (its C core ``Zeros/brentq.c`` plus the
-checks of the Python wrapper) and ``minimize_scalar`` is scipy's
+A root is bracketed by the caller or at the first sign change of a scan
+(``sign_change``).  ``brentq`` is scipy's ``brentq`` (its C core
+``Zeros/brentq.c`` plus the checks of the Python wrapper, which refuse a
+bracket without a sign change) and ``minimize_scalar`` is scipy's
 ``minimize_scalar(method="bounded")``, ported operation for operation:
 they evaluate the same points in the same order and return the same
 doubles, without the cost of importing scipy.  A failure is a refusal:
@@ -22,6 +24,21 @@ RTOL_MIN = 4 * sys.float_info.epsilon
 
 _BRENT_MAXITER = 100
 _BOUNDED_MAXFUN = 500
+
+
+def sign_change(f, points):
+    """The first pair ``(a, b)`` of the iterable ``points`` where ``f(b)``
+    has the sign opposite to ``f(a)``, the last nonzero, non-NaN value
+    before it, or ``None``; ``f`` is not evaluated past ``b``."""
+    a = fa = None
+    for x in points:
+        fx = f(x)
+        if fx == 0 or math.isnan(fx):
+            continue
+        if fa is not None and (fx > 0) != (fa > 0):
+            return a, x
+        a, fa = x, fx
+    return None
 
 
 def brentq(f, a, b, xtol, rtol):

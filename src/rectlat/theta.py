@@ -46,6 +46,10 @@ SPLIT = math.pi
 _JMAX = 6
 _JMAX_PAIR = 8
 
+#: Largest ``|eps|`` of ``theta_product_gap``: the pair-gap series takes
+#: ``ceil(sqrt(40 e^|eps| / pi))`` terms per node, 1,440 at this bound.
+GAP_EPS_BOUND = 12.0
+
 _J = np.arange(1, _JMAX + 1)
 _JSQ = (_J * _J).astype(float)
 
@@ -166,5 +170,8 @@ def modular_reduce(u, direct_fn):
 
 def theta_product_gap(u, eps: float):
     """P(u, eps) - P(u, 0), accurate in a relative sense even for tiny eps;
-    it rescales like the product, P(t, eps) = (pi/t) P(pi^2/t, eps)."""
+    it rescales like the product, P(t, eps) = (pi/t) P(pi^2/t, eps).
+    An ``eps`` that is not finite or above ``GAP_EPS_BOUND`` is refused."""
+    if not abs(eps) <= GAP_EPS_BOUND:
+        raise ValueError(f"|eps| must be finite and at most {GAP_EPS_BOUND}, got {eps}")
     return modular_reduce(u, lambda v: _pair_gap_direct(v, eps))

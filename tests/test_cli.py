@@ -119,6 +119,11 @@ class TestSolverCommands:
         code = main(["transition", "--family", "yukawa", "--kappa", "1.0"])
         assert code == 2
 
+    def test_transition_bracket_error_names_the_bracket(self, capsys):
+        argv = ["transition", "--family", "yukawa", "--kappa", "1", "--a-lo", "0.2", "--a-hi", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: E2 does not change sign on [0.2, 10.0]: ")
+
     def test_first_order_auto_bracket(self, capsys):
         code, doc = run_json(
             capsys, ["first-order", "--family", "yukawa-coulomb", "--kappa1", "2.0365"]
@@ -183,6 +188,12 @@ class TestScanCommand:
         assert lines[0] == "kappa1,a_star_min,status"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_a_star_min_failed_rows_carry_the_refusal(self, capsys):
+        assert main(["scan", "--mode", "a-star-min", "--kappa1-grid", "1000:2000:lin:2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("1000,,failed: BracketError: no sign change of the limiting")
+        assert rows[1].startswith("2000,,failed: BracketError: limiting condition underflows")
 
     def test_scan_csv_phase_header(self, capsys):
         assert (

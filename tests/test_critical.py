@@ -159,8 +159,29 @@ class TestFindTransition:
         assert tp.e4_at_a_star > 0.0
 
     def test_yukawa_has_no_transition(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match=r"E2 does not change sign on \[0.2, 10.0\]: "):
             find_transition(yukawa(1.0, 1.0), (0.2, 10.0))
+
+    def test_bracket_ends_are_evaluated_by_brent_only(self, monkeypatch, dy98, q):
+        # every E2 evaluation of the root search is one of brentq's
+        calls = {"e2": 0, "brent": 0}
+        e2, brent = rectlat.critical.e2_closed, rectlat.critical.brentq
+
+        def counted_e2(*args):
+            calls["e2"] += 1
+            return e2(*args)
+
+        def counted_brent(f, *args, **kwargs):
+            def g(x):
+                calls["brent"] += 1
+                return f(x)
+
+            return brent(g, *args, **kwargs)
+
+        monkeypatch.setattr(rectlat.critical, "e2_closed", counted_e2)
+        monkeypatch.setattr(rectlat.critical, "brentq", counted_brent)
+        find_transition(dy98, (2.0, 3.2), q)
+        assert calls["e2"] == calls["brent"] > 2
 
     def test_order_flag_flips_below_tricritical_strength(self):
         v1_t = 6.7951845011079
@@ -558,6 +579,33 @@ class TestLargeStrengthLimit:
     def test_domain(self, q):
         with pytest.raises(ParameterDomainError):
             a_star_min(-1.0, q)
+
+    @pytest.mark.parametrize("kappa1", [0.1, 1.0, 5.0, 50.0])
+    def test_scan_stops_at_the_first_sign_change(self, monkeypatch, q, kappa1):
+        # the same bits as Brent on the first sign change of the eager
+        # 41-point scan, with the scan stopped there (at most 30 points)
+        condition = rectlat.critical._a_star_min_condition
+        f = lambda a: condition(kappa1, a, q)
+        grid = np.geomspace(0.2, 20.0, 41)
+        vals = [f(a) for a in grid]
+        i = next(i for i in range(40) if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0)
+        want = brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=RTOL_MIN)
+
+        seen = []
+        brent = rectlat.critical.brentq
+
+        def counted(k1, a, q):
+            seen.append(a)
+            return condition(k1, a, q)
+
+        def scan_length_at_brent(*args, **kwargs):
+            seen.append("brent")
+            return brent(*args, **kwargs)
+
+        monkeypatch.setattr(rectlat.critical, "_a_star_min_condition", counted)
+        monkeypatch.setattr(rectlat.critical, "brentq", scan_length_at_brent)
+        assert a_star_min(kappa1, q).hex() == want.hex()
+        assert seen.index("brent") == i + 2 <= 30
 
 
 class TestContinuityAcrossSecondOrder:

@@ -263,4 +263,4 @@ def test_non_positive_lin_grid_still_runs():
     with redirect_stdout(out):
         code = main(["scan", "--mode", "a-star-min", "--kappa1-grid", "0:1:lin:2"])
     assert code == 0
-    assert out.getvalue().splitlines()[1] == "0,,failed: ParameterDomainError"
+    assert out.getvalue().splitlines()[1] == "0,,failed: ParameterDomainError: kappa1 must be positive"

@@ -115,6 +115,11 @@ class TestAgainstDirectSum:
             direct_lattice_sum(spec, LatticeState(2.8135, 0.0))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("cutoff_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_a_cutoff_off_its_domain(self, dy98, cutoff_tol):
+        with pytest.raises(ParameterDomainError, match="cutoff_tol"):
+            direct_lattice_sum(dy98, LatticeState(2.6), cutoff_tol=cutoff_tol)
+
     def test_unsupported_oracles(self):
         with pytest.raises(UnsupportedOracleError):
             direct_lattice_sum(derive_yukawa_coulomb(2.0), LatticeState(2.0))

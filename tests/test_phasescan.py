@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rectlat import phasescan
-from rectlat.critical import EPS_CAP, minimize_aspect
+from rectlat.critical import EPS_CAP, find_transition, minimize_aspect
 from rectlat.errors import NonconvergenceError, ParameterDomainError
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
@@ -17,7 +17,7 @@ from rectlat.phasescan import (
     scan_tricritical_locus,
     scan_yukawa_coulomb,
 )
-from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb
+from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,18 @@ class TestDeepFirstOrderRows:
         assert [r.status for r in rows] == ["artificial-extension", "ok"]
         assert 0.0 < rows[1].eps_jump < EPS_CAP * (1.0 - 1e-6)
         assert yc_deep_rows[6].order == "tricritical"
+
+
+class TestCoarseRoot:
+    @pytest.mark.parametrize("hint", [None, 2.3, 3.0])
+    def test_within_the_polish_bracket(self, dy98, q, hint):
+        # the polish bracket is the coarse root +-0.5%
+        converged = find_transition(dy98, (2.0, 3.2), q).a_star
+        coarse = phasescan._coarse_e2_root(dy98, q, hint)
+        assert abs(coarse - converged) <= 5e-3 * converged
+
+    def test_no_sign_change_is_none(self, q):
+        assert phasescan._coarse_e2_root(yukawa(1.0, 1.0), q) is None
 
 
 class TestAStarMinScan:

@@ -13,7 +13,7 @@ from rectlat.energy import energy_gap
 from rectlat.errors import BracketError, NonconvergenceError, ParameterDomainError
 from rectlat.expansion import e2_closed
 from rectlat.potentials import derive_yukawa_coulomb
-from rectlat.solvers import RTOL_MIN, brentq, minimize_scalar
+from rectlat.solvers import RTOL_MIN, brentq, minimize_scalar, sign_change
 
 
 def recorded(f):
@@ -153,3 +153,33 @@ def test_minimize_scalar_evaluation_cap():
     _scipy_bounded(g_scipy, -1.0, 1.0, 1e-300)
     assert xs_port == xs_scipy
     assert len(xs_port) == 500
+
+
+def test_sign_change_returns_the_first_pair_and_stops_there():
+    f, xs = recorded(lambda x: (x - 2.5) * (x - 5.5))
+    assert sign_change(f, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == (2.0, 3.0)
+    assert xs == [x.hex() for x in (1.0, 2.0, 3.0)]
+
+
+def test_sign_change_skips_zero_and_nan_values():
+    values = {0.0: 1.0, 1.0: 0.0, 2.0: math.nan, 3.0: 2.0, 4.0: -0.0, 5.0: -1.0}
+    assert sign_change(values.get, sorted(values)) == (3.0, 5.0)
+    assert sign_change(lambda x: 0.0, [1.0, 2.0]) is None
+    assert sign_change(lambda x: math.nan, [1.0, 2.0]) is None
+
+
+def test_sign_change_without_a_change_is_none():
+    f, xs = recorded(lambda x: x * x + 1.0)
+    assert sign_change(f, [-1.0, 0.0, 1.0]) is None
+    assert len(xs) == 3
+    assert sign_change(f, []) is None
+
+
+def test_sign_change_takes_a_generator_lazily():
+    def points():
+        x = 1.0
+        while True:  # endless: only the stop at the change ends the scan
+            yield x
+            x *= 2.0
+
+    assert sign_change(lambda x: 100.0 - x, points()) == (64.0, 128.0)

@@ -91,6 +91,14 @@ def test_derivatives_refuse_t_below_pi(t):
         theta3_derivs(t, nmax=0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 13.0, -13.0])
+def test_product_gap_refuses_eps_off_its_bound(eps):
+    # the series takes ceil(sqrt(40 e^|eps| / pi)) terms per node: about
+    # 22 GB at eps = 30 on a 240-node grid
+    with pytest.raises(ValueError, match="at most 12"):
+        theta_product_gap(np.geomspace(0.1, 100.0, 240), eps)
+
+
 def _theta_minus_one(t):
     # raw fluctuation sum 2 sum_j e^{-j^2 t}; keeps full relative precision at
     # large t, where theta3 itself rounds to 1 + O(ulp)

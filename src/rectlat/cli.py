@@ -8,7 +8,8 @@ and no timestamps are emitted, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 2 parameter-domain error, 3 numerical failure,
-4 nonconvergence.
+4 nonconvergence, search failure or classification failure (the message
+names which).
 """
 
 from __future__ import annotations
@@ -349,7 +350,13 @@ def exit_code(run, *args) -> int:
     except QuadratureError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (NonconvergenceError, SearchFailureError, ClassificationError) as err:
+    except SearchFailureError as err:
+        print(f"search failure: {err}", file=sys.stderr)
+        return 4
+    except ClassificationError as err:
+        print(f"classification failure: {err}", file=sys.stderr)
+        return 4
+    except NonconvergenceError as err:
         print(f"nonconvergence: {err}", file=sys.stderr)
         return 4
 

@@ -166,11 +166,15 @@ def _gap_scan(spec, area, q, lo):
 def _direct_minimum(spec, area, q):
     """Minimum ``(eps, gap)`` of the energy gap over [0, EPS_CAP]: the
     bounded minimiser on ``energy_gap`` between the neighbours of the
-    lowest point of the whole 129-point lattice (``_gap_scan``)."""
+    lowest point of the whole 129-point lattice (``_gap_scan``).  A
+    minimum within ``_CAP_RTOL`` of the cap is refused with
+    ``SearchFailureError``: the gap may fall further beyond it."""
     grid, i = _gap_scan(spec, area, q, 0.0)
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
     x, fx = minimize_scalar(lambda e: energy_gap(spec, area, e, q), left, right, 1e-12)
+    if EPS_CAP - x <= _CAP_RTOL * EPS_CAP:
+        raise _off_window(EPS_CAP, "cap", x, area, "eps_min", "the aspect has no minimum below it")
     return float(x), float(fx)
 
 
@@ -180,7 +184,8 @@ def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
     Returns ``(eps_min, energy)``, the global minimum on the canonical
     branch (eps >= 0); ``eps_min = 0`` when the square lattice wins.  The
     gap series decides while its deepest minimum lies within
-    ``SERIES_EPS_MAX``; elsewhere the directly integrated gap is scanned.
+    ``SERIES_EPS_MAX``; elsewhere the directly integrated gap is scanned,
+    and a minimum there that ends on the cap raises ``SearchFailureError``.
     """
     coeffs = _gap_coefficients(spec, area, q)
     branch = _series_branch(coeffs)
@@ -532,11 +537,12 @@ def _gap_and_slope(spec, area, eps, q):
     return np.array([mid, (hi - lo) / (2.0 * h)]), (hi - 2.0 * mid + lo) / (h * h)
 
 
-def _off_window(bound, name, eps, area):
+def _off_window(
+    bound, name, eps, area, label="eps_jump", verdict="the crossing is not a coexistence point"
+):
     return SearchFailureError(
         f"broken-branch minimum pinned at the search {name} eps={bound:.6f} "
-        f"(eps_jump={eps:.9f} at A={area:.9f}); "
-        "the crossing is not a coexistence point"
+        f"({label}={eps:.9f} at A={area:.9f}); {verdict}"
     )
 
 

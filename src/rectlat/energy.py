@@ -130,18 +130,18 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     The aspect-dependent and square-lattice theta products are
     differenced inside the integrand through the factorised form
     ``T(u) (d- + d+) + d- d+`` of 1D theta differences
-    ``d(+-) = T(u e^(+-eps)) - T(u)``, each summed termwise via expm1 over
-    a series whose length grows with ``|eps|`` (see ``theta``).  The
+    ``d(+-) = T(u e^(+-eps)) - T(u)``, each summed termwise via expm1, each
+    node's series cut at its last significant term (see ``theta``).  The
     result keeps absolute accuracy near the machine level even when the
     gap itself is many orders below the energies.  Background and
     self-term constants cancel identically in the difference.
 
     A 1-D array of ``eps`` gives one gap per entry from one stacked
     integral (one ladder, one set of measure weights); each entry equals
-    the scalar call bit for bit.  Its table comes from ``_gap_rows``, so
-    two calls on the same ``eps`` in a row build it once.  An ``eps`` that
-    is not finite, or above ``GAP_EPS_BOUND`` in size, is refused before
-    any table is built.
+    the scalar call bit for bit.  Its table is one ``theta_product_gap``
+    call through ``_gap_rows``, so two calls on the same ``eps`` in a row
+    build it once.  An ``eps`` that is not finite, or above
+    ``GAP_EPS_BOUND`` in size, is refused before any table is built.
     """
     eps_max = float(np.max(np.abs(eps), initial=0.0))
     if not eps_max <= GAP_EPS_BOUND:  # the message is formatted only for a refusal
@@ -166,13 +166,9 @@ GAP_LATTICE = np.linspace(0.0, EPS_CAP, 129)
 _last_rows = {"eps": None, "tables": {}}
 
 
-def _gap_stack(u, eps):
-    return np.stack([theta_product_gap(u, e) for e in eps])
-
-
 def _gap_rows(eps):
     """``table_of(grid)`` for the pair-gap rows of each entry of ``eps``
-    (last axis = nodes), each row one ``theta_product_gap`` call.
+    (last axis = nodes), one ``theta_product_gap`` call per table.
 
     A suffix of ``GAP_LATTICE`` is sliced from the lattice's table
     (``Grid.cached``); the table of any other stack is kept until another
@@ -181,7 +177,8 @@ def _gap_rows(eps):
     eps = np.asarray(eps, dtype=float)
     start = GAP_LATTICE.size - eps.size
     if start >= 0 and np.array_equal(eps, GAP_LATTICE[start:]):
-        return lambda g: g.cached("pair_gap_lattice", lambda u: _gap_stack(u, GAP_LATTICE))[start:]
+        lattice = lambda u: theta_product_gap(u, GAP_LATTICE)
+        return lambda g: g.cached("pair_gap_lattice", lattice)[start:]
     key = eps.tobytes()
     if _last_rows["eps"] != key:
         _last_rows.update(eps=key, tables={})
@@ -190,7 +187,7 @@ def _gap_rows(eps):
     def table_of(g):
         tab = tables.get(g)
         if tab is None:
-            tab = tables[g] = _gap_stack(g.nodes, eps)
+            tab = tables[g] = theta_product_gap(g.nodes, eps)
         return tab
 
     return table_of

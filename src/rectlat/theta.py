@@ -27,8 +27,12 @@ Each difference is summed termwise as ``e^(-j^2 u) expm1(-j^2 u expm1(+-e))``
 and the sum ``d- + d+`` per term as
 ``e^(-j^2 u) [expm1(x + y) - expm1(x) expm1(y)]`` with
 ``x + y = -j^2 u 4 sinh^2(e/2)``, so no first-order cancellation is left.
-The series length grows with ``|e|`` (``j^2 pi e^-|e| >= 40``); it is 8
-terms up to ``|e| = ln 4``.
+Each node's series is cut at its own last significant term: term j >= 2
+enters where it is above e^-45 of the node's leading term,
+``(j^2 - 1) u e^-|e| < 45``.  At ``|e| = ln 4`` that is 7 terms at
+``u = pi`` and one from ``u = 60`` on; at ``|e| = 12``, 1,526 at
+``u = pi``.  ``theta_product_gap`` takes a stack of ``e`` in one call, and
+each row is bit for bit the row its ``e`` gives alone.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ SPLIT = math.pi
 # (by construction of the modular branch), where exp(-36*pi) ~ 1e-49
 # already drowns below double precision even against j^8 weights.
 _JMAX = 6
-_JMAX_PAIR = 8
 
-#: Largest ``|eps|`` of ``theta_product_gap``: the pair-gap series takes
-#: ``ceil(sqrt(40 e^|eps| / pi))`` terms per node, 1,440 at this bound.
+#: Largest ``|eps|`` of ``theta_product_gap``: the pair-gap series of a
+#: node at u = pi takes ``sqrt(45 e^|eps| / pi + 1)`` terms, 1,526 at this
+#: bound, and fewer at larger u.
 GAP_EPS_BOUND = 12.0
 
 _J = np.arange(1, _JMAX + 1)
@@ -112,34 +116,127 @@ def theta_product_excess(u, eps: float):
     return a + b + a * b
 
 
-def _theta_step(s: np.ndarray, base: np.ndarray, c: float):
-    """Termwise e^{-s(1+c)} - e^{-s} and its near-mask: expm1 keeps accuracy
-    where the exponents nearly coincide; the plain difference is already
-    stable (and overflow-safe) once they are far apart."""
-    arg = -s * c
-    near = np.abs(arg) < 1.0
-    em = np.expm1(np.where(near, arg, 0.0))
-    return np.where(near, base * em, np.exp(-s * (1.0 + c)) - base), em, near
+#: Term j >= 2 of a pair-gap row enters at a node only where it is above
+#: e^-45 of the node's leading term: (j^2 - 1) v e^-|eps| < 45, computed
+#: as j^2 v < 45 e^|eps| + v.
+_PAIR_CUT = 45.0
+
+#: Rows of one block of the pair-gap kernel: a stack of eps is evaluated
+#: this many rows at a time, so its running sums stay a few rows in size.
+_ROW_BLOCK = 16
+
+#: Most (row, term, node) triples of one pass of the pair-gap kernel (one
+#: term at least), so its temporaries keep their size at any eps.
+_PASS_TRIPLES = 4096
+
+# -j^2 up to past the last term any |eps| <= GAP_EPS_BOUND takes (at v = pi)
+_PAIR_NEG_JSQ = -(
+    np.arange(1.0, math.sqrt(_PAIR_CUT * math.exp(GAP_EPS_BOUND) / math.pi + 1.0) + 3) ** 2
+)
+
+# Exponents are clamped at -700: an exp within 8 of the bottom of the
+# normal range, or below it, costs 5 to 150 times a normal one.  It reads
+# e^-700 = 9.9e-305 instead, which reaches only sums below 1e-287.
+_EXP_FLOOR = -700.0
 
 
-def _pair_gap_direct(u: np.ndarray, eps: float) -> np.ndarray:
-    """P(u,eps) - P(u,0) = T(u) (d- + d+) + d- d+ without cancellation; u >= ~1."""
-    # the smallest series argument is u e^-|eps| >= pi e^-|eps|, and
-    # j^2 pi e^-|eps| >= 40 drops the tail below double precision
-    jmax = max(_JMAX_PAIR, math.ceil(math.sqrt(40.0 * math.exp(abs(eps)) / math.pi)))
-    s = np.multiply.outer(np.arange(1, jmax + 1, dtype=float) ** 2, u)
-    base = np.exp(-s)
-    dm, em, near_m = _theta_step(s, base, math.expm1(-eps))
-    dp, ep, near_p = _theta_step(s, base, math.expm1(eps))
-    # d- + d+ per term: e^x + e^y - 2 = expm1(x + y) - expm1(x) expm1(y),
-    # with x + y = -s 4 sinh^2(eps/2) free of the first-order cancellation
-    both = near_m & near_p
-    exy = np.expm1(-s * (4.0 * math.sinh(0.5 * eps) ** 2))
-    dsum = np.where(both, base * (exy - em * ep), dm + dp)
-    theta = 1.0 + 2.0 * base.sum(axis=0)
-    d_minus = 2.0 * dm.sum(axis=0)
-    d_plus = 2.0 * dp.sum(axis=0)
-    return theta * (2.0 * dsum.sum(axis=0)) + d_minus * d_plus
+def _pair_theta(v: np.ndarray) -> np.ndarray:
+    """T(v) = 1 + 2 sum_j e^{-j^2 v} at ascending ``v >= pi``; a term with
+    (j^2 - 1) v >= 45 is below half an ulp of the sum, so the terms up to
+    the first node's last one give every node's sum."""
+    x = np.maximum(_PAIR_NEG_JSQ[: int(math.sqrt(_PAIR_CUT / v[0] + 1.0)), None] * v, _EXP_FLOOR)
+    return 1.0 + 2.0 * np.exp(x, out=x).sum(axis=0)
+
+
+def _pair_gap_rows(v: np.ndarray, theta: np.ndarray, eps: list, lim: list) -> np.ndarray:
+    """P(v, e) - P(v, 0) = T(v) (d- + d+) + d- d+ for each ``e`` in ``eps``,
+    without cancellation, from T(v) = ``theta`` on ascending ``v >= pi``;
+    ``lim`` holds each row's 45 e^|e|, falling.
+
+    Term j of a row enters at the nodes with j^2 v < lim + v, a prefix of
+    ``v``, and the rows it enters a prefix of ``eps``.  A pass takes the
+    terms from j0 on the prefixes of j0, about ``_PASS_TRIPLES`` (row,
+    term, node) triples, and masks each later term to its own nodes: a
+    masked term has the exponent 0, so both its differences are 0.  Each
+    pass adds its terms onto the running sums in order, so every sum is
+    the sequential sum of its own row's terms, however the passes fall."""
+    nodes = v.size
+    v0 = float(v[0])
+    reach = -(np.array(lim)[:, None] + v)  # term j enters where -j^2 v > reach
+    # per side (-, +): each term e^{-s e^-+e} - e^{-s}, with c = expm1(-+e);
+    # e^-+e is its own exp, as 1 + c keeps only 1e-16 / e^-12 at e = 12
+    c = [[math.expm1(-e) for e in eps], [math.expm1(e) for e in eps]]
+    shrunk = np.array([[math.exp(-e) for e in eps], [math.exp(e) for e in eps]])[..., None]
+    last = int(math.sqrt(lim[0] / v0 + 1.0))  # about the last term of row 0 at node 0
+    total = None  # sums over j of: d-, d+, d- + d+
+    j0 = 1
+    while True:
+        rows = sum(j0 * j0 * v0 < x + v0 for x in lim)
+        if rows == 0:
+            break
+        n = nodes if j0 == 1 else int(np.count_nonzero(j0 * j0 * v < lim[0] + v))
+        size = max(1, min(_PASS_TRIPLES // (rows * n), last + 1 - j0))
+        j = slice(j0 - 1, j0 - 1 + size)
+        s0 = -j0 * j0 * v0
+        j0 += size
+        s_neg = _PAIR_NEG_JSQ[j, None, None, None] * v[:n]  # -s, s = j^2 v
+        s_neg = np.where(s_neg > reach[:rows, :n], s_neg, 0.0)
+        base = np.exp(np.maximum(s_neg, _EXP_FLOOR))
+        # after the first pass the running sums lead the terms, so each sum
+        # adds its terms in order
+        lead = 0 if total is None else 1
+        terms = np.empty((lead + size, 3, rows, n))
+        if lead:
+            terms[0] = total[:, :rows, :n]
+        t = terms[lead:]
+        d = t[:, :2]
+        np.multiply(s_neg, shrunk[:, :rows], out=d)
+        np.maximum(d, _EXP_FLOOR, out=d)
+        np.exp(d, out=d)
+        d -= base  # stable once the exponents are far apart
+        # expm1 keeps accuracy where they nearly coincide, |s c| < 1
+        near_any = any(abs(s0 * x) < 1.0 for side in c for x in side[:rows])
+        if near_any:
+            arg = s_neg * np.array(c)[:, :rows, None]
+            near = np.abs(arg) < 1.0
+            em = np.expm1(np.where(near, arg, 0.0))
+            np.copyto(d, base * em, where=near)
+        np.add(d[:, 0], d[:, 1], out=t[:, 2])
+        if near_any:
+            # d- + d+ per term: e^x + e^y - 2 = expm1(x + y) - expm1(x) expm1(y),
+            # with x + y = -s 4 sinh^2(e/2) free of the first-order cancellation
+            sum_xy = np.array([4.0 * math.sinh(0.5 * e) ** 2 for e in eps[:rows]])[:, None]
+            exy = np.expm1(s_neg[:, 0] * sum_xy)
+            both = near[:, 0] & near[:, 1]
+            np.copyto(t[:, 2], base[:, 0] * (exy - em[:, 0] * em[:, 1]), where=both)
+        if lead:
+            np.add.reduce(terms, axis=0, out=total[:, :rows, :n])
+        else:
+            total = np.add.reduce(terms, axis=0)
+    total *= 2.0
+    return theta * total[2] + total[0] * total[1]
+
+
+def _pair_gap_direct(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The pair-gap rows, one per entry of ``eps``, at ``v >= pi``: on
+    ascending nodes, by falling ``|eps|``, ``_ROW_BLOCK`` rows at a time."""
+    out = np.empty((eps.size, v.size))
+    if v.size == 0:
+        return out
+    nodes = None if np.all(v[1:] >= v[:-1]) else np.argsort(v, kind="stable")
+    vs = v if nodes is None else v[nodes]
+    theta = _pair_theta(vs)
+    eps = eps.tolist()
+    lim = [_PAIR_CUT * math.exp(abs(e)) for e in eps]
+    order = sorted(range(len(eps)), key=lim.__getitem__, reverse=True)
+    for lo in range(0, len(eps), _ROW_BLOCK):
+        idx = order[lo : lo + _ROW_BLOCK]
+        rows = _pair_gap_rows(vs, theta, [eps[i] for i in idx], [lim[i] for i in idx])
+        if nodes is None:
+            out[idx] = rows
+        else:
+            out[np.ix_(idx, nodes)] = rows
+    return out
 
 
 def modular_reduce(u, direct_fn):
@@ -148,7 +245,7 @@ def modular_reduce(u, direct_fn):
     axis = nodes).  The result is a fresh C-contiguous array (a float for
     one bracket at a scalar ``u``)."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
+    if not np.all(u > 0.0):  # NaN too
         raise ValueError("theta argument must be positive")
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
@@ -168,10 +265,23 @@ def modular_reduce(u, direct_fn):
     return out
 
 
-def theta_product_gap(u, eps: float):
+def theta_product_gap(u, eps):
     """P(u, eps) - P(u, 0), accurate in a relative sense even for tiny eps;
     it rescales like the product, P(t, eps) = (pi/t) P(pi^2/t, eps).
-    An ``eps`` that is not finite or above ``GAP_EPS_BOUND`` is refused."""
-    if not abs(eps) <= GAP_EPS_BOUND:
-        raise ValueError(f"|eps| must be finite and at most {GAP_EPS_BOUND}, got {eps}")
-    return modular_reduce(u, lambda v: _pair_gap_direct(v, eps))
+
+    ``eps`` is a scalar or a 1-D array; an array gives one row per entry
+    (leading axis), each bit for bit the row its entry gives alone.  The
+    series of each row is cut at each node after its last term above
+    e^-45 of the node's leading term.  An entry that is not finite or
+    above ``GAP_EPS_BOUND`` in size is refused before any array is built.
+    """
+    rows = np.atleast_1d(np.asarray(eps, dtype=float))
+    if rows.ndim > 1:
+        raise ValueError(f"eps must be a scalar or a 1-D array, got shape {rows.shape}")
+    off = ~(np.abs(rows) <= GAP_EPS_BOUND)
+    if off.any():
+        raise ValueError(f"|eps| must be finite and at most {GAP_EPS_BOUND}, got {rows[off][0]}")
+    gap = modular_reduce(u, lambda v: _pair_gap_direct(v, rows))
+    if np.ndim(eps):
+        return gap
+    return float(gap[0]) if np.ndim(u) == 0 else gap[0]

@@ -140,6 +140,22 @@ class TestSolverCommands:
         assert code == 4
         assert "pinned at the search floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["first-order", "--family", "yukawa-coulomb", "--kappa1", "1.85"], "search failure: "),
+            (["first-order", "--family", "double-yukawa", "--v1", "60", "--kappa1", "2"],
+             "classification failure: "),
+            (["tricritical", "--family", "double-yukawa", "--kappa1", "1.2"], "nonconvergence: "),
+        ],
+        ids=["search", "classification", "nonconvergence"],
+    )
+    def test_exit_4_names_the_refusal_class(self, capsys, argv, prefix):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+
     def test_first_order_refuses_second_order_root(self, capsys):
         # E4 = +0.043 at the E2 root: refused before any bracket walk
         argv = ["first-order", "--family", "double-yukawa", "--v1", "60", "--kappa1", "2"]

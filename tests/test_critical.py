@@ -60,11 +60,20 @@ class TestMinimizeAspect:
         assert eps_min == 0.0
 
     def test_deep_rectangular_regime_direct_path(self, dy98):
-        # far above the transition the minimizing aspect leaves the
+        # well above the transition the minimizing aspect leaves the
         # trusted series range and the direct path takes over
-        eps_min, energy = minimize_aspect(dy98, 3.6)
-        assert eps_min > 0.15
-        assert energy < lattice_energy(dy98, LatticeState(3.6, 0.0))
+        eps_min, energy = minimize_aspect(dy98, 2.7)
+        assert 0.15 < eps_min < 0.99 * rectlat.critical.EPS_CAP
+        assert energy < lattice_energy(dy98, LatticeState(2.7, 0.0))
+
+    @pytest.mark.parametrize("area", [3.0, 3.5, 3.6])
+    def test_minimum_pinned_at_the_cap_is_refused(self, dy98, area):
+        # far above the transition the direct gap still falls at the cap
+        # (delta = 4): the bounded minimiser ends 4e-8 short of it, and that
+        # is no minimum of the aspect
+        with pytest.raises(SearchFailureError, match="pinned at the search cap") as err:
+            minimize_aspect(dy98, area)
+        assert f"at A={area:.9f}" in str(err.value)
 
     def test_direct_scan_is_one_gap_call(self, dy98, monkeypatch):
         # the 129-point scan of the direct path is one stacked energy_gap,
@@ -84,7 +93,7 @@ class TestMinimizeAspect:
 
         monkeypatch.setattr(rectlat.quadrature, "grid_for", recording_grid)
         monkeypatch.setattr(rectlat.critical, "energy_gap", recording_gap)
-        eps_min, _ = minimize_aspect(dy98, 3.6)
+        eps_min, _ = minimize_aspect(dy98, 2.7)
         assert eps_min > 0.15
         assert calls[0] == 129
         assert len(calls) > 1 and set(calls[1:]) == {"scalar"}
@@ -112,8 +121,9 @@ def gap_scans(q):
         scan_critical_curve(2.0, np.geomspace(3.702, 60.0, 32)[:8], q=q)
         scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q)
         deep_rows = len(calls)
-        for area in (3.0, 3.5, 3.6):
-            minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
+        for area in (3.0, 3.5, 3.6):  # each refused at the cap, after its scan
+            with pytest.raises(SearchFailureError):
+                minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
     assert deep_rows == 11
     return calls
 

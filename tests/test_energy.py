@@ -234,6 +234,10 @@ class TestEnergyGap:
         for e, row in zip(eps, rows):
             assert row.hex() == float(energy_gap(spec, area, e, q)).hex()
         assert isinstance(energy_gap(spec, area, 0.3, q), float)
+        # a mixed stack: each row's series cut is its own, not its stack's
+        mixed = np.array([-0.3, 1e-7, math.log(4.0), 2.5, math.log(64.0)])
+        for e, row in zip(mixed, energy_gap(spec, area, mixed, q)):
+            assert row.hex() == float(energy_gap(spec, area, e, q)).hex()
 
     @pytest.mark.parametrize(
         "eps", [30.0, -30.0, math.nan, math.inf, np.array([0.1, 30.0]), np.array([0.1, math.nan])],

@@ -242,8 +242,8 @@ def test_cached_tables_are_built_once_on_the_level_nodes(monkeypatch, table_of):
 )
 def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
     # a suffix of the scan lattice takes its rows from the lattice's table,
-    # built once on each level-0 grid: the table, and the gaps from it,
-    # are bit for bit those of a fresh stack
+    # built by one pair-gap call on each level-0 grid: the table, and the
+    # gaps from it, are bit for bit those of a fresh stack
     q = QuadratureConfig(split_point=split)
     lattice = energy.GAP_LATTICE
     built = []
@@ -264,7 +264,8 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
         assert energy_gap(spec, area, suffix, q).tobytes() == fresh.tobytes()
         if start == 0:  # the first scan on a grid builds its table (unless one was built before)
             first = len(built)
-            assert first in (0, lattice.size * len(grids))
+            assert first in (0, len(grids))
+            assert all(np.array_equal(eps, lattice) for eps in built)
         assert len(built) == first
     monkeypatch.undo()
     for g in grids:
@@ -274,7 +275,8 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
 
 def test_newton_step_builds_its_rows_once(monkeypatch):
     # the two gaps of a deep-crossing Newton step, at A and at A (1 + 1e-6),
-    # share one table of their three eps rows; the next stack replaces it
+    # share one table of their three eps rows, built by one pair-gap call;
+    # the next stack replaces it
     q = QuadratureConfig()
     built = []
     real = energy.theta_product_gap
@@ -291,11 +293,11 @@ def test_newton_step_builds_its_rows_once(monkeypatch):
     monkeypatch.setattr(energy, "theta_product_gap", counted)
     eps = 0.5 + np.array([-1e-5, 0.0, 1e-5])
     at_a = energy_gap(YC, 2.8, eps, q)
-    assert len(built) == 3
+    assert len(built) == 1 and np.array_equal(built[0], eps)
     above = energy_gap(YC, 2.8 * (1.0 + 1e-6), eps, q)
-    assert len(built) == 3
+    assert len(built) == 1
     energy_gap(YC, 2.8, eps + 0.1, q)
-    assert len(built) == 6
+    assert len(built) == 2
     assert len(energy._last_rows["tables"]) == 1
     monkeypatch.setattr(energy, "theta_product_gap", real)
     assert at_a.tobytes() == fresh(2.8, eps).tobytes()

@@ -4,6 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import rectlat.theta
+from rectlat.energy import GAP_LATTICE
+from rectlat.quadrature import grid_for
 from rectlat.theta import (
     SPLIT,
     theta3,
@@ -91,12 +94,24 @@ def test_derivatives_refuse_t_below_pi(t):
         theta3_derivs(t, nmax=0)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, 13.0, -13.0])
-def test_product_gap_refuses_eps_off_its_bound(eps):
-    # the series takes ceil(sqrt(40 e^|eps| / pi)) terms per node: about
-    # 22 GB at eps = 30 on a 240-node grid
+@pytest.mark.parametrize(
+    "eps", [math.nan, math.inf, 13.0, -13.0, np.array([0.1, 13.0]), np.array([0.1, math.nan])]
+)
+def test_product_gap_refuses_eps_off_its_bound(monkeypatch, eps):
+    # a node at u = pi takes sqrt(45 e^|eps| / pi + 1) terms: 1.2e7 at
+    # eps = 30; a stack is refused for any one entry, before any array
+    def no_series(*args):
+        raise AssertionError("a series was started")
+
+    monkeypatch.setattr(rectlat.theta, "modular_reduce", no_series)
     with pytest.raises(ValueError, match="at most 12"):
         theta_product_gap(np.geomspace(0.1, 100.0, 240), eps)
+
+
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_product_gap_refuses_a_node_off_its_domain(u):
+    with pytest.raises(ValueError, match="must be positive"):
+        theta_product_gap(np.array([3.0, u]), np.array([0.3, 1.0]))
 
 
 def _theta_minus_one(t):
@@ -200,13 +215,49 @@ def test_product_excess_against_high_precision_oracle(eps):
     assert theta_product(300.0, eps) - 1.0 == 0.0 < want[-1]
 
 
-@pytest.mark.parametrize("eps", [1e-7, 1e-3, 0.3, math.log(4.0), 2.5])
+@pytest.mark.parametrize("eps", [1e-7, 1e-3, 0.3, math.log(4.0), 2.5, math.log(64.0), 12.0])
 def test_gap_against_high_precision_oracle(eps):
-    # u on both sides of the modular branch point; eps = 2.5 needs more
-    # series terms than |eps| <= ln 4 does
+    # u on both sides of the modular branch point; the larger eps take
+    # more series terms per node, up to 1,526 at eps = 12 and u = pi
     u = np.array([0.3, 1.0, 2.5, SPLIT, 4.0, 30.0, 300.0])
     want = np.array([_mp_gap(x, eps) for x in u])
     gap, mirrored = theta_product_gap(u, eps), theta_product_gap(u, -eps)
     np.testing.assert_allclose(gap, want, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(mirrored, want, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(mirrored, gap, rtol=1e-15, atol=0.0)
+
+
+#: Node sets of the stacked-gap tests: a level-0 grid above pi, as at the
+#: default split, and nodes on both sides of the modular branch point.
+STACK_NODES = {
+    "grid": grid_for(SPLIT, 135.0, 0).nodes,
+    "both-sides": np.geomspace(0.3, 300.0, 97),
+}
+
+
+@pytest.mark.parametrize("nodes", STACK_NODES.values(), ids=STACK_NODES.keys())
+def test_every_lattice_suffix_is_a_slice_of_the_lattice_table(nodes):
+    # the direct-gap scans slice their rows from the lattice's table: each
+    # suffix, computed as a stack of its own, is that slice bit for bit
+    table = theta_product_gap(nodes, GAP_LATTICE)
+    assert table.shape == (GAP_LATTICE.size, nodes.size)
+    for start in range(GAP_LATTICE.size):
+        suffix = theta_product_gap(nodes, GAP_LATTICE[start:].copy())
+        assert suffix.tobytes() == table[start:].tobytes()
+
+
+@pytest.mark.parametrize("nodes", STACK_NODES.values(), ids=STACK_NODES.keys())
+def test_stacked_rows_are_their_own_rows(nodes):
+    # a row's series cut depends on its own eps only: in any stack, in any
+    # order, it is the row its eps gives alone
+    eps = np.array([12.0, -0.3, 1e-7, math.log(4.0), 0.0, 2.5, math.log(64.0), -12.0])
+    stack = theta_product_gap(nodes, eps)
+    for e, row in zip(eps, stack):
+        assert row.tobytes() == theta_product_gap(nodes, e).tobytes()
+    rng = np.random.default_rng(7)
+    many = rng.permutation(np.concatenate([eps, rng.uniform(-3.0, 3.0, 33)]))
+    rows = theta_product_gap(nodes, many)
+    for e, row in zip(many, rows):
+        assert row.tobytes() == theta_product_gap(nodes, e).tobytes()
+    assert isinstance(theta_product_gap(3.0, 0.4), float)
+    assert theta_product_gap(3.0, eps).shape == eps.shape

@@ -18,8 +18,10 @@ and hands the solve to a nested 1D fallback, and a plain Newton for the
 deep crossing whose eps rows share stacked integrals and, within a step,
 one table.  The branch crossing is bracketed on its own sign, by a walk
 to lower densities from the E2 root, where the broken branch lies below
-the square one.  All of them consume the quadrature-backed coefficient
-evaluators, so a solve is a few hundred vectorized integrand evaluations.
+the square one; the gap series predicts its first step.  The series'
+stationary points are the roots of a cubic, in closed form.  All of them
+consume the quadrature-backed coefficient evaluators, so a solve is a few
+hundred vectorized integrand evaluations.
 The eps scans that seed the direct-gap refinements are one stacked gap
 each, over a suffix of one fixed 129-point lattice on [0, EPS_CAP]
 (``energy.GAP_LATTICE``), whose pair-gap table is built once per grid and
@@ -117,21 +119,99 @@ def _gap_coefficients(spec, area, q):
     return rows[2], rows[4], rows[6], rows[8]
 
 
+def _horner(poly, x):
+    """``(value, derivative)`` at ``x`` of ``poly`` (highest degree first)."""
+    f = df = 0.0
+    for c in poly:
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _polished(poly, x):
+    """``x`` after Newton steps on ``poly`` (highest degree first) for as
+    long as they move it and shrink the residual, at most three."""
+    f, df = _horner(poly, x)
+    for _ in range(3):
+        if df == 0.0:
+            break
+        x_new = x - f / df
+        if x_new == x:
+            break
+        f_new, df_new = _horner(poly, x_new)
+        if not abs(f_new) < abs(f):
+            break
+        x, f, df = x_new, f_new, df_new
+    return x
+
+
+def _quadratic_roots(a, b, c):
+    """Roots of ``a x^2 + b x + c`` (a != 0) without cancellation; a complex
+    pair whose imaginary part is below 1e-10 of its real part (or of 1) is
+    taken as a double root at that real part, and any other is dropped."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        re = -b / (2.0 * a)
+        im = math.sqrt(-disc) / (2.0 * abs(a))
+        return [re, re] if im <= 1e-10 * max(1.0, abs(re)) else []
+    w = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [w / a, c / w] if w != 0.0 else [0.0, 0.0]
+
+
+def _cubic_roots(poly):
+    """Real roots of the cubic ``poly`` (highest degree first).
+
+    One root comes in closed form, polished: the largest of the
+    trigonometric solution where all three are real and distinct, else
+    Cardano's real root.  The other two are the roots of the quadratic
+    left by dividing it out, from the constant term down when it is the
+    larger root and from the leading term down otherwise, so that the
+    division does not lose the smaller roots to cancellation.
+    """
+    a, b, c, d = poly
+    # the depressed cubic t^3 + p t + q in t = x + b / 3a
+    s = b / (3.0 * a)
+    p = c / a - 3.0 * s * s
+    q = (2.0 * s * s - c / a) * s + d / a
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc < 0.0:  # so p < 0
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 1.5 * q / (p * math.sqrt(-p / 3.0))))) / 3.0
+        t = m * math.cos(phi if s < 0.0 else phi + 2.0 * math.pi / 3.0)
+    else:
+        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        t = u - p / (3.0 * u) if u != 0.0 else 0.0
+    x1 = _polished(poly, t - s)
+    if abs(a * x1**3) > abs(d):
+        q0 = -d / x1
+        q1 = (q0 - c) / x1
+    else:
+        q1 = b + a * x1
+        q0 = c + q1 * x1
+    return [x1, *(_polished(poly, x) for x in _quadratic_roots(a, q1, q0))]
+
+
+def _real_roots(a, b, c, d):
+    """Real roots of ``a x^3 + b x^2 + c x + d`` in closed form, one degree
+    lower for each leading zero coefficient, each polished by Newton; a
+    near-real complex pair counts as a double root (``_quadratic_roots``)."""
+    if a != 0.0:
+        return _cubic_roots((a, b, c, d))
+    if b != 0.0:
+        return [_polished((b, c, d), x) for x in _quadratic_roots(b, c, d)]
+    return [-d / c] if c != 0.0 else []
+
+
 def _stationary_points(coeffs):
     """Positive stationary points of sum_k c_{2k} x^k in x = eps^2,
     as (x, value, curvature) triples sorted by x."""
-    c2, c4, c6, c8 = coeffs
+    c2, c4, c6, c8 = (float(c) for c in coeffs)
     # roots of c2 + 2 c4 x + 3 c6 x^2 + 4 c8 x^3
-    poly = np.array([4.0 * c8, 3.0 * c6, 2.0 * c4, c2])
-    nz = np.flatnonzero(poly != 0.0)
-    if nz.size == 0:
-        return []
-    roots = np.roots(poly[nz[0] :]) if nz[0] < 3 else np.array([])
     pts = []
-    for r in sorted(roots, key=lambda z: z.real):
-        if abs(r.imag) > 1e-10 * max(1.0, abs(r.real)) or not r.real > 0.0:
+    for x in sorted(_real_roots(4.0 * c8, 3.0 * c6, 2.0 * c4, c2)):
+        if not x > 0.0:
             continue
-        x = float(r.real)
         val = (((c8 * x + c6) * x + c4) * x + c2) * x
         curv = 2.0 * c4 + 6.0 * c6 * x + 12.0 * c8 * x**2
         pts.append((x, val, curv))
@@ -557,11 +637,14 @@ def _deep_crossing(spec, area, eps, floor, q):
     below 1e-7, no longer halves: roundoff of about 1e-18 in the gap,
     divided by 2h and by d^2 gap/d eps^2, leaves eps steps of about 3e-10
     at eps ~ 0.8 and up to 1e-8 just above SERIES_EPS_MAX.
-    Refuses with ``SearchFailureError`` when eps leaves (floor, EPS_CAP)
-    or ends on the cap, and ``NonconvergenceError`` after 30 steps.
+    Refuses with ``SearchFailureError`` when eps leaves (floor, EPS_CAP),
+    naming the side it left through and quoting the last iterate inside,
+    or when it ends on the cap; and with ``NonconvergenceError`` after 30
+    steps.
     """
     trace = []
     last_step = math.inf
+    left_from = "Newton left through it from eps_jump"
     for _ in range(30):
         f, f_ee = _gap_and_slope(spec, area, eps, q)
         a_up = area * (1.0 + _AREA_STEP)
@@ -570,14 +653,15 @@ def _deep_crossing(spec, area, eps, floor, q):
             d_area, d_eps = np.linalg.solve([[f_a[0], f[1]], [f_a[1], f_ee]], -f)
         except np.linalg.LinAlgError:
             break
-        area, eps = area + d_area, eps + d_eps
-        trace.append((area, eps, float(np.linalg.norm(f))))
-        if not (0.0 < area < math.inf and math.isfinite(eps)):
+        new_area, new_eps = area + d_area, eps + d_eps
+        trace.append((new_area, new_eps, float(np.linalg.norm(f))))
+        if not (0.0 < new_area < math.inf and math.isfinite(new_eps)):
             break
-        if not eps < EPS_CAP:
-            raise _off_window(EPS_CAP, "cap", eps, area)
-        if not eps > floor:
-            raise _off_window(floor, "floor", eps, area)
+        if not new_eps < EPS_CAP:
+            raise _off_window(EPS_CAP, "cap", eps, area, left_from)
+        if not new_eps > floor:
+            raise _off_window(floor, "floor", eps, area, left_from)
+        area, eps = new_area, new_eps
         stalled = 0.5 * last_step <= abs(d_eps) <= 1e-7
         last_step = abs(d_eps)
         if abs(d_area) <= 1e-14 * area and (last_step <= 1e-9 or stalled):
@@ -635,26 +719,38 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
     """A bracket of the branch-energy crossing, walked left from the E2 root.
 
     At the E2 root ``a_hint`` (E2 = 0, E4 < 0) the broken branch lies
-    below the square one, so the crossing gap (``_crossing_gap``) is
-    positive; the walk steps left, doubling from ``1e-6 * a_hint``, until
-    it turns negative, and returns the last step.  Raises ``BracketError``
-    when the gap is not positive at ``a_hint``, or when the walk reaches a
-    non-positive density without a sign change (within 20 steps).
+    below the square one, so the crossing gap g (``_crossing_gap``) is
+    positive.  By the envelope theorem g falls to the left at the rate
+    ``-E2'(A) x_min``, ``x_min`` the series branch's eps^2 there, which
+    predicts the crossing ``D = g / (-E2' x_min)`` to the left (``e2_slope``
+    costs two integrals).  The walk steps left, doubling from
+    ``max(1e-6 * a_hint, D / 2)`` but at most ``0.1 * a_hint`` (from
+    ``1e-6 * a_hint`` without a prediction), until g turns negative, and
+    returns the last step: the first sign change left of the root.  A step
+    past the crossing into densities without a broken minimum finds g = -1
+    there, so the bracket still holds.  Raises ``BracketError`` when g is
+    not positive at ``a_hint``, or when the walk reaches a non-positive
+    density without a sign change (within 20 steps from ``1e-6 * a_hint``).
     """
     g = functools.lru_cache(maxsize=None)(lambda a: _crossing_gap(spec, a, q))
-
-    def walk(a):
-        step = 1e-6 * a
-        while a > 0.0:
-            yield a
-            a, step = a - step, 2.0 * step
-
     hi = float(a_hint)
     if not g(hi) > 0:
         raise BracketError(
             f"branch-energy crossing gap {g(hi):.3e} is not positive at the E2 root A={hi}"
         )
-    bracket = sign_change(g, walk(hi))
+    step = 1e-6 * hi
+    branch = _series_branch(_gap_coefficients(spec, hi, q))
+    if branch is not None:
+        rate = -e2_slope(spec, hi, q) * branch[0]
+        if rate > 0.0:  # no further than a tenth of the density, whatever the slope
+            step = min(max(step, 0.5 * g(hi) / rate), 0.1 * hi)
+
+    def walk(a, step):
+        while a > 0.0:
+            yield a
+            a, step = a - step, 2.0 * step
+
+    bracket = sign_change(g, walk(hi, step))
     if bracket is None:
         raise BracketError(f"could not bracket the branch-energy crossing below A={a_hint}")
     return bracket[::-1]  # the walk runs leftward

@@ -1,11 +1,15 @@
 """Parameter sweeps: critical curves, first-order loci, tricritical loci.
 
-Scans are split into a cheap serial seeding pass (warm-started along the
-grid, which dominates robustness) and an embarrassingly parallel polish
-pass over the seeded brackets.  The polish runs in this process until it
-has taken ``POOL_AFTER_S``, and only then hands the points left to a
-pool of forked workers, which inherit the tables built so far.  Because
-every polished point depends only on its own seed, the emitted rows are
+A critical-curve or Yukawa-Coulomb scan walks its grid once in this
+process, solving each row's E2 root from the rows before it: predicted
+linearly in the grid index and bracketed by the last prediction's error,
+with a coarse root search where the two rows before are not both solved
+or the prediction misses (predictor-corrector continuation; Allgower &
+Georg, *Numerical Continuation Methods*, 1990).  A second-order row is
+then done.  The first-order rows' crossing work runs in this process
+until it has taken ``POOL_AFTER_S``, and only then hands the rows left to
+a pool of forked workers, which inherit the tables built so far.  Because
+each crossing depends only on its own row's E2 root, the emitted rows are
 byte-identical for any worker count.  Failures are recorded per row and
 the scan continues; boundary regions of parameter space legitimately
 fail.
@@ -86,13 +90,13 @@ def _failed_row(family, point, err) -> PhaseDiagramRow:
     )
 
 
-def _transition_rows(spec, a_bracket, q) -> list[PhaseDiagramRow]:
-    """Rows for one parameter point: the E2 root, plus (in the first-order
-    regime) the branch-crossing row, with the E2 root kept as the flagged
-    artificial extension of the second-order curve.  A crossing that cannot
-    be bracketed, whose broken branch is pinned at the aspect cap, or whose
-    deep solve does not converge keeps its row, marked failed."""
-    tp = find_transition(spec, a_bracket, q)
+def _transition_rows(spec, tp, q) -> list[PhaseDiagramRow]:
+    """Rows for one parameter point from its E2 root ``tp``: that root,
+    plus (in the first-order regime) the branch-crossing row, with the E2
+    root kept as the flagged artificial extension of the second-order
+    curve.  A crossing that cannot be bracketed, whose broken branch is
+    pinned at the aspect cap, or whose deep solve does not converge keeps
+    its row, marked failed."""
     base = dict(
         family=spec.family,
         kappa1=spec.kappa1,
@@ -151,12 +155,12 @@ def _member(family, point):
     return pot.make_spec(family, v1=v1, kappa1=kappa1)
 
 
-def _polish_critical_point(job):
-    if isinstance(job, PhaseDiagramRow):  # failed at seeding
-        return [job]
-    point, spec, bracket, q = job
+def _first_order_rows(job):
+    """The rows of a first-order point from its E2 root (a ``_map_jobs``
+    job); a refusal other than the crossing's fails the point's row."""
+    point, spec, tp, q = job
     try:
-        return _transition_rows(spec, bracket, q)
+        return _transition_rows(spec, tp, q)
     except RectlatError as err:
         return [_failed_row(spec.family, point, err)]
 
@@ -198,27 +202,76 @@ def _map_jobs(fn, jobs, workers):
     return results
 
 
+# Half-width of the bracket around a coarse E2 root (relative): the coarse
+# root is Brent's to 1e-3 relative.
+_COARSE_RTOL = 5e-3
+
+
+def _e2_root(spec, q, solved, miss):
+    """The E2 root of a scan row, bracketed from the rows before it.
+
+    ``solved`` holds the E2 roots of the rows before (None where a row
+    failed), ``miss`` the relative error of the last row's prediction
+    (None where that row had none).  With the two rows before solved, the
+    root is predicted linearly in the grid index, ``A = 2 A[k-1] - A[k-2]``,
+    and bracketed as ``A (1 +- r)``, ``r = max(4 miss, 1e-9)`` or, with no
+    ``miss`` yet, ``_COARSE_RTOL``.  Without a prediction, or when its
+    solve is refused (its bracket has no sign change, or reaches A <= 0),
+    the bracket is the coarse root
+    (``_coarse_e2_root``, warm-started from the last solved root)
+    ``+-_COARSE_RTOL``.  Returns ``(tp, miss)``, with the miss of this
+    row's prediction or None.
+    """
+
+    def around(a, r):
+        return a * (1.0 - r), a * (1.0 + r)
+
+    pred = tp = None
+    if len(solved) >= 2 and None not in solved[-2:]:
+        pred = 2.0 * solved[-1] - solved[-2]
+        r = _COARSE_RTOL if miss is None else max(4.0 * miss, 1e-9)
+        try:
+            tp = find_transition(spec, around(pred, r), q)
+        except RectlatError:  # no sign change, or a bracket off the domain
+            pass
+    if tp is None:
+        hint = next((a for a in reversed(solved) if a is not None), None)
+        coarse = _coarse_e2_root(spec, q, hint)
+        if coarse is None:
+            raise BracketError("no sign change of E2 for the coarse root")
+        tp = find_transition(spec, around(coarse, _COARSE_RTOL), q)
+    return tp, None if pred is None else abs(tp.a_star - pred) / tp.a_star
+
+
 def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
     """Transition rows over scan points, in grid order.
 
-    A serial seeding pass finds coarse E2 roots, each warm-started from the
-    last one found; the polish pass then runs in parallel.  A point whose
-    member or coarse root cannot be had keeps a failed row.
+    One serial pass solves each row's E2 root in this process, bracketed
+    from the roots of the rows before it (``_e2_root``); a second-order
+    row is then done.  Only the first-order rows' crossing work (the
+    bracket walk and ``find_first_order``) goes to ``_map_jobs``, and it
+    depends on nothing but its own row, so the rows are byte-identical for
+    any worker count.  A point whose member or E2 root cannot be had keeps
+    a failed row.
     """
-    jobs = []
-    hint = None
+    done, jobs, solved, miss = [], [], [], None
     for point in points:
         try:
             spec = _member(family, point)
-            coarse = _coarse_e2_root(spec, q, hint)
-            if coarse is None:
-                raise BracketError("no sign change of E2 for the coarse root")
+            tp, miss = _e2_root(spec, q, solved, miss)
         except RectlatError as err:
-            jobs.append(_failed_row(family, point, err))
+            done.append([_failed_row(family, point, err)])
+            solved.append(None)
+            miss = None
             continue
-        hint = coarse
-        jobs.append((point, spec, (coarse * 0.995, coarse * 1.005), q))
-    return [row for rows in _map_jobs(_polish_critical_point, jobs, workers) for row in rows]
+        solved.append(tp.a_star)
+        if tp.order == "second":
+            done.append(_transition_rows(spec, tp, q))
+        else:
+            done.append(None)
+            jobs.append((point, spec, tp, q))
+    crossings = iter(_map_jobs(_first_order_rows, jobs, workers))
+    return [row for rows in done for row in (rows if rows is not None else next(crossings))]
 
 
 def scan_critical_curve(

@@ -49,20 +49,37 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import QuadratureError, check_domain
 
 _GL_ORDER = 24
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
-_BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
-
-# Column k maps a panel's contributions c_j = (h/2) w_j g(x_j) to (h/2) a_k,
-# a_k the degree-k Legendre coefficient of g on the panel, for the two
-# highest degrees that 24 nodes represent.
-_NULL_RULE = np.stack(
-    [(k + 0.5) * legval(_GL_NODES, np.eye(k + 1)[k]) for k in (22, 23)], axis=1
+# The upper half (x > 0, ascending) of numpy's ``leggauss(24)``, which is
+# exactly symmetric, stored so that no import of ``numpy.polynomial`` is
+# needed: node x, weight w, and the null rule's two columns (k + 1/2) P_k(x)
+# for k = 22, 23.  Column k maps a panel's contributions c_j = (h/2) w_j
+# g(x_j) to (h/2) a_k, a_k the degree-k Legendre coefficient of g on the
+# panel, for the two highest degrees that 24 nodes represent.  P_22 is even
+# and P_23 odd, and ``legval`` keeps those parities bit for bit.
+_GL_HALF = np.array(
+    [
+        (0.06405689286260563, 0.12793819534675202, -0.48420492752859634, -3.863479907547753),
+        (0.1911188674736163, 0.12583745634682825, 1.432764454668657, 3.8316564035065537),
+        (0.3150426796961634, 0.1216704729278033, -2.3223879566415535, -3.767738041381902),
+        (0.4337935076260451, 0.11550566805372552, 3.115791749981327, 3.671137892401631),
+        (0.5454214713888396, 0.10744427011596556, -3.778546985861693, -3.5408531743564002),
+        (0.6480936519369755, 0.09761865210411393, 4.2798855371717295, 3.3752792452053515),
+        (0.7401241915785544, 0.0861901615319532, -4.59309150421996, -3.1718732192091936),
+        (0.820001985973903, 0.07334648141108016, 4.695170260811955, 2.9265218010530747),
+        (0.8864155270044011, 0.05929858491543636, -4.565093227631958, -2.632252934225961),
+        (0.9382745520027328, 0.04427743881741941, 4.178638103361198, 2.276250975134576),
+        (0.9747285559713095, 0.02853138862893356, -3.4925872434196346, -1.831381809531447),
+        (0.9951872199970213, 0.01234122979998869, 2.3783277271722465, 1.2214683858429836),
+    ]
 )
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
+_NULL_RULE = np.concatenate([_GL_HALF[::-1, 2:] * (1.0, -1.0), _GL_HALF[:, 2:]])
+_BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
 
 #: Largest ``max_refinements``: a level-8 grid holds 8 * 2^8 * 24 = 49,152
 #: nodes or more, and a stacked table one row of that per integrand.

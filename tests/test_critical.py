@@ -1,6 +1,8 @@
 import math
+import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -381,6 +383,51 @@ def test_bracket_from_the_e2_root_keeps_the_crossing(row, q):
     assert eps_jump == pytest.approx(FIRST_ORDER_ROWS[row][1], abs=1e-8)
 
 
+def _spec_of(row):
+    family, param = row
+    return derive_double_yukawa(param, 2.0) if family == "dy" else derive_yukawa_coulomb(param)
+
+
+@pytest.mark.parametrize("overshoot", [10.0, 100.0, 1e4])
+@pytest.mark.parametrize("row", [("dy", 3.702), ("dy", 6.34709165483486), ("yc", 1.94333333333333)])
+def test_overshooting_prediction_keeps_the_nearest_crossing(monkeypatch, row, overshoot, q):
+    # a slope `overshoot` times too shallow predicts the crossing that much
+    # too far left: the first step passes it into densities with no broken
+    # minimum (gap -1), and the bracket still holds the same crossing; the
+    # first step never exceeds a tenth of the density, so a wild prediction
+    # still leaves the walk a start
+    spec = _spec_of(row)
+    tp = find_transition(spec, (2.3, 3.4), q)
+    slope = rectlat.critical.e2_slope
+    monkeypatch.setattr(
+        rectlat.critical, "e2_slope", lambda *args: slope(*args) / overshoot
+    )
+    lo, hi = first_order_bracket(spec, tp.a_star, q)
+    gap = rectlat.critical._crossing_gap
+    assert hi == tp.a_star and lo > 0.89 * tp.a_star
+    assert gap(spec, lo, q) < 0.0 < gap(spec, hi, q)
+    a_trans, eps_jump = find_first_order(spec, (lo, hi), q)
+    assert a_trans == pytest.approx(FIRST_ORDER_ROWS[row][0], rel=1e-12)
+    assert eps_jump == pytest.approx(FIRST_ORDER_ROWS[row][1], abs=1e-8)
+
+
+def test_predicted_bracket_takes_at_most_two_steps(monkeypatch, q):
+    # the series predicts each benchmark crossing within a factor of two,
+    # so the walk evaluates the root and at most two densities left of it
+    # (one where 1e-6 A already passes the crossing: YC kappa1 = 2.0365)
+    seen = []
+    gap = rectlat.critical._crossing_gap
+    monkeypatch.setattr(
+        rectlat.critical, "_crossing_gap", lambda spec, a, q: seen.append(a) or gap(spec, a, q)
+    )
+    for row in FIRST_ORDER_ROWS:
+        spec = _spec_of(row)
+        tp = find_transition(spec, (2.3, 3.4), q)
+        seen.clear()
+        first_order_bracket(spec, tp.a_star, q)
+        assert len(seen) <= 3, row
+
+
 class TestFindFirstOrder:
     def test_locates_branch_crossing(self, yc_near_tricritical, q):
         spec = yc_near_tricritical
@@ -523,6 +570,84 @@ def test_deep_crossing_branch_energies_agree_with_the_direct_sum(deep_crossings)
     square = direct_lattice_sum(spec, LatticeState(a, 0.0))
     broken = direct_lattice_sum(spec, LatticeState(a, eps_jump))
     assert broken == pytest.approx(square, rel=1e-12, abs=0.0)
+
+
+_LEFT_WINDOW = re.compile(
+    r"search (floor|cap) eps=([0-9.]+) \(Newton left through it from "
+    r"eps_jump=(-?[0-9.]+) at A=([0-9.]+)\)"
+)
+
+
+@pytest.mark.parametrize("kappa1, side", [(1.833, "floor"), (1.85, "floor"), (1.9, "cap")])
+def test_refusal_quotes_the_last_iterate_inside_the_window(kappa1, side, q):
+    # Newton on the deep crossing steps out through the floor (1.833 to a
+    # negative eps, 1.85 below the floor) or through the cap (1.9); the
+    # refusal names that side and quotes the iterate it left from
+    spec = derive_yukawa_coulomb(kappa1)
+    tp = find_transition(spec, (2.3, 3.4), q)
+    with pytest.raises(SearchFailureError) as err:
+        find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
+    match = _LEFT_WINDOW.search(str(err.value))
+    assert match is not None, str(err.value)
+    assert match.group(1) == side
+    floor = float(match.group(2)) if side == "floor" else 0.0
+    eps = float(match.group(3))
+    # the bound is printed to 6 decimals, the iterate to 9
+    assert floor - 5e-7 < eps <= round(rectlat.critical.EPS_CAP, 9)
+
+
+def _np_roots_points(coeffs):
+    """The positive stationary points as ``np.roots`` finds them: the
+    implementation the closed form replaced, kept as its oracle."""
+    c2, c4, c6, c8 = coeffs
+    poly = np.array([4.0 * c8, 3.0 * c6, 2.0 * c4, c2])
+    nz = np.flatnonzero(poly != 0.0)
+    if nz.size == 0 or nz[0] == 3:
+        return []
+    roots = np.roots(poly[nz[0] :])
+    keep = [r for r in roots if abs(r.imag) <= 1e-10 * max(1.0, abs(r.real)) and r.real > 0.0]
+    return sorted(float(r.real) for r in keep)
+
+
+def _coefficient_battery(rng):
+    sets = [tuple(rng.normal(size=4)) for _ in range(400)]
+    sets += [(*rng.normal(size=3), 0.0) for _ in range(100)]  # c8 = 0
+    sets += [(*rng.normal(size=2), 0.0, 0.0) for _ in range(100)]  # c8 = c6 = 0
+    sets += [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
+    return sets
+
+
+def test_stationary_points_match_np_roots(rng, q):
+    sets = _coefficient_battery(rng)
+    # the gap series at the benchmark's first-order crossings
+    sets += [
+        rectlat.critical._gap_coefficients(_spec_of(row), a_trans, q)
+        for row, (a_trans, _) in FIRST_ORDER_ROWS.items()
+    ]
+    for coeffs in sets:
+        want = _np_roots_points(coeffs)
+        got = [x for x, _, _ in rectlat.critical._stationary_points(coeffs)]
+        assert len(got) == len(want), coeffs
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), coeffs
+
+
+@pytest.mark.parametrize("sep", [1e-2, 1e-3, 1e-4])
+def test_near_double_stationary_points(rng, sep):
+    # two positive roots a relative `sep` apart: rounding the coefficients
+    # moves them by about 1e-16 / sep, and np.roots is itself only that
+    # close (2e-11 at sep = 1e-2), so the roots are held to 1e-13 / sep of
+    # a 60-digit solve of the same rounded coefficients
+    for _ in range(20):
+        r = rng.uniform(0.05, 1.0)
+        poly = np.poly([r, r * (1.0 + sep), rng.normal()]) * rng.uniform(0.5, 2.0)
+        coeffs = (poly[3], poly[2] / 2.0, poly[1] / 3.0, poly[0] / 4.0)
+        rounded = (4.0 * coeffs[3], 3.0 * coeffs[2], 2.0 * coeffs[1], coeffs[0])
+        with mpmath.workdps(60):
+            exact = mpmath.polyroots([mpmath.mpf(float(c)) for c in rounded], extraprec=300)
+            want = sorted(float(z.real) for z in exact if abs(z.imag) < 1e-30 and z.real > 0)
+        got = [x for x, _, _ in rectlat.critical._stationary_points(coeffs)]
+        assert len(got) == len(_np_roots_points(coeffs)) == len(want)
+        assert got == pytest.approx(want, rel=1e-13 / sep, abs=0.0)
 
 
 class TestFitExponent:

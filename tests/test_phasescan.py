@@ -136,7 +136,8 @@ class TestDeepFirstOrderRows:
     def test_cap_pinned_crossing_is_not_ok(self, q):
         # across the bracket the E2-root walk finds at kappa1 = 1.9, the
         # broken-branch minimum runs to EPS_CAP
-        rows = phasescan._transition_rows(derive_yukawa_coulomb(1.9), (2.85, 2.9), q)
+        spec = derive_yukawa_coulomb(1.9)
+        rows = phasescan._transition_rows(spec, find_transition(spec, (2.85, 2.9), q), q)
         extension, crossing = rows
         assert extension.status == "artificial-extension"
         assert crossing.order == "first"
@@ -160,7 +161,8 @@ class TestDeepFirstOrderRows:
             raise NonconvergenceError("deep first-order crossing did not converge")
 
         monkeypatch.setattr(phasescan, "find_first_order", unconverged)
-        rows = phasescan._transition_rows(derive_yukawa_coulomb(2.0), (2.80, 2.83), q)
+        spec = derive_yukawa_coulomb(2.0)
+        rows = phasescan._transition_rows(spec, find_transition(spec, (2.80, 2.83), q), q)
         extension, crossing = rows
         assert extension.status == "artificial-extension"
         assert crossing.order == "first"
@@ -187,6 +189,103 @@ class TestCoarseRoot:
 
     def test_no_sign_change_is_none(self, q):
         assert phasescan._coarse_e2_root(yukawa(1.0, 1.0), q) is None
+
+
+@pytest.fixture()
+def coarse_calls(monkeypatch):
+    """The scan points whose E2 root took the coarse path."""
+    calls = []
+    coarse = phasescan._coarse_e2_root
+
+    def recorded(spec, q, hint=None):
+        calls.append(spec.v1)
+        return coarse(spec, q, hint)
+
+    monkeypatch.setattr(phasescan, "_coarse_e2_root", recorded)
+    return calls
+
+
+def _alone(v1_grid, q):
+    """Each point's rows from a scan of that point alone (coarse path only)."""
+    return [row for v1 in v1_grid for row in scan_critical_curve(2.0, v1_grid=[v1], q=q)]
+
+
+def _same_rows(rows, want):
+    assert len(rows) == len(want)
+    for row, ref in zip(rows, want):
+        assert (row.v1, row.order, row.status) == (ref.v1, ref.order, ref.status)
+        if ref.a_star is None:
+            assert row.a_star is None
+        else:
+            assert row.a_star == pytest.approx(ref.a_star, rel=1e-13)
+            assert row.eps_jump == pytest.approx(ref.eps_jump, abs=1e-9)
+
+
+class TestPredictedRoots:
+    def test_failed_row_restarts_the_prediction(self, coarse_calls, q):
+        # the inadmissible strength fails its row; the two rows after it lack
+        # two solved neighbours and take the coarse path, the rest are predicted
+        v1_grid = list(np.geomspace(6.0, 9.0, 8))
+        v1_grid[3] = math.exp(2.0) / 2.0 * 0.9
+        rows = scan_critical_curve(2.0, v1_grid=v1_grid, q=q)
+        assert coarse_calls == [v1_grid[i] for i in (0, 1, 4, 5)]
+        assert rows[next(i for i, r in enumerate(rows) if r.v1 == v1_grid[3])].status.startswith(
+            "failed: ParameterDomainError"
+        )
+        _same_rows(rows, _alone(v1_grid, q))
+
+    def test_missed_prediction_falls_back_to_the_coarse_root(self, coarse_calls, q):
+        # the jump to 30 leaves the linear prediction far outside its bracket
+        v1_grid = [9.0, 10.0, 11.0, 12.0, 30.0]
+        rows = scan_critical_curve(2.0, v1_grid=v1_grid, q=q)
+        assert coarse_calls == [9.0, 10.0, 30.0]
+        _same_rows(rows, _alone(v1_grid, q))
+
+    def test_prediction_off_the_domain_falls_back(self, coarse_calls, dy98, q):
+        # roots falling fast enough extrapolate to A < 0: the refused
+        # bracket hands the row to the coarse root, warm-started from the last
+        tp, miss = phasescan._e2_root(dy98, q, [5.0, 2.0], None)
+        assert coarse_calls == [dy98.v1]
+        assert tp.a_star == pytest.approx(find_transition(dy98, (2.0, 3.2), q).a_star, rel=1e-13)
+        assert miss == pytest.approx((tp.a_star + 1.0) / tp.a_star)
+
+    def test_forked_crossings_keep_the_rows_byte_identical(self, monkeypatch, stub_pool, q):
+        # second- and first-order rows interleave around the tricritical
+        # strength 6.795; the crossings of all but the first go to the pool
+        v1_grid = np.geomspace(5.5, 8.5, 6)
+        serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
+        assert {r.order for r in serial} == {"first", "second"}
+        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
+        pooled = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=2)
+        assert stub_pool == [2]
+        assert rows_to_csv(pooled, SCAN_CSV_HEADER) == rows_to_csv(serial, SCAN_CSV_HEADER)
+        assert rows_to_json(pooled, {}) == rows_to_json(serial, {})
+
+
+def test_phase_diagram_work_budget(monkeypatch, q):
+    # the two phase-diagram scans of the benchmark, counted in process: the
+    # E2 roots come from their neighbours and the crossing brackets from the
+    # series (915 integrals and 222 crossing gaps before either)
+    import rectlat.critical
+    import rectlat.quadrature
+
+    counts = {"integrals": 0, "crossing gaps": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rectlat.quadrature, "integrate", "integrals")
+    counted(rectlat.critical, "_crossing_gap", "crossing gaps")
+    scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q, workers=1)
+    scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q, workers=1)
+    assert counts["integrals"] <= 650
+    assert counts["crossing gaps"] <= 160
 
 
 class TestAStarMinScan:

@@ -16,6 +16,20 @@ from rectlat.quadrature import (
 )
 
 
+def test_stored_rule_is_leggauss_bit_for_bit():
+    # the stored 24-point rule and null rule are what numpy computes
+    from numpy.polynomial.legendre import leggauss, legval
+
+    import rectlat.quadrature as quadrature
+
+    nodes, weights = leggauss(24)
+    null_rule = np.stack([(k + 0.5) * legval(nodes, np.eye(k + 1)[k]) for k in (22, 23)], axis=1)
+    assert quadrature._GL_NODES.tobytes() == nodes.tobytes()
+    assert quadrature._GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert quadrature._NULL_RULE.shape == (24, 2)
+    assert quadrature._NULL_RULE.tobytes() == null_rule.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)

@@ -110,6 +110,13 @@ def test_no_process_pool_at_import():
     assert _fresh_interpreter(f"import sys\nimport rectlat.cli\n{report}") == "[]\n"
 
 
+def test_no_numpy_polynomial_at_import():
+    # the Gauss-Legendre rule is stored, not computed: numpy.polynomial's
+    # 11 modules cost every command about 5 ms of import
+    report = "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    assert _fresh_interpreter(f"import sys\nimport rectlat.cli\n{report}") == "[]\n"
+
+
 def _fresh_interpreter(code: str) -> str:
     """Standard output of ``code`` run by a new interpreter on the sources."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

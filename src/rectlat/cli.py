@@ -10,11 +10,17 @@ byte-identical output.
 Exit codes: 0 success, 2 parameter-domain error, 3 numerical failure,
 4 nonconvergence, search failure or classification failure (the message
 names which).
+
+Run as ``python -m rectlat.cli``, the process freezes its heap
+(``gc.freeze()``) on its way out, so the interpreter's shutdown
+collections do not walk the objects the imports left; ``main`` and
+``exit_code`` called in-process leave the heap as they found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -367,4 +373,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The process ends here, so nothing it holds needs collecting: freezing
+    # keeps the ~22,000 objects the imports left tracked (mostly numpy's) out
+    # of the interpreter's shutdown collections, about 20 ms a command.
+    # Streams, atexit handlers and ``--output`` files are still flushed and
+    # closed; argparse's own exits take this path too.
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

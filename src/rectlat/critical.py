@@ -108,12 +108,15 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def _gap_coefficients(spec, area, q):
     """Even gap coefficients (c2, c4, c6, c8) in x = eps^2.
 
     The eighth-order term is below the asymptotic statements' resolution
     but keeps the minimizer accurate across the fit windows, where the
     sixth-order truncation already biases the broken-branch location.
+    Memoized: a first-order row asks for the series at the same densities
+    again (its E2 root, the bracket walk's ends, the crossing).
     """
     rows = landau_series(spec, area, q)
     return rows[2], rows[4], rows[6], rows[8]

@@ -10,9 +10,11 @@ then done.  The first-order rows' crossing work runs in this process
 until it has taken ``POOL_AFTER_S``, and only then hands the rows left to
 a pool of forked workers, which inherit the tables built so far.  Because
 each crossing depends only on its own row's E2 root, the emitted rows are
-byte-identical for any worker count.  Failures are recorded per row and
-the scan continues; boundary regions of parameter space legitimately
-fail.
+byte-identical for any worker count.  The a-star-min scan walks its grid
+the same way, each row's limiting density sought first on the bracket
+predicted from the two rows before it, all in this process for any
+worker count.  Failures are recorded per row and the scan continues;
+boundary regions of parameter space legitimately fail.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import potentials as pot
 from .critical import (
+    _a_star_min_condition,
     find_first_order,
     find_tricritical,
     find_transition,
@@ -207,31 +210,48 @@ def _map_jobs(fn, jobs, workers):
 _COARSE_RTOL = 5e-3
 
 
-def _e2_root(spec, q, solved, miss):
+def _around(a, r):
+    return a * (1.0 - r), a * (1.0 + r)
+
+
+def _prediction(solved, misses):
+    """A scan row's root predicted from the rows before it, or None.
+
+    ``solved`` holds the roots of the rows before (None where a row
+    failed), ``misses`` the relative errors of their predictions (None
+    where a row had none).  With the two rows before solved, the root is
+    predicted linearly in the grid index, ``A = 2 A[k-1] - A[k-2]``, and
+    bracketed as ``A (1 +- r)``: ``r = max(4 m, 1e-9)``, ``m`` the larger
+    of the last two misses, or ``_COARSE_RTOL`` before there is one
+    (predictor-corrector continuation).  Returns ``(A, bracket)``.
+    """
+    if len(solved) < 2 or None in solved[-2:]:
+        return None
+    pred = 2.0 * solved[-1] - solved[-2]
+    m = max((m for m in misses[-2:] if m is not None), default=None)
+    return pred, _around(pred, _COARSE_RTOL if m is None else max(4.0 * m, 1e-9))
+
+
+def _miss(root, predicted):
+    """The relative error of a prediction ``(A, bracket)``, or None."""
+    return None if predicted is None else abs(root - predicted[0]) / root
+
+
+def _e2_root(spec, q, solved, misses):
     """The E2 root of a scan row, bracketed from the rows before it.
 
-    ``solved`` holds the E2 roots of the rows before (None where a row
-    failed), ``miss`` the relative error of the last row's prediction
-    (None where that row had none).  With the two rows before solved, the
-    root is predicted linearly in the grid index, ``A = 2 A[k-1] - A[k-2]``,
-    and bracketed as ``A (1 +- r)``, ``r = max(4 miss, 1e-9)`` or, with no
-    ``miss`` yet, ``_COARSE_RTOL``.  Without a prediction, or when its
-    solve is refused (its bracket has no sign change, or reaches A <= 0),
-    the bracket is the coarse root
+    The bracket is ``_prediction(solved, misses)``'s.  Without a
+    prediction, or when its solve is refused (its bracket has no sign
+    change, or reaches A <= 0), the bracket is the coarse root
     (``_coarse_e2_root``, warm-started from the last solved root)
     ``+-_COARSE_RTOL``.  Returns ``(tp, miss)``, with the miss of this
     row's prediction or None.
     """
-
-    def around(a, r):
-        return a * (1.0 - r), a * (1.0 + r)
-
-    pred = tp = None
-    if len(solved) >= 2 and None not in solved[-2:]:
-        pred = 2.0 * solved[-1] - solved[-2]
-        r = _COARSE_RTOL if miss is None else max(4.0 * miss, 1e-9)
+    predicted = _prediction(solved, misses)
+    tp = None
+    if predicted is not None:
         try:
-            tp = find_transition(spec, around(pred, r), q)
+            tp = find_transition(spec, predicted[1], q)
         except RectlatError:  # no sign change, or a bracket off the domain
             pass
     if tp is None:
@@ -239,8 +259,8 @@ def _e2_root(spec, q, solved, miss):
         coarse = _coarse_e2_root(spec, q, hint)
         if coarse is None:
             raise BracketError("no sign change of E2 for the coarse root")
-        tp = find_transition(spec, around(coarse, _COARSE_RTOL), q)
-    return tp, None if pred is None else abs(tp.a_star - pred) / tp.a_star
+        tp = find_transition(spec, _around(coarse, _COARSE_RTOL), q)
+    return tp, _miss(tp.a_star, predicted)
 
 
 def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
@@ -254,17 +274,18 @@ def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
     any worker count.  A point whose member or E2 root cannot be had keeps
     a failed row.
     """
-    done, jobs, solved, miss = [], [], [], None
+    done, jobs, solved, misses = [], [], [], []
     for point in points:
         try:
             spec = _member(family, point)
-            tp, miss = _e2_root(spec, q, solved, miss)
+            tp, miss = _e2_root(spec, q, solved, misses)
         except RectlatError as err:
             done.append([_failed_row(family, point, err)])
             solved.append(None)
-            miss = None
+            misses.append(None)
             continue
         solved.append(tp.a_star)
+        misses.append(miss)
         if tp.order == "second":
             done.append(_transition_rows(spec, tp, q))
         else:
@@ -383,12 +404,20 @@ def scan_tricritical_locus(
     return rows, bounds
 
 
-def _a_star_min_job(args):
-    k1, q = args
-    try:
-        return (k1, a_star_min(k1, q), "ok")
-    except RectlatError as err:
-        return (k1, None, _failure_status(err))
+def _a_star_min_on(kappa1, q, bracket):
+    """``a_star_min(kappa1)`` sought on a predicted ``bracket``, with its
+    tolerances, or None unless kappa1 and the bracket are positive and the
+    limiting condition is nonzero at both ends and of opposite sign there:
+    above kappa1 ~ 700 it underflows to 0.0 over whole ranges, where Brent
+    would return an end.  Brent reuses the two end values."""
+    lo, hi = bracket
+    if not (kappa1 > 0.0 and lo > 0.0):
+        return None
+    f = lambda a: _a_star_min_condition(kappa1, a, q)
+    ends = {lo: f(lo), hi: f(hi)}
+    if not np.sign(ends[lo]) * np.sign(ends[hi]) < 0:
+        return None
+    return brentq(lambda a: ends[a] if a in ends else f(a), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
 
 
 def scan_a_star_min(
@@ -396,10 +425,32 @@ def scan_a_star_min(
     q: QuadratureConfig = DEFAULT_CONFIG,
     workers: int = 1,
 ):
-    """Limiting critical density of the large-v1 regime along kappa1."""
+    """Limiting critical density of the large-v1 regime along kappa1.
+
+    Walks the grid once, in order, in this process for any ``workers``
+    (validated, but each row depends on the ones before it): a row whose
+    two rows before are solved is sought on ``_prediction``'s bracket
+    first (``_a_star_min_on``), and otherwise, or where that bracket holds
+    no sign change, by ``a_star_min`` and its own grid scan.  A refused row
+    is recorded as failed.  Returns ``(kappa1, a_star_min, status)`` rows.
+    """
     _check_workers(workers)
-    jobs = [(float(k1), q) for k1 in kappa1_grid]
-    return _map_jobs(_a_star_min_job, jobs, workers)
+    rows, solved, misses = [], [], []
+    for k1 in map(float, kappa1_grid):
+        predicted = _prediction(solved, misses)
+        try:
+            a = None if predicted is None else _a_star_min_on(k1, q, predicted[1])
+            if a is None:
+                a = a_star_min(k1, q)
+        except RectlatError as err:
+            rows.append((k1, None, _failure_status(err)))
+            solved.append(None)
+            misses.append(None)
+            continue
+        rows.append((k1, a, "ok"))
+        solved.append(a)
+        misses.append(_miss(a, predicted))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rectlat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_json(capsys, args):
@@ -259,6 +266,13 @@ class TestScanCommand:
         assert captured.out == ""
         assert "--workers" in captured.err
 
+    def test_a_star_min_rows_do_not_depend_on_workers(self, capsys):
+        args = ["scan", "--mode", "a-star-min", "--kappa1-grid", "0.1:50:log:40"]
+        assert main([*args, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*args, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         assert (
@@ -289,3 +303,70 @@ class TestFitCommand:
         row = doc["rows"][0]
         assert 0.49 <= row["beta"] <= 0.51
         assert row["r_squared"] > 0.999
+
+
+def _run_module(*args, code=None):
+    """``python -m rectlat.cli ARGS`` (or ``python -c CODE``) on the sources."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    command = ["-c", code] if code is not None else ["-m", "rectlat.cli", *args]
+    return subprocess.run(
+        [sys.executable, *command],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """``python -m rectlat.cli`` freezes the heap on its way out; nothing
+    it writes or returns changes, and in-process calls do not freeze."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--mode", "a-star-min", "--kappa1-grid", "0.5:8:log:5"],
+            ["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2",
+             "--area", "2.6"],
+        ],
+        ids=["scan-csv", "energy-json"],
+    )
+    def test_stdout_matches_in_process(self, capsys, argv):
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        proc = _run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == want
+
+    def test_output_file_is_written_in_full(self, capsys, tmp_path):
+        argv = ["scan", "--mode", "a-star-min", "--kappa1-grid", "0.5:8:log:5"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        target = tmp_path / "rows.csv"
+        proc = _run_module(*argv, "--output", str(target))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert target.read_text() == want
+
+    def test_refusal_keeps_its_exit_code_and_message(self, capsys):
+        argv = ["first-order", "--family", "yukawa-coulomb", "--kappa1", "1.85"]
+        assert main(argv) == 4
+        want = capsys.readouterr().err
+        proc = _run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", want)
+
+    def test_the_entry_freezes_the_heap(self):
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['rectlat', '--version']\n"
+            "runpy.run_module('rectlat.cli', run_name='__main__')\n"
+        )
+        proc = _run_module(code=probe)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2",
+                     "--area", "2.6"]) == 0
+        assert gc.get_freeze_count() == before

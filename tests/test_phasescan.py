@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rectlat import phasescan
-from rectlat.critical import EPS_CAP, find_transition, minimize_aspect
+from rectlat.critical import EPS_CAP, a_star_min, find_transition, minimize_aspect
 from rectlat.errors import NonconvergenceError, ParameterDomainError
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
@@ -244,7 +244,7 @@ class TestPredictedRoots:
     def test_prediction_off_the_domain_falls_back(self, coarse_calls, dy98, q):
         # roots falling fast enough extrapolate to A < 0: the refused
         # bracket hands the row to the coarse root, warm-started from the last
-        tp, miss = phasescan._e2_root(dy98, q, [5.0, 2.0], None)
+        tp, miss = phasescan._e2_root(dy98, q, [5.0, 2.0], [])
         assert coarse_calls == [dy98.v1]
         assert tp.a_star == pytest.approx(find_transition(dy98, (2.0, 3.2), q).a_star, rel=1e-13)
         assert miss == pytest.approx((tp.a_star + 1.0) / tp.a_star)
@@ -264,12 +264,15 @@ class TestPredictedRoots:
 
 def test_phase_diagram_work_budget(monkeypatch, q):
     # the two phase-diagram scans of the benchmark, counted in process: the
-    # E2 roots come from their neighbours and the crossing brackets from the
-    # series (915 integrals and 222 crossing gaps before either)
+    # E2 roots come from their neighbours, the crossing brackets from the
+    # series, and each (member, density) pays for its gap series once
+    # (915 integrals and 222 crossing gaps before the first two; 628
+    # integrals and 164 gap series before the last)
     import rectlat.critical
     import rectlat.quadrature
 
-    counts = {"integrals": 0, "crossing gaps": 0}
+    rectlat.critical._gap_coefficients.cache_clear()
+    counts = {"integrals": 0, "crossing gaps": 0, "gap series": 0}
 
     def counted(module, name, key):
         fn = getattr(module, name)
@@ -282,10 +285,23 @@ def test_phase_diagram_work_budget(monkeypatch, q):
 
     counted(rectlat.quadrature, "integrate", "integrals")
     counted(rectlat.critical, "_crossing_gap", "crossing gaps")
+    counted(rectlat.critical, "landau_series", "gap series")
     scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q, workers=1)
     scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q, workers=1)
-    assert counts["integrals"] <= 650
+    assert counts["integrals"] <= 600
     assert counts["crossing gaps"] <= 160
+    assert counts["gap series"] <= 125
+
+
+def test_prediction_brackets_from_the_larger_of_two_misses(coarse_calls, q):
+    # on the phase-diagram curve the prediction at v1 = 9.947 misses by
+    # 7.6e-6 and the one at 10.882 by 1.13e-4: a bracket from the last miss
+    # alone (+-3.0e-5) would send the 10.882 row to the coarse root
+    v1_grid = np.geomspace(3.702, 60.0, 32)
+    rows = scan_critical_curve(2.0, v1_grid=v1_grid[8:14], q=q)
+    assert v1_grid[12] == pytest.approx(10.882, abs=1e-3)
+    assert coarse_calls == list(v1_grid[8:10])
+    assert all(r.status != "failed" for r in rows)
 
 
 class TestAStarMinScan:
@@ -295,6 +311,52 @@ class TestAStarMinScan:
         values = [v for _, v, _ in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[2] == pytest.approx(2.186262818188, rel=1e-9)
+
+    def test_rows_from_neighbours_match_the_grid_search(self, q):
+        grid = np.geomspace(0.1, 50.0, 40)
+        rows = scan_a_star_min(grid, q=q)
+        assert [k1 for k1, _, _ in rows] == list(grid)
+        assert all(status == "ok" for _, _, status in rows)
+        for k1, value, _ in rows:
+            assert value == pytest.approx(a_star_min(k1, q), rel=1e-13)
+
+    def test_work_budget(self, monkeypatch, q):
+        # the benchmark's 40-row scan: 1,211 integrals when every row
+        # searched the 41-point density grid
+        import rectlat.quadrature
+
+        calls = []
+        integrate = rectlat.quadrature.integrate
+        monkeypatch.setattr(
+            rectlat.quadrature, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k)
+        )
+        scan_a_star_min(np.geomspace(0.1, 50.0, 40), q=q)
+        assert len(calls) <= 400
+
+    def test_predicted_rows_past_the_domain_are_refused(self, q):
+        # a falling grid predicts the rows at and below kappa1 = 0 from two
+        # solved rows; they keep a_star_min's own refusal
+        rows = scan_a_star_min([3.0, 2.0, 1.0, 0.0, -1.0], q=q)
+        assert [status for _, _, status in rows[:3]] == ["ok"] * 3
+        refusal = "failed: ParameterDomainError: kappa1 must be positive"
+        assert [row[1:] for row in rows[3:]] == [(None, refusal)] * 2
+
+    def test_underflowing_rows_keep_their_refusals(self, q):
+        # above kappa1 ~ 700 the condition underflows to 0.0 at some
+        # densities; a predicted bracket with such an end would hand Brent
+        # a zero and come back as an ok row
+        rows = scan_a_star_min(np.geomspace(20.0, 2000.0, 6), q=q)
+        assert [status for _, _, status in rows[:4]] == ["ok"] * 4
+        assert rows[4][1:] == (
+            None,
+            "failed: BracketError: no sign change of the limiting condition "
+            "for kappa1=796.2143411069948",
+        )
+        assert rows[5][1:] == (
+            None,
+            "failed: BracketError: limiting condition underflows for kappa1=2000.0: the "
+            "overall scale exp(-kappa1 sqrt(A)) is below double precision",
+        )
 
 
 class TestTricriticalLocusScan:
@@ -367,9 +429,10 @@ class TestWorkers:
     def test_pool_is_capped_at_the_jobs_left(self, monkeypatch, stub_pool, q):
         # the parent runs the first job, so three jobs leave two for the pool
         monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        rows = scan_a_star_min([1.0, 2.0, 4.0], q=q, workers=5000)
+        job = lambda k1: a_star_min(k1, q)
+        rows = phasescan._map_jobs(job, [1.0, 2.0, 4.0], workers=5000)
         assert stub_pool == [2]
-        assert rows == scan_a_star_min([1.0, 2.0, 4.0], q=q)
+        assert rows == phasescan._map_jobs(job, [1.0, 2.0, 4.0], workers=1)
 
     def test_cheap_scan_starts_no_pool(self, stub_pool, q):
         rows = scan_critical_curve(2.0, v1_grid=np.geomspace(7.5, 15.0, 4), q=q, workers=2)
@@ -378,7 +441,7 @@ class TestWorkers:
 
     def test_one_job_left_runs_here(self, monkeypatch, stub_pool, q):
         monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        scan_a_star_min([1.0, 2.0], q=q, workers=2)
+        phasescan._map_jobs(lambda k1: a_star_min(k1, q), [1.0, 2.0], workers=2)
         assert stub_pool == []
 
     @pytest.mark.parametrize(

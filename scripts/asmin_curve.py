@@ -18,13 +18,12 @@ def main():
     ap.add_argument("--kappa1-min", type=float, default=0.1)
     ap.add_argument("--kappa1-max", type=float, default=50.0)
     ap.add_argument("--points", type=int, default=40)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--output", default=None)
     ns = ap.parse_args()
 
     q = QuadratureConfig()
     grid = np.geomspace(ns.kappa1_min, ns.kappa1_max, ns.points)
-    rows = scan_a_star_min(grid, q, workers=ns.workers)
+    rows = scan_a_star_min(grid, q)
     rows.append((0.0, a_star_min_zero_limit(q), "kappa1->0 limit"))
     write_table(rows, A_STAR_MIN_CSV_HEADER, "csv", None, ns.output)
     return 0

@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--kappa1", type=float, default=2.0)
     ap.add_argument("--v1-max", type=float, default=60.0)
     ap.add_argument("--points", type=int, default=64)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--output", default=None)
     ns = ap.parse_args()
 
@@ -40,7 +39,7 @@ def main():
     if near.any():
         mids = 0.5 * (v1_grid[:-1] + v1_grid[1:])[near[:-1] & near[1:]]
         v1_grid = np.sort(np.concatenate([v1_grid, mids]))
-    rows = scan_critical_curve(ns.kappa1, v1_grid=v1_grid, q=q, workers=ns.workers)
+    rows = scan_critical_curve(ns.kappa1, v1_grid=v1_grid, q=q)
     rows.append(tricritical_row(DOUBLE_YUKAWA, tc, ns.kappa1))
     write_table(rows, SCAN_CSV_HEADER, "csv", None, ns.output)
     return 0

@@ -74,7 +74,7 @@ def _add_family(p):
     p.add_argument(
         "--family",
         required=True,
-        choices=(pot.RIESZ, pot.YUKAWA, pot.DOUBLE_YUKAWA, pot.YUKAWA_COULOMB),
+        choices=pot.FAMILIES,
     )
     p.add_argument("--s", type=float, help="Riesz exponent")
     p.add_argument("--kappa", type=float, help="Yukawa screening")
@@ -246,19 +246,23 @@ def cmd_scan(ns) -> int:
     q = _quad(ns)
     flags = ("kappa1", "v1_grid", "a_grid", "kappa1_grid", "workers", "no_bounds")
     _refuse_unused(ns, flags, _SCAN_FLAGS[ns.mode], f"{ns.mode} scan")
-    workers = 1 if ns.workers is None else ns.workers
+    # accepted for the commands that still pass it; scans run in one process
+    check_domain(
+        ns.workers is None or ns.workers >= 1,
+        f"--workers must be an integer of at least 1, got {ns.workers!r}",
+    )
     if ns.mode != "critical-curve" and not ns.kappa1_grid:
         raise ParameterDomainError(f"{ns.mode} scan requires --kappa1-grid")
-    config = {"command": "scan", "mode": ns.mode, "workers": workers}
+    config = {"command": "scan", "mode": ns.mode}
     if ns.mode == "critical-curve":
         if ns.kappa1 is None:
             raise ParameterDomainError("critical-curve scan requires --kappa1")
         v1_grid = _parse_grid(ns.v1_grid) if ns.v1_grid else None
         a_grid = _parse_grid(ns.a_grid) if ns.a_grid else None
-        rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q, workers=workers)
+        rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q)
         header = SCAN_CSV_HEADER
     elif ns.mode == "yukawa-coulomb":
-        rows = scan_yukawa_coulomb(_parse_grid(ns.kappa1_grid), q, workers=workers)
+        rows = scan_yukawa_coulomb(_parse_grid(ns.kappa1_grid), q)
         header = SCAN_CSV_HEADER
     elif ns.mode == "tricritical-locus":
         rows, bounds = scan_tricritical_locus(
@@ -268,7 +272,7 @@ def cmd_scan(ns) -> int:
             config["kappa1_lower"], config["kappa1_upper"] = bounds
         header = LOCUS_CSV_HEADER
     else:  # a-star-min; argparse restricts the choices
-        rows = scan_a_star_min(_parse_grid(ns.kappa1_grid), q, workers=workers)
+        rows = scan_a_star_min(_parse_grid(ns.kappa1_grid), q)
         header = A_STAR_MIN_CSV_HEADER
     _emit(ns, rows, header, config)
     return 0
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v1-grid", help="lo:hi:lin|log:N")
     p.add_argument("--a-grid", help="lo:hi:lin|log:N")
     p.add_argument("--kappa1-grid", help="lo:hi:lin|log:N")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int, help="accepted and ignored: scans run in one process")
     p.add_argument(
         "--no-bounds", action="store_true", default=None, help="skip kappa1 bound estimates"
     )

@@ -674,6 +674,19 @@ def _deep_crossing(spec, area, eps, floor, q):
     raise NonconvergenceError("deep first-order crossing did not converge", trace=trace)
 
 
+def _series_window(spec, area, q):
+    """``(eps, floor)`` of the gap series at ``area``: the eps of its
+    broken-branch minimum, and the floor of a deep crossing's eps window,
+    half the eps of the barrier below that minimum.  Raises
+    ``ClassificationError`` when no barrier separates the branches."""
+    branch = _series_branch(_gap_coefficients(spec, area, q))
+    if branch is None or branch[2] is None:
+        raise ClassificationError(
+            "no coexistence barrier at the crossing; transition is not first order"
+        )
+    return math.sqrt(branch[0]), 0.5 * math.sqrt(branch[2])
+
+
 def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
     """Density where the square and symmetry-broken branch energies cross.
 
@@ -699,18 +712,11 @@ def find_first_order(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG):
         a_trans = brentq(g, lo, hi, xtol=1e-15, rtol=RTOL_MIN)
     except BracketError as err:
         raise BracketError(f"branch-energy crossing not bracketed on [{lo}, {hi}]: {err}") from err
-    branch = _series_branch(_gap_coefficients(spec, a_trans, q))
-    if branch is None or branch[2] is None:
-        raise ClassificationError(
-            "no coexistence barrier at the crossing; transition is not first order"
-        )
-    x, _, x_barrier = branch
-    eps_jump = math.sqrt(x)
+    eps_jump, floor = _series_window(spec, a_trans, q)
     if eps_jump > SERIES_EPS_MAX:
         # deep first-order regime: the truncated expansion only seeds the
         # density; eps starts from the deepest point of a scan that keeps the
         # broken branch above half the barrier location
-        floor = 0.5 * math.sqrt(x_barrier)
         if not floor < EPS_CAP:
             raise _off_window(EPS_CAP, "cap", eps_jump, a_trans)
         grid, i = _gap_scan(spec, a_trans, q, floor)

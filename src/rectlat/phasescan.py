@@ -1,20 +1,14 @@
 """Parameter sweeps: critical curves, first-order loci, tricritical loci.
 
-A critical-curve or Yukawa-Coulomb scan walks its grid once in this
-process, solving each row's E2 root from the rows before it: predicted
-linearly in the grid index and bracketed by the last prediction's error,
-with a coarse root search where the two rows before are not both solved
-or the prediction misses (predictor-corrector continuation; Allgower &
-Georg, *Numerical Continuation Methods*, 1990).  A second-order row is
-then done.  The first-order rows' crossing work runs in this process
-until it has taken ``POOL_AFTER_S``, and only then hands the rows left to
-a pool of forked workers, which inherit the tables built so far.  Because
-each crossing depends only on its own row's E2 root, the emitted rows are
-byte-identical for any worker count.  The a-star-min scan walks its grid
-the same way, each row's limiting density sought first on the bracket
-predicted from the two rows before it, all in this process for any
-worker count.  Failures are recorded per row and the scan continues;
-boundary regions of parameter space legitimately fail.
+Every scan runs in this process and walks its grid once, in order, each
+row starting from the solved rows before it (predictor-corrector
+continuation; Allgower & Georg, *Numerical Continuation Methods*, 1990):
+an E2 root from the roots before it, a deep first-order crossing from the
+crossings before it (``_scan_rows``), an a-star-min density from the
+densities before it.  A row whose prediction is refused takes its own
+search, so no status depends on a prediction.  Failures are recorded per
+row and the scan continues; boundary regions of parameter space
+legitimately fail.
 """
 
 from __future__ import annotations
@@ -23,9 +17,7 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
-import time
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -33,7 +25,13 @@ import numpy as np
 
 from . import potentials as pot
 from .critical import (
+    EPS_CAP,
+    GAP_LATTICE,
+    SERIES_EPS_MAX,
     _a_star_min_condition,
+    _deep_crossing,
+    _gap_scan,
+    _series_window,
     find_first_order,
     find_tricritical,
     find_transition,
@@ -45,9 +43,9 @@ from .critical import (
 from .errors import (
     BracketError,
     NonconvergenceError,
+    ParameterDomainError,
     RectlatError,
     SearchFailureError,
-    check_domain,
 )
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -80,55 +78,32 @@ def _failure_status(err) -> str:
 def _failed_row(family, point, err) -> PhaseDiagramRow:
     """The row of a scan point ``(v1, kappa1)`` that failed."""
     v1, kappa1 = point
-    return PhaseDiagramRow(
-        family=family,
-        kappa1=kappa1,
-        v1=v1,
-        a_star=None,
-        order="",
-        eps_jump=0.0,
-        e2_residual=None,
-        e4_value=None,
-        status=_failure_status(err),
-    )
+    return PhaseDiagramRow(family, kappa1, v1, None, "", 0.0, None, None, _failure_status(err))
 
 
-def _transition_rows(spec, tp, q) -> list[PhaseDiagramRow]:
+def _transition_rows(spec, tp, q, crossing=None) -> list[PhaseDiagramRow]:
     """Rows for one parameter point from its E2 root ``tp``: that root,
     plus (in the first-order regime) the branch-crossing row, with the E2
     root kept as the flagged artificial extension of the second-order
-    curve.  A crossing that cannot be bracketed, whose broken branch is
-    pinned at the aspect cap, or whose deep solve does not converge keeps
-    its row, marked failed."""
-    base = dict(
-        family=spec.family,
-        kappa1=spec.kappa1,
-        v1=spec.v1,
-        e2_residual=tp.e2_residual,
-        e4_value=tp.e4_at_a_star,
-    )
+    curve.  The crossing is ``crossing`` where one was solved from the
+    rows before (``_predicted_crossing``), else ``find_first_order``'s on
+    the bracket walked from the E2 root.  A crossing that cannot be
+    bracketed, whose broken branch is pinned at the aspect cap, or whose
+    deep solve does not converge keeps its row, marked failed."""
+    point, residuals = (spec.family, spec.kappa1, spec.v1), (tp.e2_residual, tp.e4_at_a_star)
+
+    def row(a_star, order, eps_jump, status):
+        return PhaseDiagramRow(*point, a_star, order, eps_jump, *residuals, status)
+
     if tp.order == "second":
-        return [
-            PhaseDiagramRow(
-                a_star=tp.a_star, order="second", eps_jump=0.0, status="ok", **base
-            )
-        ]
-    rows = [
-        PhaseDiagramRow(
-            a_star=tp.a_star,
-            order="first",
-            eps_jump=0.0,
-            status="artificial-extension",
-            **base,
-        )
-    ]
+        return [row(tp.a_star, "second", 0.0, "ok")]
     try:
-        a_trans, eps_jump = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
-        crossing = dict(a_star=a_trans, eps_jump=eps_jump, status="ok")
+        if crossing is None:
+            crossing = find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)
+        last = row(crossing[0], "first", crossing[1], "ok")
     except (BracketError, SearchFailureError, NonconvergenceError) as err:
-        crossing = dict(a_star=None, eps_jump=0.0, status=_failure_status(err))
-    rows.append(PhaseDiagramRow(order="first", **crossing, **base))
-    return rows
+        last = row(None, "first", 0.0, _failure_status(err))
+    return [row(tp.a_star, "first", 0.0, "artificial-extension"), last]
 
 
 def _coarse_e2_root(spec, q, hint=None):
@@ -158,51 +133,11 @@ def _member(family, point):
     return pot.make_spec(family, v1=v1, kappa1=kappa1)
 
 
-def _first_order_rows(job):
-    """The rows of a first-order point from its E2 root (a ``_map_jobs``
-    job); a refusal other than the crossing's fails the point's row."""
-    point, spec, tp, q = job
-    try:
-        return _transition_rows(spec, tp, q)
-    except RectlatError as err:
-        return [_failed_row(spec.family, point, err)]
-
-
-#: Seconds of jobs ``_map_jobs`` runs in this process before it forks
-#: workers for the rest, so that a scan this short never pays for pool
-#: start-up.
-POOL_AFTER_S = 0.3
-
-
-def _check_workers(workers):
-    check_domain(
-        isinstance(workers, numbers.Integral) and workers >= 1,
-        f"--workers must be an integer of at least 1, got {workers!r}",
-    )
-
-
-def _map_jobs(fn, jobs, workers):
-    """``[fn(job) for job in jobs]``, in order.
-
-    Jobs run here, in grid order, until they have taken more than
-    ``POOL_AFTER_S``; the ones left then go to a pool of at most
-    ``workers`` processes and no more than there are jobs left.  The
-    workers are forked (the Linux default) and so start with this
-    process's tables.
-    """
-    results = []
-    start = time.perf_counter()
-    for i, job in enumerate(jobs):
-        results.append(fn(job))
-        left = len(jobs) - i - 1
-        if workers > 1 and left > 1 and time.perf_counter() - start > POOL_AFTER_S:
-            # imported here: the pool's modules cost every command their import time
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
-                results.extend(pool.map(fn, jobs[i + 1 :]))
-            break
-    return results
+def _map_jobs(fn, jobs):
+    """``[fn(job) for job in jobs]``, in order: the loop over a scan's
+    first-order rows.  The benchmark's tracer times and counts this loop
+    by its name."""
+    return [fn(job) for job in jobs]
 
 
 # Half-width of the bracket around a coarse E2 root (relative): the coarse
@@ -214,7 +149,7 @@ def _around(a, r):
     return a * (1.0 - r), a * (1.0 + r)
 
 
-def _prediction(solved, misses):
+def _prediction(solved, misses=()):
     """A scan row's root predicted from the rows before it, or None.
 
     ``solved`` holds the roots of the rows before (None where a row
@@ -263,19 +198,64 @@ def _e2_root(spec, q, solved, misses):
     return tp, _miss(tp.a_star, predicted)
 
 
-def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
+# A predicted crossing is solved from its prediction only where the gap
+# series' minimum at the predicted density lies above this multiple of
+# SERIES_EPS_MAX, else the row may be a series crossing: from the crossing
+# to the E2 root the minimum's eps grows by up to sqrt(4/3) = 1.155 (at
+# sixth order x = -c4 / 2 c6 at the crossing and -2 c4 / 3 c6 at the root),
+# and a predicted density lies anywhere between them.
+_DEEP_MARGIN = 1.2
+
+# A predicted crossing is guarded again when its eps misses the prediction
+# by more than this multiple of the last row's miss.
+_GUARD_GROWTH = 3.0
+
+
+def _predicted_crossing(spec, q, a_pred, eps_pred, last_miss):
+    """A deep crossing ``(a_trans, eps_jump)`` solved from a predicted
+    ``(a_pred, eps_pred)``, or None where the row must take
+    ``find_first_order``'s path.
+
+    ``_deep_crossing`` starts at the prediction, with the floor from the
+    gap series' barrier at ``a_pred``.  None where the series has no
+    barrier there or its minimum lies within ``_DEEP_MARGIN`` of
+    ``SERIES_EPS_MAX``, where ``eps_pred`` is outside the window, or where
+    the solve is refused.  On the first predicted row of a run
+    (``last_miss`` None), and where eps misses its prediction by more than
+    ``_GUARD_GROWTH`` times ``last_miss`` (both relative), the eps lattice
+    at or above the floor (``_gap_scan``) guards the global minimum: None
+    unless its lowest point is next to the solved eps.
+    """
+    try:
+        eps_series, floor = _series_window(spec, a_pred, q)
+        if not (eps_series > _DEEP_MARGIN * SERIES_EPS_MAX and floor < eps_pred < EPS_CAP):
+            return None
+        a_trans, eps_jump = _deep_crossing(spec, a_pred, eps_pred, floor, q)
+    except RectlatError:
+        return None
+    if last_miss is None or abs(eps_jump - eps_pred) > _GUARD_GROWTH * last_miss * eps_jump:
+        grid, i = _gap_scan(spec, a_trans, q, floor)
+        if abs(grid[i] - eps_jump) > GAP_LATTICE[1]:
+            return None
+    return float(a_trans), float(eps_jump)
+
+
+def _scan_rows(family, points, q) -> list[PhaseDiagramRow]:
     """Transition rows over scan points, in grid order.
 
-    One serial pass solves each row's E2 root in this process, bracketed
-    from the roots of the rows before it (``_e2_root``); a second-order
-    row is then done.  Only the first-order rows' crossing work (the
-    bracket walk and ``find_first_order``) goes to ``_map_jobs``, and it
-    depends on nothing but its own row, so the rows are byte-identical for
-    any worker count.  A point whose member or E2 root cannot be had keeps
-    a failed row.
+    One pass solves each row's E2 root, bracketed from the roots of the
+    rows before it (``_e2_root``); a second-order row is then done.  A
+    second pass, ``_map_jobs``, solves the first-order rows' crossings in
+    grid order.  A row whose two rows before have ok deep crossings
+    (``eps_jump > SERIES_EPS_MAX``) starts from the linear extrapolation
+    of their crossings (``_predicted_crossing``): of ``A_trans`` as its
+    distance from the row's E2 root, which must come out negative (the
+    crossing lies left of the root), and of ``eps_jump``.  Any other row,
+    and a predicted row refused there, walks its bracket from the E2 root.
+    A point whose member or E2 root cannot be had keeps a failed row.
     """
     done, jobs, solved, misses = [], [], [], []
-    for point in points:
+    for k, point in enumerate(points):
         try:
             spec = _member(family, point)
             tp, miss = _e2_root(spec, q, solved, misses)
@@ -290,8 +270,30 @@ def _scan_rows(family, points, q, workers) -> list[PhaseDiagramRow]:
             done.append(_transition_rows(spec, tp, q))
         else:
             done.append(None)
-            jobs.append((point, spec, tp, q))
-    crossings = iter(_map_jobs(_first_order_rows, jobs, workers))
+            jobs.append((k, point, spec, tp))
+    # per grid index, for a row with an ok deep crossing: A_trans less the
+    # row's E2 root, eps_jump, and the miss of eps_jump's prediction
+    shifts, jumps, jump_misses = ([None] * len(points) for _ in range(3))
+
+    def crossing_rows(job):
+        k, point, spec, tp = job
+        before = slice(max(k - 2, 0), k)
+        shift, eps = _prediction(shifts[before]), _prediction(jumps[before])
+        crossing = None
+        if shift is not None and shift[0] < 0.0 and eps is not None:
+            crossing = _predicted_crossing(
+                spec, q, tp.a_star + shift[0], eps[0], jump_misses[k - 1]
+            )
+        try:
+            rows = _transition_rows(spec, tp, q, crossing)
+        except RectlatError as err:
+            return [_failed_row(spec.family, point, err)]
+        if rows[-1].status == "ok" and rows[-1].eps_jump > SERIES_EPS_MAX:
+            shifts[k], jumps[k] = rows[-1].a_star - tp.a_star, rows[-1].eps_jump
+            jump_misses[k] = _miss(jumps[k], eps)
+        return rows
+
+    crossings = iter(_map_jobs(crossing_rows, jobs))
     return [row for rows in done for row in (rows if rows is not None else next(crossings))]
 
 
@@ -300,20 +302,18 @@ def scan_critical_curve(
     v1_grid: Optional[Sequence[float]] = None,
     a_grid: Optional[Sequence[float]] = None,
     q: QuadratureConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> list[PhaseDiagramRow]:
     """Transition points of the double-Yukawa family at fixed kappa1.
 
     Sweeps either the strength v1 directly, or a density grid that is
     converted to strengths by inverting the critical curve.
     """
-    _check_workers(workers)
     if (v1_grid is None) == (a_grid is None):
         raise ValueError("provide exactly one of v1_grid or a_grid")
     if a_grid is not None:
         pot._check_kappa1(kappa1)
         v1_grid = [_v1_on_critical_curve(kappa1, a, q) for a in a_grid]
-    return _scan_rows(pot.DOUBLE_YUKAWA, [(v1, kappa1) for v1 in v1_grid], q, workers)
+    return _scan_rows(pot.DOUBLE_YUKAWA, [(v1, kappa1) for v1 in v1_grid], q)
 
 
 def _v1_on_critical_curve(kappa1, area, q):
@@ -331,12 +331,10 @@ def _v1_on_critical_curve(kappa1, area, q):
 def scan_yukawa_coulomb(
     kappa1_grid: Sequence[float],
     q: QuadratureConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> list[PhaseDiagramRow]:
     """Transition rows of the Yukawa-Coulomb family over a kappa1 grid,
     with the tricritical point appended as its own row."""
-    _check_workers(workers)
-    rows = _scan_rows(pot.YUKAWA_COULOMB, [(None, k1) for k1 in kappa1_grid], q, workers)
+    rows = _scan_rows(pot.YUKAWA_COULOMB, [(None, k1) for k1 in kappa1_grid], q)
     rows.append(tricritical_row(pot.YUKAWA_COULOMB, find_tricritical(pot.YUKAWA_COULOMB, q=q)))
     return rows
 
@@ -351,17 +349,8 @@ def tricritical_row(family, tc, kappa1=None) -> PhaseDiagramRow:
         kappa1, v1 = tc.param_t, pot.derive_yukawa_coulomb(tc.param_t).v1
     else:
         v1 = tc.param_t
-    return PhaseDiagramRow(
-        family=family,
-        kappa1=kappa1,
-        v1=v1,
-        a_star=tc.a_t,
-        order="tricritical",
-        eps_jump=0.0,
-        e2_residual=tc.residuals[0],
-        e4_value=tc.residuals[1],
-        status="ok",
-    )
+    e2, e4 = tc.residuals
+    return PhaseDiagramRow(family, kappa1, v1, tc.a_t, "tricritical", 0.0, e2, e4, "ok")
 
 
 def scan_tricritical_locus(
@@ -372,7 +361,8 @@ def scan_tricritical_locus(
     """Tricritical coordinates (kappa1, A_t, v1_t) along a kappa1 grid.
 
     Walks outward from the best-behaved interior anchor with warm
-    starts; points outside the existence window are marked out-of-domain.
+    starts; points outside the existence window are marked out-of-domain,
+    and a solve refused for any other reason ``failed: <Class>: <message>``.
     Returns ``(rows, bounds)`` where rows are
     ``(kappa1, a_t, v1_t, status)`` and bounds is ``(kappa1_lower,
     kappa1_upper)`` (or None when not requested); the bounds close the
@@ -390,8 +380,10 @@ def scan_tricritical_locus(
                 tc = find_tricritical(pot.DOUBLE_YUKAWA, k1, initial_guess=guess, q=q)
                 results[i] = (k1, tc.a_t, tc.param_t, "ok")
                 guess = (tc.a_t, tc.param_t)
-            except RectlatError:
+            except ParameterDomainError:
                 results[i] = (k1, None, None, "out-of-domain")
+            except RectlatError as err:
+                results[i] = (k1, None, None, _failure_status(err))
 
     walk(range(anchor_idx, len(grid)))
     walk(range(anchor_idx - 1, -1, -1))
@@ -420,21 +412,15 @@ def _a_star_min_on(kappa1, q, bracket):
     return brentq(lambda a: ends[a] if a in ends else f(a), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
 
 
-def scan_a_star_min(
-    kappa1_grid: Sequence[float],
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    workers: int = 1,
-):
+def scan_a_star_min(kappa1_grid: Sequence[float], q: QuadratureConfig = DEFAULT_CONFIG):
     """Limiting critical density of the large-v1 regime along kappa1.
 
-    Walks the grid once, in order, in this process for any ``workers``
-    (validated, but each row depends on the ones before it): a row whose
-    two rows before are solved is sought on ``_prediction``'s bracket
-    first (``_a_star_min_on``), and otherwise, or where that bracket holds
-    no sign change, by ``a_star_min`` and its own grid scan.  A refused row
-    is recorded as failed.  Returns ``(kappa1, a_star_min, status)`` rows.
+    Walks the grid once, in order: a row whose two rows before are solved
+    is sought on ``_prediction``'s bracket first (``_a_star_min_on``), and
+    otherwise, or where that bracket holds no sign change, by
+    ``a_star_min`` and its own grid scan.  A refused row is recorded as
+    failed.  Returns ``(kappa1, a_star_min, status)`` rows.
     """
-    _check_workers(workers)
     rows, solved, misses = [], [], []
     for k1 in map(float, kappa1_grid):
         predicted = _prediction(solved, misses)

@@ -273,6 +273,17 @@ class TestScanCommand:
         assert main([*args, "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_locus_rows_name_their_refusal(self, capsys):
+        # 1.437 lies inside the existence window [1.4368, 2.0365]: the
+        # solves there fail, which is no domain error
+        argv = ["scan", "--mode", "tricritical-locus", "--kappa1-grid", "1.437:1.5:lin:3"]
+        assert main([*argv, "--no-bounds"]) == 0
+        refusal = "failed: NonconvergenceError: tricritical solve failed (Newton and nested fallback)"
+        assert capsys.readouterr().out.splitlines() == [
+            "kappa1,a_t,v1_t,status",
+            *(f"{k1},,,{refusal}" for k1 in ("1.437", "1.4685", "1.5")),
+        ]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         assert (

@@ -107,7 +107,11 @@ def gap_scans(q):
     """Every ``_gap_scan`` call ``(spec, area, grid, i)`` of the deep rows
     of the phase-diagram scans (double Yukawa kappa1 = 2 at the seven
     smallest v1 of its grid, Yukawa-Coulomb kappa1 in 1.9..2.03) and of
-    ``minimize_aspect`` for v1 = 9.8, kappa1 = 2 at A = 3.0, 3.5, 3.6."""
+    ``minimize_aspect`` for v1 = 9.8, kappa1 = 2 at A = 3.0, 3.5, 3.6.
+    Seven deep rows walk their brackets and scan the lattice; of the four
+    whose crossings start from the rows before them, the first is guarded
+    by a scan."""
+    import rectlat.phasescan
     from rectlat.phasescan import scan_critical_curve, scan_yukawa_coulomb
 
     calls = []
@@ -120,20 +124,21 @@ def gap_scans(q):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rectlat.critical, "_gap_scan", recording)
+        m.setattr(rectlat.phasescan, "_gap_scan", recording)
         scan_critical_curve(2.0, np.geomspace(3.702, 60.0, 32)[:8], q=q)
         scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q)
         deep_rows = len(calls)
         for area in (3.0, 3.5, 3.6):  # each refused at the cap, after its scan
             with pytest.raises(SearchFailureError):
                 minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
-    assert deep_rows == 11
+    assert deep_rows == 8
     return calls
 
 
 def test_ranking_argmin_is_the_converged_argmin(gap_scans, q):
     # each scan picks the lowest converged gap of a suffix of the lattice;
     # the deep rows scan 92 (Yukawa-Coulomb kappa1 = 1.9) to 129 points
-    assert len(gap_scans) == 14
+    assert len(gap_scans) == 11
     for spec, area, grid, i in gap_scans:
         assert 92 <= grid.size <= 129
         assert grid.tobytes() == GAP_LATTICE[GAP_LATTICE.size - grid.size :].tobytes()
@@ -519,20 +524,47 @@ class TestFindFirstOrder:
             find_first_order(dy98, (tp.a_star * 0.999, tp.a_star * 1.001))
 
 
+# the double-Yukawa rows of the phase-diagram critical curve whose
+# crossings start from the two rows before them
+_PREDICTED_V1 = np.geomspace(3.702, 60.0, 32)[2:6]
+
+
 @pytest.fixture(scope="module")
 def deep_crossings(q):
     """Deep first-order crossings ``(spec, a_trans, eps_jump)`` of the
-    phase-diagram scans: Yukawa-Coulomb and double Yukawa at kappa1 = 2."""
+    phase-diagram scans: Yukawa-Coulomb and double Yukawa at kappa1 = 2
+    from their brackets, then the critical curve's predicted crossings."""
+    import rectlat.phasescan
+    from rectlat.phasescan import scan_critical_curve
+
     specs = [derive_yukawa_coulomb(k) for k in (1.9433, 2.03)]
     specs += [derive_double_yukawa(v1, 2.0) for v1 in (3.702, 6.347)]
     out = []
     for spec in specs:
         tp = find_transition(spec, (2.3, 3.4), q)
         out.append((spec, *find_first_order(spec, first_order_bracket(spec, tp.a_star, q), q)))
-    return out
+    solve = rectlat.phasescan._predicted_crossing
+    predicted = []
+
+    def recording(spec, *args):
+        crossing = solve(spec, *args)
+        if crossing is not None:
+            predicted.append((spec, *crossing))
+        return crossing
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rectlat.phasescan, "_predicted_crossing", recording)
+        scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q)
+    assert [spec.v1 for spec, *_ in predicted] == list(_PREDICTED_V1)
+    return out + predicted
 
 
-@pytest.mark.parametrize("i", range(4), ids=["yc-1.9433", "yc-2.03", "dy-3.702", "dy-6.347"])
+@pytest.mark.parametrize(
+    "i",
+    range(8),
+    ids=["yc-1.9433", "yc-2.03", "dy-3.702", "dy-6.347"]
+    + [f"dy-{v1:.4g}-predicted" for v1 in _PREDICTED_V1],
+)
 class TestDeepCrossingGates:
     def test_gap_vanishes_at_the_crossing(self, deep_crossings, i, q):
         spec, a, eps_jump = deep_crossings[i]

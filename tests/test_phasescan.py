@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rectlat import phasescan
+from rectlat.cli import main
 from rectlat.critical import EPS_CAP, a_star_min, find_transition, minimize_aspect
 from rectlat.errors import NonconvergenceError, ParameterDomainError
 from rectlat.phasescan import (
@@ -249,25 +250,14 @@ class TestPredictedRoots:
         assert tp.a_star == pytest.approx(find_transition(dy98, (2.0, 3.2), q).a_star, rel=1e-13)
         assert miss == pytest.approx((tp.a_star + 1.0) / tp.a_star)
 
-    def test_forked_crossings_keep_the_rows_byte_identical(self, monkeypatch, stub_pool, q):
-        # second- and first-order rows interleave around the tricritical
-        # strength 6.795; the crossings of all but the first go to the pool
-        v1_grid = np.geomspace(5.5, 8.5, 6)
-        serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
-        assert {r.order for r in serial} == {"first", "second"}
-        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        pooled = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=2)
-        assert stub_pool == [2]
-        assert rows_to_csv(pooled, SCAN_CSV_HEADER) == rows_to_csv(serial, SCAN_CSV_HEADER)
-        assert rows_to_json(pooled, {}) == rows_to_json(serial, {})
-
 
 def test_phase_diagram_work_budget(monkeypatch, q):
     # the two phase-diagram scans of the benchmark, counted in process: the
     # E2 roots come from their neighbours, the crossing brackets from the
-    # series, and each (member, density) pays for its gap series once
-    # (915 integrals and 222 crossing gaps before the first two; 628
-    # integrals and 164 gap series before the last)
+    # series, each (member, density) pays for its gap series once, and four
+    # deep crossings start from the two before them (576 integrals, 142
+    # crossing gaps and 120 gap series when every crossing walked its
+    # bracket; 915 integrals and 222 crossing gaps before that)
     import rectlat.critical
     import rectlat.quadrature
 
@@ -286,11 +276,90 @@ def test_phase_diagram_work_budget(monkeypatch, q):
     counted(rectlat.quadrature, "integrate", "integrals")
     counted(rectlat.critical, "_crossing_gap", "crossing gaps")
     counted(rectlat.critical, "landau_series", "gap series")
-    scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q, workers=1)
-    scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q, workers=1)
-    assert counts["integrals"] <= 600
-    assert counts["crossing gaps"] <= 160
-    assert counts["gap series"] <= 125
+    scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q)
+    scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q)
+    assert counts["integrals"] <= 540
+    assert counts["crossing gaps"] <= 95
+    assert counts["gap series"] <= 85
+
+
+def _gap_rows(v1_grid, q):
+    """The rows of a critical-curve scan whose crossings all walk their
+    brackets from the E2 root, as rows without a prediction do."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(phasescan, "_predicted_crossing", lambda *args: None)
+        return scan_critical_curve(2.0, v1_grid=v1_grid, q=q)
+
+
+# the seven deep first-order rows of the phase-diagram critical curve
+_DEEP_V1 = np.geomspace(3.702, 60.0, 32)[:7]
+
+
+class TestPredictedCrossings:
+    def test_predicted_rows_match_the_bracket_walk(self, monkeypatch, q):
+        # rows 3-6 start from the two before them; row 7's predicted
+        # density lies right of its E2 root, so it walks its bracket
+        solved = []
+        predicted = phasescan._predicted_crossing
+
+        def recorded(spec, *args):
+            crossing = predicted(spec, *args)
+            solved.append((spec.v1, crossing is not None))
+            return crossing
+
+        monkeypatch.setattr(phasescan, "_predicted_crossing", recorded)
+        rows = scan_critical_curve(2.0, v1_grid=_DEEP_V1, q=q)
+        assert solved == [(v1, True) for v1 in _DEEP_V1[2:6]]
+        walked = _gap_rows(_DEEP_V1, q)
+        assert [r.status for r in rows] == ["artificial-extension", "ok"] * 7
+        _same_rows(rows, walked)
+        for row, ref in zip(rows[1::2], walked[1::2]):
+            assert row.a_star == pytest.approx(ref.a_star, rel=1e-14)
+            assert row.eps_jump == pytest.approx(ref.eps_jump, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # Newton leaves the window through its floor
+            lambda a, eps, floor: (a, floor + 1e-3),
+            # the gap series has no barrier at the predicted density
+            lambda a, eps, floor: (a * (1.0 - 2e-3), eps),
+        ],
+        ids=["eps-at-floor", "density-far-left"],
+    )
+    def test_bad_prediction_falls_back_to_the_bracket_walk(self, monkeypatch, bad, q):
+        # a prediction the window or the solve refuses leaves the row to the
+        # bracket walk, which gives the same row
+        refused = []
+        predicted = phasescan._predicted_crossing
+
+        def spoiled(spec, q, a_pred, eps_pred, last_miss):
+            floor = phasescan._series_window(spec, a_pred, q)[1]
+            crossing = predicted(spec, q, *bad(a_pred, eps_pred, floor), last_miss)
+            refused.append(crossing is None)
+            return crossing
+
+        monkeypatch.setattr(phasescan, "_predicted_crossing", spoiled)
+        rows = scan_critical_curve(2.0, v1_grid=_DEEP_V1[:4], q=q)
+        assert refused == [True, True]
+        assert rows == _gap_rows(_DEEP_V1[:4], q)
+
+    def test_guard_refuses_a_crossing_off_the_global_minimum(self, monkeypatch, q):
+        # a solve that ends 0.2 above the branch minimum: the eps lattice
+        # guards the first predicted row, and the second misses its
+        # prediction by more than three times the first's miss
+        solve = phasescan._deep_crossing
+        monkeypatch.setattr(
+            phasescan, "_deep_crossing", lambda *args: (lambda a, eps: (a, eps + 0.2))(*solve(*args))
+        )
+        guarded = []
+        scan = phasescan._gap_scan
+        monkeypatch.setattr(
+            phasescan, "_gap_scan", lambda spec, *args: guarded.append(spec.v1) or scan(spec, *args)
+        )
+        rows = scan_critical_curve(2.0, v1_grid=_DEEP_V1[:4], q=q)
+        assert guarded == list(_DEEP_V1[2:4])
+        assert rows == _gap_rows(_DEEP_V1[:4], q)
 
 
 def test_prediction_brackets_from_the_larger_of_two_misses(coarse_calls, q):
@@ -361,107 +430,72 @@ class TestAStarMinScan:
 
 class TestTricriticalLocusScan:
     def test_locus_with_out_of_domain_points(self, q):
-        rows, bounds = scan_tricritical_locus([1.2, 1.8, 2.0], q=q, with_bounds=False)
+        # above the window's upper end (2.0365) the solve is refused as a
+        # domain error; below its lower end (1.4368) Newton and the nested
+        # fallback fail, and that refusal is the row's
+        rows, bounds = scan_tricritical_locus([1.2, 1.8, 2.0, 2.1], q=q, with_bounds=False)
         assert bounds is None
-        assert rows[0][3] == "out-of-domain"
+        assert rows[0][1:] == (
+            None,
+            None,
+            "failed: NonconvergenceError: tricritical solve failed (Newton and nested fallback)",
+        )
         assert rows[1][3] == "ok"
         assert rows[2][3] == "ok"
+        assert rows[3][1:] == (None, None, "out-of-domain")
         # strength decreasing, density increasing along the locus
         assert rows[1][2] > rows[2][2]
         assert rows[1][1] < rows[2][1]
 
 
-class _StubPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
-    maps in this process, so no worker is started."""
-
-    started = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.fixture()
-def stub_pool(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
-    monkeypatch.setattr(_StubPool, "started", [])
-    return _StubPool.started
-
-
 class TestWorkers:
-    def test_worker_count_does_not_change_rows(self, q):
-        v1_grid = np.geomspace(7.5, 15.0, 4)
-        serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
-        parallel = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=3)
-        assert serial == parallel
+    """``--workers`` is still parsed and validated, and changes nothing."""
 
-    def test_forced_pool_matches_serial_rows(self, monkeypatch, q):
-        # deep first-order rows (v1 below the tricritical 6.795) polished by
-        # two forked workers after the parent's first job
-        v1_grid = np.geomspace(3.8, 6.5, 5)
-        serial = scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=1)
-        assert sum(r.status == "ok" and r.eps_jump > 0.15 for r in serial) == 5
-        import concurrent.futures
+    def test_worker_count_does_not_change_rows(self, capsys):
+        args = ["scan", "--mode", "critical-curve", "--kappa1", "2", "--v1-grid", "3.8:6.5:log:5"]
+        assert main([*args, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*args, "--workers", "3"]) == 0
+        assert capsys.readouterr().out == serial
 
-        started = []
+    def test_cheap_scan_starts_no_pool(self, monkeypatch, q):
+        # every scan runs in this process: the deep rows included
+        import os
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
+        def fork():
+            raise AssertionError("a scan started a process")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        assert scan_critical_curve(2.0, v1_grid=v1_grid, q=q, workers=2) == serial
-        assert started == [2]
-
-    def test_pool_is_capped_at_the_jobs_left(self, monkeypatch, stub_pool, q):
-        # the parent runs the first job, so three jobs leave two for the pool
-        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        job = lambda k1: a_star_min(k1, q)
-        rows = phasescan._map_jobs(job, [1.0, 2.0, 4.0], workers=5000)
-        assert stub_pool == [2]
-        assert rows == phasescan._map_jobs(job, [1.0, 2.0, 4.0], workers=1)
-
-    def test_cheap_scan_starts_no_pool(self, stub_pool, q):
-        rows = scan_critical_curve(2.0, v1_grid=np.geomspace(7.5, 15.0, 4), q=q, workers=2)
-        assert stub_pool == []
-        assert [r.status for r in rows] == ["ok"] * 4
-
-    def test_one_job_left_runs_here(self, monkeypatch, stub_pool, q):
-        monkeypatch.setattr(phasescan, "POOL_AFTER_S", 0.0)
-        phasescan._map_jobs(lambda k1: a_star_min(k1, q), [1.0, 2.0], workers=2)
-        assert stub_pool == []
+        monkeypatch.setattr(os, "fork", fork)
+        rows = scan_critical_curve(2.0, v1_grid=np.geomspace(3.8, 6.5, 5), q=q)
+        assert [r.status for r in rows] == ["artificial-extension", "ok"] * 5
 
     @pytest.mark.parametrize(
-        "scan",
+        "mode",
         [
-            lambda w: scan_critical_curve(2.0, v1_grid=[9.8], workers=w),
-            lambda w: scan_yukawa_coulomb([2.0], workers=w),
-            lambda w: scan_a_star_min([2.0], workers=w),
+            ["critical-curve", "--kappa1", "2", "--v1-grid", "9.8:9.8:lin:1"],
+            ["yukawa-coulomb", "--kappa1-grid", "2:2:lin:1"],
+            ["a-star-min", "--kappa1-grid", "2:2:lin:1"],
         ],
         ids=["critical-curve", "yukawa-coulomb", "a-star-min"],
     )
     @pytest.mark.parametrize("workers", [0, -1, 1.5])
-    def test_workers_are_refused_up_front(self, monkeypatch, scan, workers):
+    def test_workers_are_refused_up_front(self, monkeypatch, capsys, mode, workers):
         def seeding(*args):
             raise AssertionError("a scan with a bad worker count started")
 
         monkeypatch.setattr(phasescan, "_coarse_e2_root", seeding)
         monkeypatch.setattr(phasescan, "a_star_min", seeding)
-        with pytest.raises(ParameterDomainError, match="--workers must be an integer of at least"):
-            scan(workers)
+        argv = ["scan", "--mode", *mode, "--workers", str(workers)]
+        if isinstance(workers, int):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: --workers must be an integer of at least 1, got {workers}\n"
+            )
+        else:  # argparse refuses a non-integer before the command runs
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert "--workers: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 class TestEmission:

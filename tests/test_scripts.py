@@ -75,18 +75,6 @@ def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
     assert captured.err.startswith("error: kappa1 must be positive and at most")
 
 
-@pytest.mark.parametrize("name", ["phase_diagram.py", "asmin_curve.py"])
-def test_scripts_refuse_a_worker_count_below_one(monkeypatch, capsys, name):
-    # validated by the scans, as for the CLI; it used to run serially
-    monkeypatch.setattr(sys, "argv", [name, "--points", "2", "--workers", "0"])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert exited.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --workers must be an integer of at least 1, got 0\n"
-
-
 @pytest.mark.parametrize(
     "load",
     [
@@ -104,7 +92,7 @@ def test_no_scipy_at_run_time(load):
 
 
 def test_no_process_pool_at_import():
-    # the pool and its modules load only when a scan starts one
+    # scans run in one process: no pool or process module is ever loaded
     pool = ("multiprocessing", "concurrent.futures", "subprocess", "socket")
     report = f"print(sorted(m for m in {pool!r} if m in sys.modules))"
     assert _fresh_interpreter(f"import sys\nimport rectlat.cli\n{report}") == "[]\n"

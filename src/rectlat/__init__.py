@@ -50,14 +50,12 @@ from .potentials import (
     PotentialSpec,
     derive_double_yukawa,
     derive_yukawa_coulomb,
-    measure_density,
     potential_value,
     riesz,
-    spec_from_json,
     yukawa,
 )
 from .quadrature import QuadratureConfig
-from .theta import theta3, theta3_deriv
+from .theta import theta3
 
 __version__ = "0.1.0"
 
@@ -100,12 +98,9 @@ __all__ = [
     "kappa1_upper",
     "landau_series",
     "lattice_energy",
-    "measure_density",
     "minimize_aspect",
     "potential_value",
     "riesz",
-    "spec_from_json",
     "theta3",
-    "theta3_deriv",
     "yukawa",
 ]

@@ -65,7 +65,6 @@ def _add_common(p, default_format):
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument("--abs-tol", type=float, default=1e-14)
     p.add_argument("--split-point", type=float, default=math.pi)
-    p.add_argument("--max-refinements", type=int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
     p.add_argument("--output", default=None, help="output path (default: stdout)")
 
@@ -84,12 +83,7 @@ def _add_family(p):
 
 
 def _quad(ns) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=ns.rel_tol,
-        abs_tol=ns.abs_tol,
-        split_point=ns.split_point,
-        max_refinements=ns.max_refinements,
-    )
+    return QuadratureConfig(rel_tol=ns.rel_tol, abs_tol=ns.abs_tol, split_point=ns.split_point)
 
 
 def _refuse_unused(ns, flags, used, what):

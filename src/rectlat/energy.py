@@ -91,7 +91,7 @@ def split_integral(
 
     ``table_of(grid)`` returns the bracket on the grid's nodes, either one
     table or a stack of them (last axis = nodes), each row integrated
-    under one shared ladder.  ``eps_max`` is the largest ``|eps|`` of the
+    in one shared pass.  ``eps_max`` is the largest ``|eps|`` of the
     brackets: a Riesz weight has no exponential decay, so a bracket that
     falls only like ``exp(-u e^-|eps|)`` needs a wider tail cutoff.  The
     exponential families keep their grids.
@@ -137,7 +137,7 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     self-term constants cancel identically in the difference.
 
     A 1-D array of ``eps`` gives one gap per entry from one stacked
-    integral (one ladder, one set of measure weights); each entry equals
+    integral (one grid, one set of measure weights); each entry equals
     the scalar call bit for bit.  Its table is one ``theta_product_gap``
     call through ``_gap_rows``, so two calls on the same ``eps`` in a row
     build it once.  An ``eps`` that is not finite, or above

@@ -30,9 +30,8 @@ obeyed by every eps-coefficient of the theta product; ``theta.modular_reduce``
 keeps all series arguments at or above pi.  Every coefficient is one row of
 ``energy.split_integral`` (the split kernel against the potential's
 measure): stacked rows (E2 with E4, or all series orders) share one
-quadrature ladder and one set of measure weights per grid, and each row
-stops at its own convergence level, so a stacked row is bit-for-bit the
-coefficient integrated alone.
+quadrature grid and one set of measure weights, and a stacked row is
+bit-for-bit the coefficient integrated alone.
 """
 
 from __future__ import annotations

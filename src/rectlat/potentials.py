@@ -77,13 +77,6 @@ class PotentialSpec:
         return json.dumps(data)
 
 
-def spec_from_json(text: str) -> PotentialSpec:
-    """Rebuild a spec from its JSON form, re-deriving dependent parameters."""
-    data = json.loads(text)
-    params = {k: data[k] for k in ("s", "kappa", "v", "v1", "kappa1") if k in data}
-    return make_spec(data.get("family"), **params)
-
-
 def riesz(s: float) -> PotentialSpec:
     check_domain(s > 0, f"Riesz exponent must be positive, got {s}", s=s)
     return PotentialSpec(family=RIESZ, s=float(s))
@@ -203,38 +196,6 @@ def potential_value(spec: PotentialSpec, r):
     if spec.family == YUKAWA_COULOMB:
         return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2) / r
     raise ParameterDomainError(f"unknown family {spec.family!r}")
-
-
-def measure_density(spec: PotentialSpec, t):
-    """Density rho(t) of the Gaussian-superposition measure.
-
-    The strength factors (v, v1, v2) are included, so that numerically
-    integrating ``exp(-r^2 t) * rho(t)`` reproduces ``potential_value``.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ParameterDomainError("measure argument t must be positive")
-    if spec.family == RIESZ:
-        return t ** (spec.s / 2.0 - 1.0) / math.gamma(spec.s / 2.0)
-    root = np.sqrt(np.pi * t)
-    if spec.family == YUKAWA:
-        return spec.v * np.exp(-spec.kappa**2 / (4.0 * t)) / root
-    if spec.family == DOUBLE_YUKAWA:
-        return (
-            spec.v1 * np.exp(-spec.kappa1**2 / (4.0 * t))
-            - spec.v2 * np.exp(-spec.kappa2**2 / (4.0 * t))
-        ) / root
-    if spec.family == YUKAWA_COULOMB:
-        return (spec.v1 * np.exp(-spec.kappa1**2 / (4.0 * t)) - spec.v2) / root
-    raise ParameterDomainError(f"unknown family {spec.family!r}")
-
-
-def sign_change_threshold(spec: PotentialSpec) -> float:
-    """Where the double-Yukawa measure density turns positive:
-    rho < 0 exactly on (0, (kappa1^2-kappa2^2) / (4 ln(v1/v2)))."""
-    if spec.family != DOUBLE_YUKAWA:
-        raise ParameterDomainError("sign-change threshold applies to double-yukawa only")
-    return (spec.kappa1**2 - spec.kappa2**2) / (4.0 * math.log(spec.v1 / spec.v2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature for the lattice-energy integrals.
+"""Deterministic quadrature for the lattice-energy integrals.
 
 Every integral in this package is a self-rescaling theta bracket against
 a measure.  The one split kernel ``integrate_split`` splits it at
@@ -6,22 +6,22 @@ a measure.  The one split kernel ``integrate_split`` splits it at
 leaves semi-infinite integrals of smooth integrands that decay at least
 like ``exp(-u)`` with at most a mild polynomial factor.  They are
 evaluated on composite 24-node Gauss-Legendre panels laid out
-geometrically in ``log u``; refinement doubles the panel count.
+geometrically in ``log u``: one grid per piece, one pass.
 
-Each level is one grid and one pass, and carries its own error estimate:
-a null rule (Berntsen & Espelid, ACM TOMS 17, 1991) that needs no extra
-nodes.  On every panel it takes the degree-22 and degree-23 Legendre
-content of the contributions (one fixed ``(24, 2)`` matrix product); the
-estimate is their absolute sum over the panels of every piece.  A level
-is accepted once that estimate is at most ``max(rel_tol * scale,
-abs_tol)``, where ``scale`` is the sum of the absolute contributions, so
-a smooth integrand stops at level 0 on one grid.  The 24-node rule
-integrates every degree below 48 exactly, and a smooth integrand's
-Legendre coefficients fall off geometrically, so the content at degrees 22
-and 23 overstates a panel's error by a wide margin.  Roundoff in the
-contributions keeps the estimate at about 5e-15 of the scale (up to 2e-14
-where the two halves of a split integral cancel), so a ``rel_tol`` below
-that, with a smaller ``abs_tol``, is not met at any level.
+The pass carries its own error estimate: a null rule (Berntsen & Espelid,
+ACM TOMS 17, 1991) that needs no extra nodes.  On every panel it takes the
+degree-22 and degree-23 Legendre content of the contributions (one fixed
+``(24, 2)`` matrix product); the estimate is their absolute sum over the
+panels of every piece.  The integral is accepted when that estimate is at
+most ``max(rel_tol * scale, abs_tol)``, where ``scale`` is the sum of the
+absolute contributions, and refused with a ``QuadratureError`` otherwise.
+The 24-node rule integrates every degree below 48 exactly, and a smooth
+integrand's Legendre coefficients fall off geometrically, so the content
+at degrees 22 and 23 overstates a panel's error by a wide margin, and a
+smooth integrand passes on its one grid.  Roundoff in the contributions
+keeps the estimate at about 5e-15 of the scale (up to 2e-14 where the two
+halves of a split integral cancel), so a ``rel_tol`` below that, with a
+smaller ``abs_tol``, is refused.
 
 At the default split (``pi^2/pi = pi``) both halves start at ``pi`` and
 share one grid, so they are one piece: the bracket table is formed once
@@ -29,10 +29,9 @@ per grid and multiplied by the sum of the two measure weights.  At any
 other split the halves are two pieces on two grids.
 
 A piece may return arrays: a stack of integrands against the same
-measure then shares one ladder (the same grids, the same measure
-weights), and each component is frozen at the first level where it
-passes its own test.  Every component is therefore bit-for-bit the value
-its own ladder would give.
+measure then shares one pass (the same grids, the same measure weights).
+The stack is accepted only when every component passes its own test, and
+each component is then bit-for-bit the value it would have alone.
 
 Node placement is a pure function of the integration window, so results
 are bit-reproducible run to run and independent of evaluation order.
@@ -45,7 +44,6 @@ table of the eps lattice that every direct-gap scan evaluates
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +79,14 @@ _GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 _NULL_RULE = np.concatenate([_GL_HALF[::-1, 2:] * (1.0, -1.0), _GL_HALF[:, 2:]])
 _BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
 
-#: Largest ``max_refinements``: a level-8 grid holds 8 * 2^8 * 24 = 49,152
-#: nodes or more, and a stacked table one row of that per integrand.
-MAX_REFINEMENTS = 8
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and domain split for the energy integrals.
 
-    An integral (each component of a stack) is accepted at the first
-    level whose null-rule error estimate is at most ``max(rel_tol *
-    scale, abs_tol)``, ``scale`` being the integral of the absolute
-    integrand on that level.  ``max_refinements`` (an integer from 1 to
-    ``MAX_REFINEMENTS``) is the last level tried.  ``split_point`` is the
+    An integral (each component of a stack) is accepted when its null-rule
+    error estimate is at most ``max(rel_tol * scale, abs_tol)``, ``scale``
+    being the integral of the absolute integrand.  ``split_point`` is the
     boundary between the directly-evaluated part of the t-integral and
     the part mapped through t -> pi^2/t.
     """
@@ -102,34 +94,26 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     split_point: float = math.pi
-    max_refinements: int = 6
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "split_point"):
             x = getattr(self, name)
             check_domain(x > 0, f"{name} must be finite and positive, got {x}", **{name: x})
-        n = self.max_refinements
-        check_domain(
-            isinstance(n, numbers.Integral)
-            and not isinstance(n, bool)
-            and 1 <= n <= MAX_REFINEMENTS,
-            f"max_refinements must be an integer from 1 to {MAX_REFINEMENTS}, got {n!r}",
-        )
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
 class Grid:
-    """Gauss-Legendre panels on (lo, hi], geometric in log u, at one
-    refinement ``level``; ``root`` holds ``sqrt(nodes)``.
+    """Gauss-Legendre panels on (lo, hi], geometric in log u, with
+    ``2**level`` times the base panel count; ``root`` holds ``sqrt(nodes)``.
 
     ``cached(key, builder)`` memoizes node-wise tables (theta brackets,
     series coefficient matrices) so that repeated integrals against
     different measures reuse them; ``builder`` is a function of the nodes.
     """
 
-    __slots__ = ("lo", "hi", "level", "nodes", "root", "weights", "_tables")
+    __slots__ = ("lo", "hi", "nodes", "root", "weights", "_tables")
 
     def __init__(self, lo: float, hi: float, level: int):
         span = math.log(hi / lo)
@@ -141,7 +125,6 @@ class Grid:
         u = lo * np.exp(y)
         self.lo = lo
         self.hi = hi
-        self.level = level
         self.nodes = u
         self.root = np.sqrt(u)
         self.weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel() * u  # du = u dy
@@ -172,7 +155,13 @@ def _tail_cutoff(decay_scale: float, eps_max: float = 0.0) -> float:
 
 
 def grid_for(lo: float, hi: float, level: int) -> Grid:
-    """The cached grid on (lo, hi] at refinement ``level``."""
+    """The cached grid on (lo, hi] at ``level``.
+
+    ``integrate`` always asks for level 0.  The argument stays because the
+    benchmark's tracer (``perfbench/tracer.py``) reads it, positionally,
+    for its ``quadrature.level_max`` and ``quadrature.grid_units`` counts;
+    it goes when those counts do.
+    """
     key = (round(lo, 12), hi, level)
     g = _GRID_CACHE.get(key)
     if g is None:
@@ -181,48 +170,33 @@ def grid_for(lo: float, hi: float, level: int) -> Grid:
     return g
 
 
-def _level_sums(pieces, hi: float, level: int):
-    """``(value, scale, error)`` of one level: the pieces' sums (added in
-    order, starting from 0.0), absolute sums and null-rule estimates."""
+def integrate(
+    pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0
+):
+    """Sum of semi-infinite integrals, each on one grid.
+
+    ``pieces`` is a sequence of ``(lo, fn)`` where ``fn(grid)`` returns
+    the node-wise contributions (integrand times panel weights) on the
+    grid's nodes, one array or a stack of them (last axis = nodes).  The
+    value is their sum (added in order, starting from 0.0), the scale the
+    sum of their absolute values and the error the null-rule estimate.
+    The value is returned when every component's error is at most
+    ``max(rel_tol * scale, abs_tol)``; otherwise a ``QuadratureError``
+    carries the largest error as its residual.  ``eps_max`` widens the
+    tail cutoff for slowly decaying brackets (``_tail_cutoff``).
+    """
+    hi = _tail_cutoff(decay_scale, eps_max)
     value = scale = error = 0.0
     for lo, fn in pieces:
-        contrib = fn(grid_for(lo, hi, level))
+        contrib = fn(grid_for(lo, hi, 0))
         value += contrib.sum(axis=-1)
         scale += np.abs(contrib).sum(axis=-1)
         panels = contrib.reshape(*contrib.shape[:-1], -1, _GL_ORDER)
         error += np.abs(panels @ _NULL_RULE).sum(axis=(-2, -1))
-    return value, scale, error
-
-
-def integrate(
-    pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0
-):
-    """Sum of semi-infinite integrals with a shared refinement ladder.
-
-    ``pieces`` is a sequence of ``(lo, fn)`` where ``fn(grid)`` returns
-    the node-wise contributions (integrand times panel weights) on the
-    grid's nodes, one array or a stack of them (last axis = nodes).  Each
-    level's value is their sum, its scale the sum of their absolute
-    values and its error the null-rule estimate.  A component is accepted
-    at the first level where the error is at most ``max(rel_tol * scale,
-    abs_tol)``; its value is frozen there while the others refine.
-    ``eps_max`` widens the tail cutoff for slowly decaying brackets
-    (``_tail_cutoff``).
-    """
-    hi = _tail_cutoff(decay_scale, eps_max)
-    frozen = None  # components accepted at an earlier level, their values in kept
-    for level in range(q.max_refinements + 1):
-        value, scale, error = _level_sums(pieces, hi, level)
-        passed = error <= np.maximum(q.rel_tol * scale, q.abs_tol)
-        if frozen is not None:
-            value = np.where(frozen, kept, value)
-            passed = passed | frozen
-        if passed.all():
-            return value
-        if passed.any():
-            frozen, kept = passed, value
+    if np.all(error <= np.maximum(q.rel_tol * scale, q.abs_tol)):
+        return value
     raise QuadratureError(
-        f"quadrature did not converge after {q.max_refinements} refinements "
+        "quadrature did not converge on its grid "
         f"(error estimate {np.max(error):.3e} against scale {np.max(scale):.3e})",
         residual=float(np.max(error)),
     )

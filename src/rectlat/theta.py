@@ -81,13 +81,6 @@ def theta3(t):
     return float(out[0]) if t.ndim == 0 else out
 
 
-def theta3_deriv(t, n: int):
-    """n-th t-derivative of theta3(exp(-t)), 0 <= n <= 4, at t >= pi."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 4:
-        raise ValueError(f"derivative order must be an integer in 0..4, got {n!r}")
-    return theta3_derivs(t, nmax=n)[n]
-
-
 def _excess_direct(t: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(-np.multiply.outer(t, _JSQ)).sum(axis=-1)
 

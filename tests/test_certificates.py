@@ -18,11 +18,12 @@ from rectlat.critical import a_star_min
 
 
 def _curvature_condition(kappa, area):
-    """The lattice sum g(A) at 30 digits, cut where e^{-kappa r} < e^{-80}."""
+    """The lattice sum g(A) at 30 digits, cut 80 e-foldings of e^{-kappa r}
+    below the nearest shell, r = sqrt(A)."""
     with mp.workdps(30):
         k, a = mp.mpf(kappa), mp.mpf(area)
         c = (1 + k) / k
-        s_max = (80 / k) ** 2 / a
+        s_max = (80 / k + mp.sqrt(a)) ** 2 / a
         n = int(mp.sqrt(s_max)) + 1
         total = mp.mpf(0)
         # one octant 0 <= j <= m, each point weighted by its images
@@ -51,7 +52,7 @@ def _implied_error(kappa, area):
         return float(abs(_curvature_condition(kappa, a) / slope) / a)
 
 
-_A_STAR_MIN = {5.0: 1.4590912262884195, 20.0: 1.1022994467057909}
+_A_STAR_MIN = {5.0: 1.4590912262884195, 20.0: 1.1022994467057909, 50.0: 1.0403849167939165}
 
 
 @pytest.mark.parametrize("kappa1", sorted(_A_STAR_MIN))

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import rectlat.quadrature as quadrature
 from rectlat.cli import main
+from rectlat.errors import QuadratureError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,13 +46,15 @@ class TestEnergyCommand:
 
     @pytest.mark.parametrize("value", ["0", "9", "1000"])
     def test_max_refinements_out_of_range_exits_2(self, capsys, value):
+        # every integral is one grid, so there is no refinement flag: any
+        # value is an argparse usage error
         argv = ["energy", "--family", "riesz", "--s", "3", "--area", "1", "--max-refinements", value]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: max_refinements must be an integer from 1 to 8, got {value}\n"
-        )
+        assert f"unrecognized arguments: --max-refinements {value}" in captured.err
 
     def test_aspect_inversion_gives_equal_energy(self, capsys):
         base = ["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2", "--area", "2.6"]
@@ -227,11 +231,33 @@ class TestScanCommand:
             "family,kappa1,v1,a_star,order,eps_jump,e2_residual,e4_value,status"
         )
 
-    def test_failed_seed_is_a_row(self, capsys):
+    def test_failed_seed_is_a_row(self, capsys, monkeypatch):
         # the coarse E2 root at kappa1 = 20 fails in the quadrature: that
-        # point keeps a failed row and the rest of the scan goes on
+        # point keeps a failed row and the rest of the scan goes on.  The
+        # refused integral is one grid at level 0 (one piece at the default
+        # split), and carries its null-rule estimate as the residual
+        levels, refusals = [], []
+        real_grid_for, real_integrate = quadrature.grid_for, quadrature.integrate
+
+        def grid_for(lo, hi, level):
+            levels.append(level)
+            return real_grid_for(lo, hi, level)
+
+        def integrate(*args, **kwargs):
+            levels.clear()
+            try:
+                return real_integrate(*args, **kwargs)
+            except QuadratureError as err:
+                refusals.append((list(levels), err.residual))
+                raise
+
+        monkeypatch.setattr(quadrature, "grid_for", grid_for)
+        monkeypatch.setattr(quadrature, "integrate", integrate)
         argv = ["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2:20:lin:2"]
         assert main(argv) == 0
+        assert len(refusals) == 1
+        grids, residual = refusals[0]
+        assert grids == [0] and residual > 0.0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
         by_kappa = {}
         for row in rows:

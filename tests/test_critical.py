@@ -713,6 +713,20 @@ class TestFitExponent:
         assert any(issubclass(w.category, PoorFitWarning) for w in caught)
         assert fit.r_squared < 0.999
 
+    def test_onset_approaches_the_landau_square_root(self, dy98):
+        # the samples the fit reads against the exact beta = 1/2 law
+        # eps = sqrt(-E2'(A*) r A* / (2 E4(A*))) at A = A* (1 + r): their
+        # ratio's miss is linear in r, falling 10x per decade toward 0
+        a_star = find_transition(dy98, (2.0, 3.2)).a_star
+        slope, e4 = e2_slope(dy98, a_star), e4_closed(dy98, a_star)
+        misses = []
+        for r in (1e-5, 1e-6, 1e-7):
+            eps_min, _ = minimize_aspect(dy98, a_star * (1.0 + r))
+            misses.append(eps_min / math.sqrt(-slope * r * a_star / (2.0 * e4)) - 1.0)
+        assert 0.0 < abs(misses[-1]) < 1e-5
+        for coarse, fine in zip(misses, misses[1:]):
+            assert 9.0 < coarse / fine < 11.0
+
     def test_explicit_window(self, dy98):
         tp = find_transition(dy98, (2.0, 3.2))
         deltas = np.geomspace(1e-7, 1e-5, 8) * tp.a_star

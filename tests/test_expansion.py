@@ -117,7 +117,7 @@ _SPECS = {
 
 
 class TestSharedLadder:
-    """Stacked rows share one ladder yet equal their own integrals bit for bit."""
+    """Stacked rows share one grid yet equal their own integrals bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_SPECS))
     def test_e2_e4_closed_is_the_pair(self, name):

@@ -1,15 +1,15 @@
-"""The one-grid pass and the shared bracket table against a plain ladder.
+"""The one-grid pass and the shared bracket table against a plain reference.
 
-The reference ladder below evaluates every level on a fresh grid with a
-fresh table, and accepts each component at the first level where its own
-null-rule estimate passes, taken from the Legendre coefficients of each
-panel.  It keeps the kernel's arithmetic: ``(front * weights * w) * table``
-per node with ``w`` the measure weight of a half (their sum when both
-halves share the grid at split ``pi``), summed over each grid's nodes and
-added from 0.0.  The production pass must give the same bits, and must
-form the bracket table once per grid and level (once per level at the
-default split, where both halves share a grid; twice at a split with two
-grids).
+The reference pass below evaluates each piece on a fresh grid with a fresh
+table, and accepts the integral when every component's null-rule estimate,
+taken from the Legendre coefficients of each panel, passes its test.  It
+keeps the kernel's arithmetic: ``(front * weights * w) * table`` per node
+with ``w`` the measure weight of a half (their sum when both halves share
+the grid at split ``pi``), summed over each grid's nodes and added from
+0.0.  The production pass must give the same bits, or refuse where the
+reference refuses, and must form the bracket table once per grid (once at
+the default split, where both halves share a grid; twice at a split with
+two grids).
 """
 
 import math
@@ -39,8 +39,9 @@ from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for, i
 _LEGENDRE_22_23 = legvander(leggauss(24)[0], 23)[:, 22:] * np.array([22.5, 23.5])
 
 
-def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, level, eps_max=0.0):
-    """``(value, scale, error)`` of one level of the split integral."""
+def reference_pass(table_of, w_direct, w_transformed, decay_scale, q, front, eps_max=0.0):
+    """``(value, passed)`` of the split integral: the value, and which
+    components pass their null-rule test."""
     hi = _tail_cutoff(decay_scale, eps_max)
     a = q.split_point
     if a == math.pi:
@@ -49,31 +50,13 @@ def reference_level(table_of, w_direct, w_transformed, decay_scale, q, front, le
         sides = [(a, w_direct), (math.pi**2 / a, w_transformed)]
     value = scale = error = 0.0
     for lo, weight in sides:
-        grid = Grid(lo, hi, level)
+        grid = Grid(lo, hi, 0)
         contrib = (front * grid.weights * weight(grid.nodes, grid.root)) * table_of(grid)
         value += contrib.sum(axis=-1)
         scale += np.abs(contrib).sum(axis=-1)
         panels = contrib.reshape(*contrib.shape[:-1], -1, 24)
         error += np.abs(panels @ _LEGENDRE_22_23).sum(axis=(-2, -1))
-    return value, scale, error
-
-
-def reference_ladder(table_of, w_direct, w_transformed, decay_scale, q, front, eps_max=0.0):
-    """``(value, level)``: each component at the first level where it passes,
-    and the deepest level any component needed."""
-    value = done = None
-    for level in range(q.max_refinements + 1):
-        v, scale, error = reference_level(
-            table_of, w_direct, w_transformed, decay_scale, q, front, level, eps_max
-        )
-        ok = error <= np.maximum(q.rel_tol * scale, q.abs_tol)
-        if value is None:
-            value, done = v, np.zeros(np.shape(v), dtype=bool)
-        value = np.where(ok & ~done, v, value)
-        done = done | ok
-        if done.all():
-            return value, level
-    raise AssertionError("reference ladder did not converge")
+    return value, error <= np.maximum(q.rel_tol * scale, q.abs_tol)
 
 
 DY = derive_double_yukawa(9.8, 2.0)
@@ -94,8 +77,9 @@ CASES = {
 
 def check_against_reference(run, q):
     """Run ``run(q)`` and hold every split integral it makes to the
-    reference ladder: the same bits, and one table per grid and level.
-    Returns the deepest level reached."""
+    reference pass: the same bits, or a refusal where a component fails,
+    and one table per grid.  Returns the ``passed`` arrays of the refused
+    integrals."""
     records = []
 
     def recording(m, module):
@@ -108,7 +92,11 @@ def check_against_reference(run, q):
                 formed.append(grid)
                 return table_of(grid)
 
-            value = real(counted, *args, **kwargs)
+            try:
+                value = real(counted, *args, **kwargs)
+            except QuadratureError as err:
+                records.append((table_of, args, kwargs, err, len(formed)))
+                raise
             records.append((table_of, args, kwargs, value, len(formed)))
             return value
 
@@ -117,16 +105,21 @@ def check_against_reference(run, q):
     with pytest.MonkeyPatch.context() as m:
         recording(m, energy)
         recording(m, critical)
-        run(q)
+        try:
+            run(q)
+        except QuadratureError:
+            pass
     assert records
-    grids_per_level = 1 if q.split_point == math.pi else 2
-    deepest = 0
-    for table_of, args, kwargs, value, formed in records:
-        expected, level = reference_ladder(table_of, *args, **kwargs)
-        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
-        assert formed == (level + 1) * grids_per_level
-        deepest = max(deepest, level)
-    return deepest
+    refused = []
+    for table_of, args, kwargs, outcome, formed in records:
+        expected, passed = reference_pass(table_of, *args, **kwargs)
+        if np.all(passed):
+            assert np.asarray(outcome).tobytes() == np.asarray(expected).tobytes()
+        else:
+            assert isinstance(outcome, QuadratureError) and outcome.residual > 0.0
+            refused.append(passed)
+        assert formed == (1 if q.split_point == math.pi else 2)
+    return refused
 
 
 SPLITS = pytest.mark.parametrize("split", [math.pi, 2.0], ids=["split-pi", "split-2"])
@@ -136,19 +129,19 @@ SPLITS = pytest.mark.parametrize("split", [math.pi, 2.0], ids=["split-pi", "spli
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pass_matches_reference_ladder(name, split):
     q = QuadratureConfig(split_point=split)
-    assert check_against_reference(CASES[name], q) == 0
+    assert check_against_reference(CASES[name], q) == []
 
 
 def _with_ringing_row(row, u):
-    """``row`` stacked on ``row * cos(6 u)``, which level 0 does not resolve."""
+    """``row`` stacked on ``row * cos(6 u)``, which the grid does not resolve."""
     return np.stack([row, row * np.cos(6.0 * u)])
 
 
 @SPLITS
 @pytest.mark.parametrize("name", ["energy", "a-star-min"])
-def test_deep_ladder_matches_reference_ladder(monkeypatch, name, split):
-    # an oscillating companion row takes the stacked ladder past level 1,
-    # while the bracket's own row stays frozen at level 0
+def test_ringing_row_refuses_the_pass(monkeypatch, name, split):
+    # an oscillating companion row fails its null-rule test on the one
+    # grid, so the stack is refused, although the bracket's own row passes
     if name == "energy":
         excess = energy.theta_product_excess
         ringing = lambda u, eps: _with_ringing_row(excess(u, eps), u)
@@ -157,7 +150,10 @@ def test_deep_ladder_matches_reference_ladder(monkeypatch, name, split):
         ringing = lambda g: _with_ringing_row(curvature_table(g), g.nodes)
         monkeypatch.setattr(critical, "curvature_table", ringing)
     q = QuadratureConfig(split_point=split)
-    assert check_against_reference(CASES[name], q) > 1
+    refused = check_against_reference(CASES[name], q)
+    assert [passed.tolist() for passed in refused] == [[True, False]]
+    with pytest.raises(QuadratureError):
+        CASES[name](q)
 
 
 @SPLITS
@@ -170,13 +166,13 @@ def test_pair_gap_runs_once_per_pass(monkeypatch, split):
         return real(u, eps)
 
     monkeypatch.setattr(energy, "theta_product_gap", counted)
-    # an unreachable tolerance walks the whole ladder: levels 0, 1 and 2
-    q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, split_point=split, max_refinements=2)
+    # an unreachable tolerance is refused after one table on each grid
+    q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, split_point=split)
     with pytest.raises(QuadratureError):
         energy_gap(DY, 2.6, 0.3, q)
     hi = _tail_cutoff(pot.tail_scale(DY, 2.6))
     los = [split, math.pi**2 / split] if split != math.pi else [split]
-    assert sizes == [grid_for(lo, hi, level).nodes.size for level in range(3) for lo in los]
+    assert sizes == [grid_for(lo, hi, 0).nodes.size for lo in los]
 
 
 def _measure(spec, area, q):
@@ -204,8 +200,8 @@ def test_estimate_is_the_reference_level_0(split):
         return rows(grid)
 
     value = integrate_split(counted, *measure)
-    expected, _, _ = reference_level(rows, *measure, level=0)
-    assert value.tobytes() == expected.tobytes()
+    expected, passed = reference_pass(rows, *measure)
+    assert passed.all() and value.tobytes() == expected.tobytes()
     assert len(formed) == (1 if split == math.pi else 2)
     assert energy_gap(DY, 2.6, eps, q).tobytes() == value.tobytes()
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from rectlat.errors import ParameterDomainError, QuadratureError
 from rectlat.quadrature import (
     DEFAULT_CONFIG,
-    MAX_REFINEMENTS,
     Grid,
     QuadratureConfig,
     _tail_cutoff,
@@ -37,19 +37,15 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(split_point=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=0)
 
 
-@pytest.mark.parametrize("bad", [2.5, True, "3", None, MAX_REFINEMENTS + 1, 10**6])
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, 9, 10**6])
 def test_config_refuses_max_refinements_outside_its_range(bad):
-    # refused up front, before any grid of 8 * 2^L * 24 nodes is built
-    with pytest.raises(ParameterDomainError, match="max_refinements must be an integer from 1"):
+    # every integral is one grid: the config has no refinement level to
+    # set, and refuses one of any value
+    assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol", "abs_tol", "split_point"]
+    with pytest.raises(TypeError, match="max_refinements"):
         QuadratureConfig(max_refinements=bad)
-
-
-def test_config_accepts_integer_max_refinements():
-    assert QuadratureConfig(max_refinements=np.int64(MAX_REFINEMENTS)).max_refinements == 8
 
 
 @pytest.mark.parametrize(
@@ -104,23 +100,23 @@ def test_shifted_decay_scale():
 
 
 def test_failure_carries_residual():
-    # an integrand the panel ladder cannot pin to an impossible tolerance
+    # an integrand the panels cannot pin to an impossible tolerance
     def noisy(grid):
         return grid.weights * np.sin(301.7 * grid.nodes) * np.exp(-0.5 * grid.nodes)
 
-    q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, max_refinements=1)
+    q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300)
     with pytest.raises(QuadratureError) as exc:
         integrate([(math.pi, noisy)], 0.0, q)
     assert exc.value.residual > 0.0
 
 
-def _cosine_piece(ks, levels=None):
-    """cos(k u) exp(-u/2) for each k; higher k needs finer grids."""
+def _cosine_piece(ks, grids=None):
+    """cos(k u) exp(-u/2) for each k; the grid resolves k up to 1."""
     ks = np.asarray(ks, dtype=float)
 
     def piece(grid):
-        if levels is not None:
-            levels.append(grid.level)
+        if grids is not None:
+            grids.append(grid)
         return (
             grid.weights * np.cos(np.multiply.outer(ks, grid.nodes)) * np.exp(-0.5 * grid.nodes)
         )
@@ -134,36 +130,32 @@ def _cosine_exact(k, a=math.pi):
 
 
 def test_under_resolved_level_0_is_refused():
-    # cos(10 u) exp(-u/2) rings across each level-0 panel: the null rule
-    # refuses level 0, whose value misses the tolerance, and the accepted
-    # level meets it against the closed form
+    # cos(10 u) exp(-u/2) rings across each panel of its one grid: the null
+    # rule refuses it, rightly, since that grid's value misses the
+    # tolerance against the closed form; no finer grid is tried
     k = 10.0
-    levels = []
-    value = integrate([(math.pi, _cosine_piece(k, levels))], 0.0)
-    assert levels[0] == 0 and max(levels) > 0
-    exact = _cosine_exact(k)
-    piece = _cosine_piece(k)
-    level_0 = piece(grid_for(math.pi, _tail_cutoff(0.0), 0))
+    grids = []
+    with pytest.raises(QuadratureError) as exc:
+        integrate([(math.pi, _cosine_piece(k, grids))], 0.0)
+    assert grids == [grid_for(math.pi, _tail_cutoff(0.0), 0)]
+    level_0 = _cosine_piece(k)(grids[0])
     tol = DEFAULT_CONFIG.rel_tol * np.abs(level_0).sum()
-    assert abs(level_0.sum() - exact) > tol
-    accepted = piece(grid_for(math.pi, _tail_cutoff(0.0), max(levels)))
-    assert value == accepted.sum()
-    assert abs(value - exact) <= DEFAULT_CONFIG.rel_tol * np.abs(accepted).sum()
+    assert abs(level_0.sum() - _cosine_exact(k)) > tol
+    assert exc.value.residual > tol
 
 
-def test_components_stop_at_their_own_level():
-    ks = (1.0, 2.0, 3.0, 6.0)
-    stacked = integrate([(math.pi, _cosine_piece(ks))], 0.0)
-    assert stacked.shape == (4,)
-    reached = []
-    for i, k in enumerate(ks):
-        levels = []
-        alone = integrate([(math.pi, _cosine_piece(k, levels))], 0.0)
-        reached.append(max(levels))
-        # each row is bit-for-bit its own ladder's value, frozen at its level
-        assert stacked[i] == alone
+def test_one_unresolved_component_refuses_the_stack():
+    # the grid resolves cos(k u) exp(-u/2) at k = 0.5 and 1 but not at 1.5:
+    # a stack passes only when every component does, and each component
+    # is then bit-for-bit its value alone
+    stacked = integrate([(math.pi, _cosine_piece((0.5, 1.0)))], 0.0)
+    assert stacked.shape == (2,)
+    for i, k in enumerate((0.5, 1.0)):
+        assert stacked[i] == integrate([(math.pi, _cosine_piece(k))], 0.0)
         assert stacked[i] == pytest.approx(_cosine_exact(k), rel=1e-11, abs=1e-15)
-    assert reached == [0, 1, 2, 3]
+    for ks in (1.5, (0.5, 1.0, 1.5)):
+        with pytest.raises(QuadratureError):
+            integrate([(math.pi, _cosine_piece(ks))], 0.0)
 
 
 def test_scalar_pieces_return_scalars():

@@ -4,11 +4,11 @@
 points, the value and the absolute scale (the sum of the absolute
 contributions of the accepted level) that the two-level ladder of commit
 8c162ab gave: it accepted an integral once levels 0 and 1 agreed, and
-returned level 1.  The one-grid kernel returns level 0 wherever its
-error estimate passes there, so each value must stay within 1e-13
-relative, or within 1e-15 of its scale: a level's sum carries roundoff
-of about that size, which dominates a coefficient that cancels to a
-small fraction of its integrand (Yukawa-Coulomb E4 and E8 at A = 2.8
+returned level 1.  The one-grid kernel returns level 0 when its error
+estimate passes there, and refuses otherwise, so each value must stay
+within 1e-13 relative, or within 1e-15 of its scale: a level's sum
+carries roundoff of about that size, which dominates a coefficient that
+cancels to a small fraction of its integrand (Yukawa-Coulomb E4 and E8 at A = 2.8
 are 1/1100 and 1/3700 of their scales).  The odd ``landau_series`` rows
 vanish identically; their integrands are roundoff of the series, so they
 are measured against the largest scale of their stack.

@@ -10,7 +10,6 @@ from rectlat.quadrature import grid_for
 from rectlat.theta import (
     SPLIT,
     theta3,
-    theta3_deriv,
     theta3_derivs,
     theta_product_excess,
     theta_product_gap,
@@ -54,23 +53,23 @@ def test_modular_identity_both_sides():
 
 def test_deriv_order_zero_is_theta3():
     for t in (SPLIT, 3.5, 12.0, 40.0):
-        assert theta3_deriv(t, 0) == theta3(t)
+        assert theta3_derivs(t)[0] == theta3(t)
 
 
 def test_first_deriv_against_term_sum():
-    assert theta3_deriv(4.0, 1) == pytest.approx(brute_theta_deriv(4.0, 1), rel=1e-14)
+    assert theta3_derivs(4.0)[1] == pytest.approx(brute_theta_deriv(4.0, 1), rel=1e-14)
     # value quoted from the explicit terms -2(e^-4 + 4e^-16 + 9e^-36 + ...)
-    assert theta3_deriv(4.0, 1) == pytest.approx(-0.03663217805887029, abs=1e-15)
+    assert theta3_derivs(4.0)[1] == pytest.approx(-0.03663217805887029, abs=1e-15)
 
 
 def test_second_deriv_positive():
     for t in (SPLIT, 4.0, 6.0, 40.0):
-        assert theta3_deriv(t, 2) > 0.0
+        assert theta3_derivs(t)[2] > 0.0
 
 
 def test_first_deriv_negative_everywhere():
     for t in np.geomspace(SPLIT, 50, 20):
-        assert theta3_deriv(t, 1) < 0.0
+        assert theta3_derivs(t)[1] < 0.0
 
 
 def test_domain_errors():
@@ -78,10 +77,6 @@ def test_domain_errors():
         theta3(0.0)
     with pytest.raises(ValueError):
         theta3(-1.0)
-    with pytest.raises(ValueError):
-        theta3_deriv(4.0, 5)
-    with pytest.raises(ValueError):
-        theta3_deriv(4.0, -1)
 
 
 @pytest.mark.parametrize(
@@ -127,9 +122,9 @@ def test_finite_difference_consistency():
     for t in np.geomspace(SPLIT, 50, 50):
         h = 1e-4 * t
         d1 = (_theta_minus_one(t + h) - _theta_minus_one(t - h)) / (2 * h)
-        assert theta3_deriv(t, 1) == pytest.approx(d1, rel=1e-6)
+        assert theta3_derivs(t)[1] == pytest.approx(d1, rel=1e-6)
         d2 = (_theta_minus_one(t + h) - 2 * _theta_minus_one(t) + _theta_minus_one(t - h)) / h**2
-        assert theta3_deriv(t, 2) == pytest.approx(d2, rel=1e-6)
+        assert theta3_derivs(t)[2] == pytest.approx(d2, rel=1e-6)
 
 
 def test_higher_derivs_against_brute_sum():

@@ -54,5 +54,10 @@ def test_tracer_counts_the_layers(tmp_path, argv, counted):
     counts = doc["counts"]
     for key in ("quadrature.grid_units", *counted):
         assert counts.get(key, 0) > 0, key
+    # the tracer reads ``grid_for``'s third argument as the level: every
+    # integral is one level-0 grid, so each counts one grid unit
+    integrals = sum(calls for _, name, calls, *_ in doc["edges"] if name == "quadrature.integrate")
+    assert counts["quadrature.level_max"] == 0
+    assert counts["quadrature.grid_units"] == integrals
     # ``cli.emit_s`` is read from the span of ``cli._emit``
     assert any(name == "cli._emit" for _, name, *_ in doc["edges"])

@@ -13,13 +13,14 @@ beyond the expansion's range, the crossing is the joint root of
 envelope theorem, the density where the branch minimum reaches zero.
 
 Solvers are plain bracketed Brent iterations (1D), a damped Newton with
-finite-difference Jacobian (2D) that gives up once its residual stalls
+a central-difference Jacobian (2D) that gives up once its residual stalls
 and hands the solve to a nested 1D fallback, and a plain Newton for the
-deep crossing whose eps rows share stacked integrals and, within a step,
-one table.  The branch crossing is bracketed on its own sign, by a walk
-to lower densities from the E2 root, where the broken branch lies below
-the square one; the gap series predicts its first step.  The series'
-stationary points are the roots of a cubic, in closed form.  All of them
+deep crossing whose eps rows at two densities share one stacked integral
+and one table per step; a 2D Newton step and its Jacobian stencil share
+one pass (``_newton2``).  The branch crossing is bracketed on its own
+sign, by a walk to lower densities from the E2 root, where the broken
+branch lies below the square one; the gap series predicts its first step.
+The series' stationary points are the roots of a cubic, in closed form.  All of them
 consume the quadrature-backed coefficient evaluators, so a solve is a few
 hundred vectorized integrand evaluations.
 The eps scans that seed the direct-gap refinements are one stacked gap
@@ -53,6 +54,7 @@ from .energy import (
     LatticeState,
     energy_gap,
     lattice_energy,
+    split_stack,
 )
 from .errors import (
     BracketError,
@@ -62,7 +64,7 @@ from .errors import (
     SearchFailureError,
     check_domain,
 )
-from .expansion import curvature_table, e2_closed, e2_e4_closed, e4_closed, landau_series
+from .expansion import curvature_table, e2_closed, e2_e4_stack, landau_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
 from .solvers import RTOL_MIN, brentq, minimize_scalar, sign_change
 
@@ -296,7 +298,7 @@ def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> Tr
         a_star = brentq(lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
     except BracketError as err:
         raise BracketError(f"E2 does not change sign on [{lo}, {hi}]: {err}") from err
-    e2v, e4v = e2_e4_closed(spec, a_star, q)
+    e2v, e4v = e2_e4_stack([(spec, a_star)], q)[0]
     return TransitionPoint(
         a_star=float(a_star),
         order="second" if e4v > 0 else "first",
@@ -307,9 +309,10 @@ def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> Tr
 
 
 def e2_slope(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
-    """dE2/dA by central differences (step 1e-5 * A)."""
+    """dE2/dA by central differences (step 1e-5 * A), from one stacked pass."""
     h = 1e-5 * area
-    return (e2_closed(spec, area + h, q) - e2_closed(spec, area - h, q)) / (2.0 * h)
+    up, down = split_stack([(spec, area + h), (spec, area - h)], curvature_table, q)
+    return (up - down) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +348,24 @@ def _kappa2_of_v1(kappa1: float, v1: float) -> float:
 _STALL_STEPS = 12
 
 
-def _newton2(F, z0, in_domain, steps, scale):
-    """Damped 2D Newton with FD Jacobian; returns (z, residuals, cond, trace).
+def _stencil(z, steps):
+    """``(points, h)``: the central-difference points ``z +- h_i e_i`` and the steps."""
+    h = [step(z) for step in steps]
+    points = [z.copy() for _ in range(4)]
+    for i in range(2):
+        points[2 * i][i] += h[i]
+        points[2 * i + 1][i] -= h[i]
+    return points, h
+
+
+def _newton2(F, z0, in_domain, steps):
+    """Damped 2D Newton with a central-difference Jacobian; returns
+    (z, residuals, cond, trace).
+
+    ``F(points) -> rows`` is a batch evaluator (``_evaluator``), one pass
+    per call: the start, its stencil and the residual scale's two points
+    first; after a full step, the next full step's candidate with its
+    stencil (speculatively), so a run of full steps costs one pass each.
 
     Raises ``NonconvergenceError`` (with the trace) naming the stop that
     fired: a singular Jacobian, an exhausted line search, a residual norm
@@ -355,17 +374,21 @@ def _newton2(F, z0, in_domain, steps, scale):
     """
     z = np.array(z0, dtype=float)
     trace = []
-    f = np.array(F(z))
+    stencil, h = _stencil(z, steps)
+    # residuals in scaled units: F's variation under a few-percent density change
+    zp, zm = z.copy(), z.copy()
+    zp[0] *= 1.03
+    zm[0] *= 0.97
+    rows = F([z, *stencil, zp, zm])
+    f = rows[0]
     norms = [float(np.linalg.norm(f))]  # after each accepted step
-    noise = 1e-12 * scale
+    noise = 1e-12 * np.maximum(0.5 * (np.abs(rows[5]) + np.abs(rows[6])), 1e-300)
+    full = False  # whether the last step was a full Newton step
     for _ in range(60):
+        rows = F(stencil)
         jac = np.empty((2, 2))
         for i in range(2):
-            h = steps[i](z)
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            jac[:, i] = (np.array(F(zp)) - np.array(F(zm))) / (2.0 * h)
+            jac[:, i] = (rows[2 * i] - rows[2 * i + 1]) / (2.0 * h[i])
         try:
             dz = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as err:
@@ -375,12 +398,14 @@ def _newton2(F, z0, in_domain, steps, scale):
         while lam >= 2.0**-10:
             z_new = z + lam * dz
             if in_domain(z_new):
-                f_new = np.array(F(z_new))
+                stencil_new, h_new = _stencil(z_new, steps)
+                ahead = full and lam == 1.0  # speculative: its stencil may go unused
+                f_new = F([z_new, *stencil_new] if ahead else [z_new])[0]
                 if np.linalg.norm(f_new) <= np.linalg.norm(f) or np.all(
                     np.abs(f_new) <= noise
                 ):
-                    z, f = z_new, f_new
-                    accepted = True
+                    z, f, stencil, h = z_new, f_new, stencil_new, h_new
+                    accepted, full = True, lam == 1.0
                     break
             lam *= 0.5
         trace.append((z[0], z[1], float(np.linalg.norm(f))))
@@ -399,6 +424,22 @@ def _newton2(F, z0, in_domain, steps, scale):
     raise NonconvergenceError("2D Newton stopped: 60-step cap reached", trace=trace)
 
 
+def _evaluator(spec_at, q):
+    """The batch evaluator ``F(points) -> rows`` of (E2, E4) at z = (A, w) on the
+    members ``spec_at(w)``: unseen points are one ``e2_e4_stack``, and each
+    point (Newton and the fallback revisit points) and member is made once."""
+    memo, spec_at = {}, functools.lru_cache(maxsize=None)(spec_at)
+
+    def F(points):
+        keys = [(float(z[0]), float(z[1])) for z in points]
+        new = {key: None for key in keys if key not in memo}  # ordered, each once
+        if new:
+            memo.update(zip(new, e2_e4_stack([(spec_at(w), a) for a, w in new], q)))
+        return [memo[key] for key in keys]
+
+    return F
+
+
 # The (A, kappa1) unknowns of the Yukawa-Coulomb tricritical solve and of
 # kappa1_lower: their domain and finite-difference steps.
 def _positive(z):
@@ -406,17 +447,6 @@ def _positive(z):
 
 
 _RELATIVE_STEPS = (lambda z: 1e-6 * z[0], lambda z: 1e-6 * z[1])
-
-
-def _residual_scale(F, z0):
-    """Characteristic residual magnitudes: the variation of F under a
-    few-percent density change, used to convert residuals to scaled units."""
-    zp = np.array(z0, dtype=float)
-    zp[0] *= 1.03
-    zm = np.array(z0, dtype=float)
-    zm[0] *= 0.97
-    s = 0.5 * (np.abs(np.array(F(zp))) + np.abs(np.array(F(zm))))
-    return np.maximum(s, 1e-300)
 
 
 def _check_guess(guess):
@@ -461,9 +491,7 @@ def find_tricritical(
             f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
         )
         z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
-
-        def coefficients(z):
-            return e2_e4_closed(_dy_spec_unchecked(kappa1, z[1]), z[0], q)
+        F = _evaluator(lambda kappa2: _dy_spec_unchecked(kappa1, kappa2), q)
 
         def in_domain(z):
             return z[0] > 0.0 and -0.2 < z[1] < kappa1 * 0.999999
@@ -485,9 +513,7 @@ def find_tricritical(
             initial_guess = (2.8, 2.04)
         _check_guess(initial_guess)
         z0 = initial_guess
-
-        def coefficients(z):
-            return e2_e4_closed(pot.derive_yukawa_coulomb(z[1]), z[0], q)
+        F = _evaluator(pot.derive_yukawa_coulomb, q)
 
         in_domain, steps = _positive, _RELATIVE_STEPS
 
@@ -497,26 +523,15 @@ def find_tricritical(
     else:
         raise ParameterDomainError(f"no tricritical solve for family {family!r}")
 
-    # Newton's line search and the nested fallback's brackets revisit points
-    memo = {}
-
-    def F(z):
-        key = (float(z[0]), float(z[1]))
-        f = memo.get(key)
-        if f is None:
-            f = memo[key] = coefficients(z)
-        return f
-
-    scale = _residual_scale(F, z0)
     try:
-        z, f, cond, _ = _newton2(F, z0, in_domain, steps, scale)
+        z, f, cond, _ = _newton2(F, z0, in_domain, steps)
         return result(z, f, cond)
     except NonconvergenceError as err:
         z = _nested_fallback(F, z0, in_domain)
         try:
             if z is None:
                 raise NonconvergenceError("tricritical solve failed (Newton and nested fallback)")
-            return result(np.array(z), np.array(F(z)), float("nan"))
+            return result(np.array(z), F([z])[0], float("nan"))
         except NonconvergenceError as refusal:
             # either refusal keeps Newton's reason and trace
             refusal.trace = err.trace
@@ -536,11 +551,12 @@ def _nested_fallback(F, z0, in_domain):
     """Outer 1D root in the family parameter of E4 evaluated on the E2 root.
 
     Mirrors the picture of the critical curve terminating where E4
-    changes sign along it; slower than Newton but very robust.
+    changes sign along it; slower than Newton but very robust.  ``F`` is
+    the solve's batch evaluator, called with one point at a time.
     """
 
     def a_root(w, a_hint):
-        g = lambda a: F((a, w))[0]
+        g = lambda a: F([(a, w)])[0][0]
         a, fa = a_hint, g(a_hint)
         step = 2e-3 * a_hint
         for _ in range(60):
@@ -561,7 +577,7 @@ def _nested_fallback(F, z0, in_domain):
         if a is None:
             return None
         state["a"] = a
-        return F((a, w))[1]
+        return F([(a, w)])[0][1]
 
     def outer_strict(w):
         g = outer(w)
@@ -613,11 +629,14 @@ _AREA_STEP = 1e-6
 
 
 def _gap_and_slope(spec, area, eps, q):
-    """``([gap, d gap/d eps], d^2 gap/d eps^2)`` at (area, eps), central
-    differences over one 3-row stacked gap."""
+    """``(f, d^2 gap/d eps^2, df/dA)`` at (area, eps), f = [gap, d gap/d eps], by
+    differences over one 3-row stacked gap at area and area (1 + _AREA_STEP)."""
     h = _EPS_STEP
-    lo, mid, hi = energy_gap(spec, area, np.array([eps - h, eps, eps + h]), q)
-    return np.array([mid, (hi - lo) / (2.0 * h)]), (hi - 2.0 * mid + lo) / (h * h)
+    a_up = area * (1.0 + _AREA_STEP)
+    rows = energy_gap(spec, [area, a_up], np.array([eps - h, eps, eps + h]), q)
+    f, f_up = (np.array([mid, (hi - lo) / (2.0 * h)]) for lo, mid, hi in rows)
+    lo, mid, hi = rows[0]
+    return f, (hi - 2.0 * mid + lo) / (h * h), (f_up - f) / (a_up - area)
 
 
 def _off_window(
@@ -634,8 +653,9 @@ def _deep_crossing(spec, area, eps, floor, q):
 
     By the envelope theorem this is the density where the broken-branch
     minimum of the directly integrated gap reaches zero, at that minimum.
-    Each step costs two stacked 3-row gaps (at A and at A (1 + 1e-6)),
-    which share one table of their three eps rows (``energy._gap_rows``).
+    Each step costs one stacked 3-row gap at A and at A (1 + 1e-6)
+    (``_gap_and_slope``): one pass, and one table of its three eps rows,
+    where the two densities share a grid.
     Stops once ``|dA| <= 1e-14 A`` and the eps step is at most 1e-9 or,
     below 1e-7, no longer halves: roundoff of about 1e-18 in the gap,
     divided by 2h and by d^2 gap/d eps^2, leaves eps steps of about 3e-10
@@ -649,9 +669,7 @@ def _deep_crossing(spec, area, eps, floor, q):
     last_step = math.inf
     left_from = "Newton left through it from eps_jump"
     for _ in range(30):
-        f, f_ee = _gap_and_slope(spec, area, eps, q)
-        a_up = area * (1.0 + _AREA_STEP)
-        f_a = (_gap_and_slope(spec, a_up, eps, q)[0] - f) / (a_up - area)
+        f, f_ee, f_a = _gap_and_slope(spec, area, eps, q)
         try:
             d_area, d_eps = np.linalg.solve([[f_a[0], f[1]], [f_a[1], f_ee]], -f)
         except np.linalg.LinAlgError:
@@ -792,11 +810,10 @@ def fit_exponent(
     if deltas is None:
         # classify the reference point by E4 measured against its own
         # variation scale: at a tricritical point the residual sign of an
-        # (almost) vanishing E4 must not pick the window
-        e4v = e4_closed(spec, a_ref, q)
-        e4_scale = abs(
-            e4_closed(spec, 1.01 * a_ref, q) - e4_closed(spec, 0.99 * a_ref, q)
-        )
+        # (almost) vanishing E4 must not pick the window (one stacked pass)
+        points = [(spec, a_ref * f) for f in (1.0, 1.01, 0.99)]
+        e4v, e4_up, e4_down = e2_e4_stack(points, q)[:, 1]
+        e4_scale = abs(e4_up - e4_down)
         if e4v < -0.05 * e4_scale:
             raise ClassificationError(
                 "E4 < 0 at a_ref: first-order point, no power-law onset to fit"
@@ -979,7 +996,6 @@ def kappa1_lower(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     the Yukawa-Coulomb tricritical solve.  There is no fallback: a failed
     solve raises Newton's ``NonconvergenceError`` with its trace.
     """
-    F = lambda z: e2_e4_closed(pot.derive_double_yukawa(_LOWER_END_V1, z[1]), z[0], q)
-    z0 = (2.56, 1.44)
-    z, _, _, _ = _newton2(F, z0, _positive, _RELATIVE_STEPS, _residual_scale(F, z0))
+    F = _evaluator(lambda kappa1: pot.derive_double_yukawa(_LOWER_END_V1, kappa1), q)
+    z, _, _, _ = _newton2(F, (2.56, 1.44), _positive, _RELATIVE_STEPS)
     return float(z[1])

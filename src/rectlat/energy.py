@@ -28,7 +28,7 @@ import numpy as np
 
 from . import potentials as pot
 from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff, integrate_split
 from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
 
@@ -80,33 +80,43 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     return total
 
 
-def split_integral(
-    spec: pot.PotentialSpec,
-    area: float,
-    table_of,
-    q: QuadratureConfig = DEFAULT_CONFIG,
-    eps_max: float = 0.0,
-):
-    """``quadrature.integrate_split`` against the potential's measure.
+def split_integral(spec, area: float, table_of, q=DEFAULT_CONFIG, eps_max: float = 0.0):
+    """``quadrature.integrate_split`` against the potential's measure: the
+    stack of one point of ``split_stack``."""
+    return split_stack([(spec, area)], table_of, q, eps_max)[0]
 
-    ``table_of(grid)`` returns the bracket on the grid's nodes, either one
-    table or a stack of them (last axis = nodes), each row integrated
-    in one shared pass.  ``eps_max`` is the largest ``|eps|`` of the
-    brackets: a Riesz weight has no exponential decay, so a bracket that
-    falls only like ``exp(-u e^-|eps|)`` needs a wider tail cutoff.  The
-    exponential families keep their grids.
-    """
-    if not 0 < area < math.inf:  # the message is formatted only for a refusal
-        check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
-    return integrate_split(
-        table_of,
-        lambda u, root: pot.weight_direct(spec, area, u, root),
-        lambda u, root: pot.weight_transformed(spec, area, u, root),
-        pot.tail_scale(spec, area),
-        q,
-        pot.front_factor(spec, area),
-        eps_max if spec.family == pot.RIESZ else 0.0,
-    )
+
+def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0):
+    """``split_integral`` at each ``(spec, area)`` of ``points`` (one family),
+    one leading row per point; ``table_of(grid)`` gives one bracket or a
+    stack (last axis = nodes).  The points on one grid (one tail-cutoff
+    bucket) share a pass, each row bit for bit its point alone.  ``eps_max``
+    is the largest ``|eps|`` of the brackets: a Riesz weight has no
+    exponential decay, so a bracket falling like ``exp(-u e^-|eps|)`` needs
+    a wider tail cutoff."""
+    eps_max = eps_max if points[0][0].family == pot.RIESZ else 0.0
+    grids = {}  # tail cutoff -> (decay scale, indices of its points)
+    for i, (spec, area) in enumerate(points):
+        if not 0 < area < math.inf:  # the message is formatted only for a refusal
+            check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
+        scale = pot.tail_scale(spec, area)
+        grids.setdefault(_tail_cutoff(scale, eps_max), (scale, []))[1].append(i)
+    out = None
+    for scale, idx in grids.values():
+        specs, areas = zip(*(points[i] for i in idx))
+        # a point alone on its grid keeps float weights and prefactor
+        fronts = [pot.front_factor(s, a) for s, a in zip(specs, areas)]
+        front = fronts[0] if len(idx) == 1 else np.array(fronts)[:, None]
+        w_direct = lambda u, root: pot.weight_direct(specs, areas, u, root)
+        w_transformed = lambda u, root: pot.weight_transformed(specs, areas, u, root)
+        rows = integrate_split(table_of, w_direct, w_transformed, scale, q, front, eps_max)
+        rows = rows if len(idx) > 1 else rows[None]
+        if len(idx) == len(points):  # one grid: its rows are the result
+            return rows
+        if out is None:
+            out = np.empty((len(points),) + rows.shape[1:])
+        out[idx] = rows
+    return out
 
 
 def lattice_energy(
@@ -124,7 +134,7 @@ def lattice_energy(
     return value + pot.front_factor(spec, area) * _analytic_tail(spec, area, a, math.pi**2 / a)
 
 
-def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = DEFAULT_CONFIG):
+def energy_gap(spec: pot.PotentialSpec, area, eps, q: QuadratureConfig = DEFAULT_CONFIG):
     """E(A, e^eps) - E(A, 1), evaluated as a single integral.
 
     The aspect-dependent and square-lattice theta products are
@@ -139,17 +149,18 @@ def energy_gap(spec: pot.PotentialSpec, area: float, eps, q: QuadratureConfig = 
     A 1-D array of ``eps`` gives one gap per entry from one stacked
     integral (one grid, one set of measure weights); each entry equals
     the scalar call bit for bit.  Its table is one ``theta_product_gap``
-    call through ``_gap_rows``, so two calls on the same ``eps`` in a row
-    build it once.  An ``eps`` that is not finite, or above
-    ``GAP_EPS_BOUND`` in size, is refused before any table is built.
+    call per grid through ``_gap_rows``.  A sequence of ``area`` gives one
+    leading row per density from one ``split_stack``: the densities on one
+    grid share its pass and its table.  An ``eps`` that is not finite, or
+    above ``GAP_EPS_BOUND`` in size, is refused before any table is built.
     """
     eps_max = float(np.max(np.abs(eps), initial=0.0))
     if not eps_max <= GAP_EPS_BOUND:  # the message is formatted only for a refusal
         message = f"|eps| must be at most {GAP_EPS_BOUND}, got {eps_max}"
         check_domain(eps_max <= GAP_EPS_BOUND, message, eps=eps_max)
-    if np.ndim(eps) == 0:
-        return split_integral(spec, area, lambda g: theta_product_gap(g.nodes, eps), q, eps_max)
-    return split_integral(spec, area, _gap_rows(eps), q, eps_max)
+    if np.ndim(area) == 0:
+        return split_integral(spec, area, _gap_rows(eps), q, eps_max)
+    return split_stack([(spec, a) for a in area], _gap_rows(eps), q, eps_max)
 
 
 #: Search cap of the aspect minimization (delta <= 4).
@@ -160,37 +171,21 @@ EPS_CAP = math.log(4.0)
 #: and cached there like the other bracket tables.
 GAP_LATTICE = np.linspace(0.0, EPS_CAP, 129)
 
-# The last stack of eps rows built off the lattice and its table on each
-# grid: a deep crossing's Newton step asks for the same three rows at two
-# densities.  One stack only, so it never grows with the number of steps.
-_last_rows = {"eps": None, "tables": {}}
-
 
 def _gap_rows(eps):
-    """``table_of(grid)`` for the pair-gap rows of each entry of ``eps``
-    (last axis = nodes), one ``theta_product_gap`` call per table.
+    """``table_of(grid)`` for the pair-gap rows of ``eps``, a scalar or a
+    1-D array (last axis = nodes), one ``theta_product_gap`` call per table.
 
     A suffix of ``GAP_LATTICE`` is sliced from the lattice's table
-    (``Grid.cached``); the table of any other stack is kept until another
-    stack is asked for.  Either way every row is bit for bit a fresh one.
+    (``Grid.cached``); any other ``eps`` is built on each call.  Either way
+    every row is bit for bit a fresh one.
     """
-    eps = np.asarray(eps, dtype=float)
-    start = GAP_LATTICE.size - eps.size
-    if start >= 0 and np.array_equal(eps, GAP_LATTICE[start:]):
+    rows = np.asarray(eps, dtype=float)
+    start = GAP_LATTICE.size - rows.size
+    if rows.ndim and start >= 0 and np.array_equal(rows, GAP_LATTICE[start:]):
         lattice = lambda u: theta_product_gap(u, GAP_LATTICE)
         return lambda g: g.cached("pair_gap_lattice", lattice)[start:]
-    key = eps.tobytes()
-    if _last_rows["eps"] != key:
-        _last_rows.update(eps=key, tables={})
-    tables = _last_rows["tables"]
-
-    def table_of(g):
-        tab = tables.get(g)
-        if tab is None:
-            tab = tables[g] = theta_product_gap(g.nodes, eps)
-        return tab
-
-    return table_of
+    return lambda g: theta_product_gap(g.nodes, eps)
 
 
 # ---------------------------------------------------------------------------

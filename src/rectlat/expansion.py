@@ -31,7 +31,9 @@ keeps all series arguments at or above pi.  Every coefficient is one row of
 ``energy.split_integral`` (the split kernel against the potential's
 measure): stacked rows (E2 with E4, or all series orders) share one
 quadrature grid and one set of measure weights, and a stacked row is
-bit-for-bit the coefficient integrated alone.
+bit-for-bit the coefficient integrated alone.  Stacked points
+(``e2_e4_stack``: a Newton step's candidate and its Jacobian stencil)
+share one grid and one table the same way, one row of weights each.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import LatticeState, lattice_energy, split_integral
+from .energy import LatticeState, lattice_energy, split_integral, split_stack
 from .powerseries import TRUNCATION_ORDER, exp_coeffs_batch
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .theta import modular_reduce, theta3_derivs
@@ -150,6 +152,12 @@ def e2_e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> tup
     """``(e2_closed, e4_closed)`` from one shared quadrature pass."""
     e2, e4 = split_integral(spec, area, _p2_p4_table, q)
     return e2, e4
+
+
+def e2_e4_stack(points, q: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """``e2_e4_closed`` at each ``(spec, area)`` of ``points``, one row per
+    point, the points on one grid in one pass (``energy.split_stack``)."""
+    return split_stack(points, _p2_p4_table, q)
 
 
 def landau_series(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -226,40 +226,54 @@ def tail_scale(spec: PotentialSpec, area: float) -> float:
     return max(k * k for _, k in laplace_pairs(spec)) * area / 4.0
 
 
-def weight_direct(spec: PotentialSpec, area: float, u: np.ndarray, root=None) -> np.ndarray:
+def weight_direct(spec, area, u: np.ndarray, root=None) -> np.ndarray:
     """Measure weight against a self-transforming bracket, direct side.
 
     For exponential families this is ``sum_i s_i v_i exp(-p_i/u) / sqrt(u)``
     with ``p_i = kappa_i^2 A / 4``; the double-Yukawa pair is combined in a
     cancellation-free form so that nearly equal strengths (the large-v1
     regime) lose no precision.  ``root``, when given, is ``sqrt(u)``.
+
+    ``spec`` and ``area`` may be sequences, points of one family: a row per
+    point (of two or more), one broadcast over columns of their parameters,
+    each row bit for bit the point's own.
     """
-    if spec.family == RIESZ:
-        return u ** (spec.s / 2.0 - 1.0)
-    rsq = np.sqrt(u) if root is None else root
-    if spec.family == YUKAWA:
-        p = spec.kappa**2 * area / 4.0
-        return spec.v * np.exp(-p / u) / rsq
-    p1 = spec.kappa1**2 * area / 4.0
-    p2 = spec.kappa2**2 * area / 4.0
-    return np.exp(-p2 / u) * (spec.v1 * np.expm1((p2 - p1) / u) + _strength_gap(spec)) / rsq
+    return _weights(spec, area, u, root, False)
 
 
-def weight_transformed(
-    spec: PotentialSpec, area: float, u: np.ndarray, root=None
-) -> np.ndarray:
+def weight_transformed(spec, area, u: np.ndarray, root=None) -> np.ndarray:
     """Measure weight on the (0, split) part mapped through t -> pi^2/t;
-    ``root``, when given, is ``sqrt(u)``."""
-    if spec.family == RIESZ:
-        return math.pi ** (spec.s - 1.0) * u ** (-spec.s / 2.0)
+    ``root``, when given, is ``sqrt(u)``.  ``spec`` and ``area`` may be
+    sequences, one row per point, as in ``weight_direct``."""
+    return _weights(spec, area, u, root, True)
+
+
+def _weights(spec, area, u, root, transformed):
+    specs, areas = ((spec,), (area,)) if isinstance(spec, PotentialSpec) else (spec, area)
+    if specs[0].family == RIESZ:  # float exponents keep numpy's scalar-power shortcuts
+        w = [math.pi ** (s.s - 1.0) * u ** (-s.s / 2.0) if transformed else u ** (s.s / 2.0 - 1.0)
+             for s in specs]
+        return w[0] if len(w) == 1 else np.stack(w)
+    # each point's floats as for the point alone (``_rates``), several as columns
+    scale = 4.0 * math.pi**2 if transformed else 4.0
     rsq = np.sqrt(u) if root is None else root
-    pi2 = math.pi**2
-    if spec.family == YUKAWA:
-        c = spec.kappa**2 * area / (4.0 * pi2)
-        return spec.v * np.exp(-c * u) / rsq
-    c1 = spec.kappa1**2 * area / (4.0 * pi2)
-    c2 = spec.kappa2**2 * area / (4.0 * pi2)
-    return np.exp(-c2 * u) * (spec.v1 * np.expm1((c2 - c1) * u) + _strength_gap(spec)) / rsq
+    if len(specs) == 1:
+        cols = _rates(specs[0], areas[0], scale)
+    else:
+        cols = np.array([_rates(s, a, scale) for s, a in zip(specs, areas)]).T[..., None]
+    if specs[0].family == YUKAWA:
+        return cols[1] * np.exp(cols[0] * u if transformed else cols[0] / u) / rsq
+    p2, dp, v1, gap = cols
+    if transformed:
+        return np.exp(p2 * u) * (v1 * np.expm1(dp * u) + gap) / rsq
+    return np.exp(p2 / u) * (v1 * np.expm1(dp / u) + gap) / rsq
+
+
+def _rates(s, a, scale):  # with p = kappa^2 A / scale: (-p2, p2 - p1, v1, v1 - v2), Yukawa (-p, v)
+    if s.family == YUKAWA:
+        return -(s.kappa**2 * a / scale), s.v
+    p1, p2 = s.kappa1**2 * a / scale, s.kappa2**2 * a / scale
+    return -p2, p2 - p1, s.v1, _strength_gap(s)
 
 
 def _strength_gap(spec: PotentialSpec) -> float:

@@ -28,10 +28,13 @@ share one grid, so they are one piece: the bracket table is formed once
 per grid and multiplied by the sum of the two measure weights.  At any
 other split the halves are two pieces on two grids.
 
-A piece may return arrays: a stack of integrands against the same
-measure then shares one pass (the same grids, the same measure weights).
-The stack is accepted only when every component passes its own test, and
-each component is then bit-for-bit the value it would have alone.
+A piece may return arrays: a stack of brackets against the same measure
+then shares one pass (the same grids, the same measure weights), and so
+does a stack of measures on the same grid (one row of weights per
+measure, e.g. the points of a Newton step and its Jacobian stencil)
+against the same brackets.  The stack is accepted only when every
+component passes its own test, and each component is then bit-for-bit
+the value it would have alone.
 
 Node placement is a pure function of the integration window, so results
 are bit-reproducible run to run and independent of evaluation order.
@@ -43,6 +46,7 @@ table of the eps lattice that every direct-gap scan evaluates
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +144,7 @@ class Grid:
 _GRID_CACHE: dict[tuple, Grid] = {}
 
 
+@functools.lru_cache(maxsize=64)  # a point's split integral asks twice: to group, to integrate
 def _tail_cutoff(decay_scale: float, eps_max: float = 0.0) -> float:
     """Upper limit beyond which exp(-u - p/u) is negligible relative to
     its peak exp(-2 sqrt(p)), with ~40 extra e-foldings of margin; bucketed
@@ -193,7 +198,7 @@ def integrate(
         scale += np.abs(contrib).sum(axis=-1)
         panels = contrib.reshape(*contrib.shape[:-1], -1, _GL_ORDER)
         error += np.abs(panels @ _NULL_RULE).sum(axis=(-2, -1))
-    if np.all(error <= np.maximum(q.rel_tol * scale, q.abs_tol)):
+    if (error <= np.maximum(q.rel_tol * scale, q.abs_tol)).all():
         return value
     raise QuadratureError(
         "quadrature did not converge on its grid "
@@ -203,20 +208,26 @@ def integrate(
 
 
 def integrate_split(
-    table_of, w_direct, w_transformed, decay_scale: float, q, front: float, eps_max: float = 0.0
+    table_of, w_direct, w_transformed, decay_scale: float, q, front, eps_max: float = 0.0
 ):
     """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
 
     ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
     axis = nodes); ``w_direct(u, root)`` and ``w_transformed(u, root)``
     give the measure weights on ``[a, inf)`` and on ``(0, a)`` mapped to
-    ``[pi^2/a, inf)``, from the nodes ``u`` and their square roots.
-    ``eps_max`` is passed to ``integrate``.
+    ``[pi^2/a, inf)``, from the nodes ``u`` and their square roots: a row
+    per measure for a stack of them, with ``front`` a ``(k, 1)`` column, each
+    row of the value bit for bit its measure alone.  ``eps_max`` is passed
+    to ``integrate``.
     """
     a = q.split_point
 
     def piece(weight):
-        return lambda grid: (front * grid.weights * weight(grid.nodes, grid.root)) * table_of(grid)
+        def contributions(grid):  # (k, n) weights against (m, n) brackets: (k, m, n)
+            w, table = front * grid.weights * weight(grid.nodes, grid.root), table_of(grid)
+            return (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
+
+        return contributions
 
     if a == math.pi:  # both halves start at pi: one piece on one grid
         both = lambda u, root: w_direct(u, root) + w_transformed(u, root)

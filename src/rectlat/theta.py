@@ -187,21 +187,27 @@ def _pair_gap_rows(v: np.ndarray, theta: np.ndarray, eps: list, lim: list) -> np
         np.maximum(d, _EXP_FLOOR, out=d)
         np.exp(d, out=d)
         d -= base  # stable once the exponents are far apart
-        # expm1 keeps accuracy where they nearly coincide, |s c| < 1
-        near_any = any(abs(s0 * x) < 1.0 for side in c for x in side[:rows])
+        # expm1 keeps accuracy where they nearly coincide, |s c| < 1: a prefix
+        # of the terms and of the nodes, as the rounded |s c| grows with j, v
+        # and |c| (a masked term, s = 0, reads 0 on either branch)
+        c_min = min(abs(x) for side in c for x in side[:rows])
+        near_any = abs(s0 * c_min) < 1.0
         if near_any:
-            arg = s_neg * np.array(c)[:, :rows, None]
+            j_near = np.count_nonzero(np.abs(_PAIR_NEG_JSQ[j] * v0 * c_min) < 1.0)
+            v_near = np.count_nonzero(np.abs(_PAIR_NEG_JSQ[j.start] * v[:n] * c_min) < 1.0)
+            pre = (slice(int(j_near)), Ellipsis, slice(int(v_near)))
+            arg = s_neg[pre] * np.array(c)[:, :rows, None]
             near = np.abs(arg) < 1.0
             em = np.expm1(np.where(near, arg, 0.0))
-            np.copyto(d, base * em, where=near)
+            np.copyto(d[pre], base[pre] * em, where=near)
         np.add(d[:, 0], d[:, 1], out=t[:, 2])
         if near_any:
             # d- + d+ per term: e^x + e^y - 2 = expm1(x + y) - expm1(x) expm1(y),
             # with x + y = -s 4 sinh^2(e/2) free of the first-order cancellation
             sum_xy = np.array([4.0 * math.sinh(0.5 * e) ** 2 for e in eps[:rows]])[:, None]
-            exy = np.expm1(s_neg[:, 0] * sum_xy)
+            exy = np.expm1(s_neg[pre][:, 0] * sum_xy)
             both = near[:, 0] & near[:, 1]
-            np.copyto(t[:, 2], base[:, 0] * (exy - em[:, 0] * em[:, 1]), where=both)
+            np.copyto(t[pre][:, 2], base[pre][:, 0] * (exy - em[:, 0] * em[:, 1]), where=both)
         if lead:
             np.add.reduce(terms, axis=0, out=total[:, :rows, :n])
         else:

@@ -150,9 +150,9 @@ def _tables_per_grid():
 
 
 def test_deep_scan_tables_do_not_grow_with_rows(q):
-    # a deep row's tables are per grid (the eps lattice) or one stack at a
-    # time (a Newton step's three eps rows), so ten times the rows on the
-    # same grids leave as many tables on each grid and one stack of rows
+    # a deep row's tables are per grid (the eps lattice) or built for one
+    # call (a Newton step's three eps rows), so ten times the rows on the
+    # same grids leave as many tables on each grid
     from rectlat.phasescan import scan_critical_curve
 
     def deep_rows(n):
@@ -164,7 +164,6 @@ def test_deep_scan_tables_do_not_grow_with_rows(q):
     many = deep_rows(40)
     assert {g: many[g] for g in few} == few
     assert max(many.values()) == max(few.values())
-    assert len(rectlat.energy._last_rows["tables"]) <= 2
 
 
 class TestFindTransition:
@@ -238,14 +237,36 @@ class TestFindTricritical:
 
     @pytest.mark.parametrize("kappa1", [None, 2.05, 3.0], ids=["end", "2.05", "3.0"])
     def test_refused_at_and_above_the_window_end(self, warm_end, kappa1, monkeypatch):
+        # no point reaches the solves' batch evaluator
         calls = []
-        inner = rectlat.critical.e2_e4_closed
+        inner = rectlat.critical.e2_e4_stack
         monkeypatch.setattr(
-            rectlat.critical, "e2_e4_closed", lambda *a: calls.append(a) or inner(*a)
+            rectlat.critical, "e2_e4_stack", lambda *a: calls.append(a) or inner(*a)
         )
         with pytest.raises(ParameterDomainError, match="kappa1"):
             find_tricritical("double-yukawa", warm_end if kappa1 is None else kappa1)
         assert calls == []
+
+    def test_one_pass_per_newton_step(self, monkeypatch, q):
+        # the start, its Jacobian stencil and the residual scale's two
+        # points share the first pass; the first candidate goes alone, and
+        # each full step after it brings its own stencil: 6 passes (23
+        # before, one per point), 27 points
+        points, passes = [], []
+        inner, integrate = rectlat.critical.e2_e4_stack, rectlat.quadrature.integrate
+
+        def counted(stack, q):
+            points.extend(stack)
+            return inner(stack, q)
+
+        monkeypatch.setattr(rectlat.critical, "e2_e4_stack", counted)
+        monkeypatch.setattr(
+            rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
+        )
+        tc = find_tricritical("yukawa-coulomb", q=q)
+        assert tc.param_t == 2.0365177601065243
+        assert len(passes) <= 8
+        assert len(points) == len({(float(area), spec.kappa1) for spec, area in points})
 
     def test_stalled_newton_names_its_stop(self):
         # just below the window's upper end kappa2^t ~ 6e-5 and Newton's
@@ -279,18 +300,24 @@ class TestFindTricritical:
         # the walk's failed Newton solves below the end stop after 12 steps
         # without halving their residual instead of crawling on for up to 60,
         # and the ones at or above the end are refused before any integral
-        # (10,978 coefficient evaluations with neither, 6,294 with the stall
-        # stop alone, 1,995 measured with both)
-        calls = []
-        inner = rectlat.critical.e2_e4_closed
+        # (10,978 points evaluated with neither, 6,294 with the stall stop
+        # alone, 1,995 with both, one pass each).  A run of full Newton steps
+        # evaluates each candidate with its Jacobian stencil in one pass:
+        # 2,055 points measured, in 1,177 passes
+        points, passes = [], []
+        inner, integrate = rectlat.critical.e2_e4_stack, rectlat.quadrature.integrate
 
-        def counted(spec, area, q):
-            calls.append(area)
-            return inner(spec, area, q)
+        def counted(stack, q):
+            points.extend(stack)
+            return inner(stack, q)
 
-        monkeypatch.setattr(rectlat.critical, "e2_e4_closed", counted)
+        monkeypatch.setattr(rectlat.critical, "e2_e4_stack", counted)
+        monkeypatch.setattr(
+            rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
+        )
         rectlat.critical.kappa1_upper(q)
-        assert len(calls) <= 2100
+        assert len(points) <= 2100
+        assert len(passes) <= 1250
 
     def test_kappa1_upper_runs_no_newton_above_the_end(self, warm_end, monkeypatch, q):
         # refused solves count as failed ones, so the walk takes the steps it
@@ -310,15 +337,16 @@ class TestFindTricritical:
 
     def test_each_point_evaluated_once_per_solve(self, warm_end, monkeypatch):
         # a solve near the window's upper end: Newton gives up and the nested
-        # fallback revisits the points its brackets and Newton already saw
+        # fallback revisits the points its brackets and Newton already saw;
+        # both evaluate through the solve's batch evaluator
         seen = []
-        inner = rectlat.critical.e2_e4_closed
+        inner = rectlat.critical.e2_e4_stack
 
-        def counted(spec, area, q):
-            seen.append((float(area), float(spec.kappa2)))
-            return inner(spec, area, q)
+        def counted(stack, q):
+            seen.extend((float(area), float(spec.kappa2)) for spec, area in stack)
+            return inner(stack, q)
 
-        monkeypatch.setattr(rectlat.critical, "e2_e4_closed", counted)
+        monkeypatch.setattr(rectlat.critical, "e2_e4_stack", counted)
         tc = find_tricritical(
             "double-yukawa",
             2.036514992396911,

@@ -131,7 +131,7 @@ def test_bad_tricritical_guess_is_a_domain_error(monkeypatch, family, kappa1, gu
     def no_integral(*args):
         raise AssertionError("an integral was started")
 
-    monkeypatch.setattr(critical, "e2_e4_closed", no_integral)
+    monkeypatch.setattr(critical, "e2_e4_stack", no_integral)
     with pytest.raises(ParameterDomainError, match="guess"):
         find_tricritical(family, kappa1, guess)
 

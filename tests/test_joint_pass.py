@@ -9,7 +9,9 @@ the grid at split ``pi``), summed over each grid's nodes and added from
 0.0.  The production pass must give the same bits, or refuse where the
 reference refuses, and must form the bracket table once per grid (once at
 the default split, where both halves share a grid; twice at a split with
-two grids).
+two grids).  A stack of measures (one row of weights per point) is held to
+the reference one measure at a time: each row must be bit for bit its
+point's own pass.
 """
 
 import math
@@ -19,10 +21,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legvander
 
 import rectlat.critical as critical
+import rectlat.quadrature
 import rectlat.energy as energy
-from rectlat import derive_double_yukawa, derive_yukawa_coulomb, riesz
+from rectlat import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 from rectlat import potentials as pot
-from rectlat.energy import LatticeState, energy_gap, lattice_energy
+from rectlat.energy import LatticeState, energy_gap, lattice_energy, split_integral, split_stack
 from rectlat.errors import QuadratureError
 from rectlat.expansion import (
     _p2_p4_table,
@@ -41,7 +44,8 @@ _LEGENDRE_22_23 = legvander(leggauss(24)[0], 23)[:, 22:] * np.array([22.5, 23.5]
 
 def reference_pass(table_of, w_direct, w_transformed, decay_scale, q, front, eps_max=0.0):
     """``(value, passed)`` of the split integral: the value, and which
-    components pass their null-rule test."""
+    components pass their null-rule test.  Weights with a leading axis
+    (``front`` a column) are a stack of measures, taken one at a time."""
     hi = _tail_cutoff(decay_scale, eps_max)
     a = q.split_point
     if a == math.pi:
@@ -51,7 +55,9 @@ def reference_pass(table_of, w_direct, w_transformed, decay_scale, q, front, eps
     value = scale = error = 0.0
     for lo, weight in sides:
         grid = Grid(lo, hi, 0)
-        contrib = (front * grid.weights * weight(grid.nodes, grid.root)) * table_of(grid)
+        w, table = weight(grid.nodes, grid.root), table_of(grid)
+        rows = [(f * grid.weights * wk) * table for f, wk in zip(np.ravel(front), np.atleast_2d(w))]
+        contrib = np.stack(rows) if w.ndim > 1 else rows[0]
         value += contrib.sum(axis=-1)
         scale += np.abs(contrib).sum(axis=-1)
         panels = contrib.reshape(*contrib.shape[:-1], -1, 24)
@@ -151,7 +157,8 @@ def test_ringing_row_refuses_the_pass(monkeypatch, name, split):
         monkeypatch.setattr(critical, "curvature_table", ringing)
     q = QuadratureConfig(split_point=split)
     refused = check_against_reference(CASES[name], q)
-    assert [passed.tolist() for passed in refused] == [[True, False]]
+    # (the energy's point is a stack of one measure: its flags lead with it)
+    assert [passed.ravel().tolist() for passed in refused] == [[True, False]]
     with pytest.raises(QuadratureError):
         CASES[name](q)
 
@@ -271,11 +278,12 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
 
 def test_newton_step_builds_its_rows_once(monkeypatch):
     # the two gaps of a deep-crossing Newton step, at A and at A (1 + 1e-6),
-    # share one table of their three eps rows, built by one pair-gap call;
-    # the next stack replaces it
+    # are one stacked ``energy_gap``: one pass on their shared grid, whose
+    # table of the three eps rows is one pair-gap call, and each row bit for
+    # bit a fresh one
     q = QuadratureConfig()
-    built = []
-    real = energy.theta_product_gap
+    built, passes = [], []
+    real, integrate = energy.theta_product_gap, rectlat.quadrature.integrate
 
     def counted(u, eps):
         built.append(eps)
@@ -285,16 +293,134 @@ def test_newton_step_builds_its_rows_once(monkeypatch):
         rows = lambda g: np.stack([real(g.nodes, e) for e in eps])
         return energy.split_integral(YC, area, rows, q)
 
-    monkeypatch.setattr(energy, "_last_rows", {"eps": None, "tables": {}})
     monkeypatch.setattr(energy, "theta_product_gap", counted)
+    monkeypatch.setattr(
+        rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
+    )
     eps = 0.5 + np.array([-1e-5, 0.0, 1e-5])
-    at_a = energy_gap(YC, 2.8, eps, q)
+    areas = [2.8, 2.8 * (1.0 + 1e-6)]
+    rows = energy_gap(YC, areas, eps, q)
     assert len(built) == 1 and np.array_equal(built[0], eps)
-    above = energy_gap(YC, 2.8 * (1.0 + 1e-6), eps, q)
-    assert len(built) == 1
-    energy_gap(YC, 2.8, eps + 0.1, q)
-    assert len(built) == 2
-    assert len(energy._last_rows["tables"]) == 1
-    monkeypatch.setattr(energy, "theta_product_gap", real)
-    assert at_a.tobytes() == fresh(2.8, eps).tobytes()
-    assert above.tobytes() == fresh(2.8 * (1.0 + 1e-6), eps).tobytes()
+    assert len(passes) == 1
+    monkeypatch.undo()
+    for row, area in zip(rows, areas):
+        assert row.tobytes() == fresh(area, eps).tobytes()
+        assert row.tobytes() == energy_gap(YC, area, eps, q).tobytes()
+
+
+# Stacks of points, one family each, whose tail cutoffs share a bucket: the
+# points, the bracket table and the largest |eps| of its rows
+STACKS = {
+    "double-yukawa": (
+        [(DY, 2.55), (DY, 2.6), (derive_double_yukawa(12.0, 2.0), 2.6), (DY, 2.65)],
+        _p2_p4_table,
+        0.0,
+    ),
+    "yukawa-coulomb": (
+        [(YC, 2.78), (derive_yukawa_coulomb(2.03), 2.8), (YC, 2.8)],
+        _p2_p4_table,
+        0.0,
+    ),
+    "yukawa": ([(yukawa(2.0, 1.5), 1.0), (yukawa(3.0), 1.02)], curvature_table, 0.0),
+    "riesz": (
+        [(riesz(9.0), 1.0), (riesz(12.0), 1.0), (riesz(9.0), 1.1)],
+        energy._gap_rows(np.array([0.5, -1.0])),
+        1.0,
+    ),
+}
+SPLITS_PI_3 = pytest.mark.parametrize("split", [math.pi, 3.0], ids=["split-pi", "split-3"])
+
+
+def _counting_passes(monkeypatch):
+    """The ``hi`` of each grid that ``integrate`` asks for, one list per pass."""
+    passes = []
+    integrate, grid_for_ = rectlat.quadrature.integrate, rectlat.quadrature.grid_for
+
+    def counted(*args, **kwargs):
+        passes.append([])
+        return integrate(*args, **kwargs)
+
+    def grid(lo, hi, level):
+        passes[-1].append(hi)
+        return grid_for_(lo, hi, level)
+
+    monkeypatch.setattr(rectlat.quadrature, "integrate", counted)
+    monkeypatch.setattr(rectlat.quadrature, "grid_for", grid)
+    return passes
+
+
+@SPLITS_PI_3
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_stack_is_each_point_alone(monkeypatch, name, split):
+    # one pass for the whole stack, each row bit for bit its point's own
+    # pass and the reference's, at both splits (one grid, then two)
+    q = QuadratureConfig(split_point=split)
+    points, table_of, eps_max = STACKS[name]
+    cuts = {_tail_cutoff(pot.tail_scale(s, a), eps_max if s.family == pot.RIESZ else 0.0)
+            for s, a in points}
+    assert len(cuts) == 1
+    passes = _counting_passes(monkeypatch)
+    rows = split_stack(points, table_of, q, eps_max)
+    assert len(passes) == 1 and len(passes[0]) == (1 if split == math.pi else 2)
+    monkeypatch.undo()
+    assert rows.shape[0] == len(points)
+    for row, (spec, area) in zip(rows, points):
+        alone = split_integral(spec, area, table_of, q, eps_max)
+        assert row.tobytes() == np.asarray(alone).tobytes()
+        expected, passed = reference_pass(table_of, *_measure(spec, area, q), eps_max)
+        assert passed.all() and row.tobytes() == np.asarray(expected).tobytes()
+    stacked = lambda q: split_stack(points, table_of, q, eps_max)
+    assert check_against_reference(stacked, q) == []
+
+
+def _residual(run):
+    with pytest.raises(QuadratureError) as info:
+        run()
+    return info.value.residual
+
+
+@SPLITS_PI_3
+def test_stack_refuses_where_a_point_refuses(split):
+    # with an absolute tolerance between two points' error estimates, the
+    # point above it is refused alone and so is any stack that holds it,
+    # with its estimate as the residual; the point below it passes alone
+    # and in a stack without the other
+    points = [(DY, 2.55), (DY, 2.65), (DY, 2.6)]
+    strict = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, split_point=split)
+    errors = [_residual(lambda: e2_e4_closed(s, a, strict)) for s, a in points]
+    low, high = np.argsort(errors)[[0, -1]]
+    assert errors[low] < errors[high]
+    q = QuadratureConfig(
+        rel_tol=1e-30, abs_tol=math.sqrt(errors[low] * errors[high]), split_point=split
+    )
+    e2_e4_closed(*points[low], q)
+    assert _residual(lambda: e2_e4_closed(*points[high], q)) == errors[high]
+    assert _residual(lambda: split_stack(points, _p2_p4_table, q)) == errors[high]
+    assert _residual(lambda: split_stack(points, _p2_p4_table, strict)) == max(errors)
+    alone = split_stack([points[low]], _p2_p4_table, q)
+    default = QuadratureConfig(split_point=split)
+    assert alone.tobytes() == split_stack([points[low]], _p2_p4_table, default).tobytes()
+
+
+@SPLITS_PI_3
+@pytest.mark.parametrize(
+    "spec", [yukawa(40.0), derive_double_yukawa(9.8, 2.0)], ids=["yukawa", "double-yukawa"]
+)
+def test_points_across_a_bucket_edge_get_their_own_grids(monkeypatch, spec, split):
+    # two densities a hair apart whose tail cutoffs fall in neighbouring
+    # buckets: one pass each, on grids with their own upper ends, and each
+    # row bit for bit its point alone
+    cut = lambda a: _tail_cutoff(pot.tail_scale(spec, a))
+    lo, hi = 0.5, 1000.0
+    assert cut(lo) < cut(hi)
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cut(mid) == cut(lo) else (lo, mid)
+    points = [(spec, lo), (spec, hi)]
+    q = QuadratureConfig(split_point=split)
+    passes = _counting_passes(monkeypatch)
+    rows = split_stack(points, curvature_table, q)
+    monkeypatch.undo()
+    assert [set(p) for p in passes] == [{cut(lo)}, {cut(hi)}]
+    for row, (s, a) in zip(rows, points):
+        assert row.tobytes() == np.asarray(split_integral(s, a, curvature_table, q)).tobytes()

@@ -36,8 +36,14 @@ DY = ["--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2"]
             ["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2:2:lin:1", "--workers", "1"],
             ("critical.brent_evals", "theta.pair_gap_nodes"),
         ),
+        # the Newton solve's points go through stacked measure weights, one
+        # pass per step: the node counts still see them
+        (
+            ["tricritical", "--family", "yukawa-coulomb"],
+            ("quadrature.nodes", "potentials.weight_nodes"),
+        ),
     ],
-    ids=["expand", "scan-a-star-min", "scan-yukawa-coulomb"],
+    ids=["expand", "scan-a-star-min", "scan-yukawa-coulomb", "tricritical-yukawa-coulomb"],
 )
 def test_tracer_counts_the_layers(tmp_path, argv, counted):
     out = tmp_path / "trace.json"

@@ -31,10 +31,11 @@ shared by all of them.
 The double-Yukawa tricritical locus ends where its derived screening
 kappa2^t reaches zero, that is at the Yukawa-Coulomb tricritical kappa1
 (``_window_end``, one solve per process and quadrature configuration).
-A double-Yukawa tricritical solve at or above that end is refused as a
-domain error before any integral.  Its lower end (``kappa1_lower``) is
-where the tricritical strength v1^t reaches 1e4: one Newton solve of
-(E2, E4) = 0 in (A, kappa1) at that v1.
+Its lower end (``kappa1_lower``, once per process and configuration as
+``_window_start``) is where the tricritical strength v1^t reaches 1e4:
+one Newton solve of (E2, E4) = 0 in (A, kappa1) at that v1.  A
+double-Yukawa tricritical solve at or above the upper end, or below the
+lower one, is refused as a domain error before any solve at its kappa1.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import potentials as pot
+from . import potentials as pot, quadrature
 from .energy import (
     EPS_CAP,
     GAP_LATTICE,
@@ -65,7 +66,7 @@ from .errors import (
     check_domain,
 )
 from .expansion import curvature_table, e2_closed, e2_e4_stack, landau_series
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_split
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
 from .solvers import RTOL_MIN, brentq, minimize_scalar, sign_change
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
@@ -467,10 +468,11 @@ def find_tricritical(
     For the double-Yukawa family ``fixed_param`` is kappa1 and the
     reported parameter is v1; internally the solver walks (A, kappa2).
     A kappa1 at or above the locus's upper end (``_window_end``, where
-    kappa2^t reaches zero) is refused with ``ParameterDomainError``
-    before any double-Yukawa integral.  For Yukawa-Coulomb the unknowns
-    are (A, kappa1) directly, so a ``fixed_param`` is refused.  So is an
-    ``initial_guess`` (A, v1 or kappa1) that is not finite and positive.
+    kappa2^t reaches zero), or below its lower end (``_window_start``),
+    is refused with ``ParameterDomainError`` before any solve at that
+    kappa1.  For Yukawa-Coulomb the unknowns are (A, kappa1) directly, so
+    a ``fixed_param`` is refused.  So is an ``initial_guess`` (A, v1 or
+    kappa1) that is not finite and positive.
 
     Raises ``NonconvergenceError`` when Newton fails and the nested
     fallback then finds nothing or ends at kappa2 <= 0; either error
@@ -489,6 +491,12 @@ def find_tricritical(
             kappa1 < end,
             f"kappa1={kappa1!r} is at or above the tricritical window's upper end "
             f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
+        )
+        start = _window_start(q)
+        check_domain(
+            kappa1 >= start,
+            f"kappa1={kappa1!r} is below the tricritical window's lower end "
+            f"{start!r}, where v1^t reaches {_LOWER_END_V1:g}",
         )
         z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
         F = _evaluator(lambda kappa2: _dy_spec_unchecked(kappa1, kappa2), q)
@@ -545,6 +553,12 @@ def _window_end(q: QuadratureConfig) -> float:
     end is its tricritical kappa1.  One solve per process and
     configuration; an error of that solve propagates."""
     return find_tricritical(pot.YUKAWA_COULOMB, q=q).param_t
+
+
+@functools.lru_cache(maxsize=8)
+def _window_start(q: QuadratureConfig) -> float:
+    """``kappa1_lower``, once per process and configuration."""
+    return kappa1_lower(q)
 
 
 def _nested_fallback(F, z0, in_domain):
@@ -870,13 +884,12 @@ def _a_star_min_condition(kappa1: float, area: float, q: QuadratureConfig) -> fl
     k = kappa1
     p = k * k * area / 4.0
     c = p / math.pi**2
-    return integrate_split(
+    return quadrature.integrate(
         curvature_table,
         lambda u, root: np.exp(-p / u) * (1.0 - (1.0 + k) * area / (2.0 * u)) / root,
         lambda u, root: np.exp(-c * u) * (1.0 - (1.0 + k) * area * u / (2.0 * math.pi**2)) / root,
-        p,
+        _tail_cutoff(p),
         q,
-        front=1.0,
     )
 
 
@@ -902,13 +915,12 @@ def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
     def moment(power_direct, power_transformed):
         scale = math.pi ** (-2.0 * power_transformed - 1.0)
-        return integrate_split(
+        return quadrature.integrate(
             curvature_table,
             lambda u, root: u**power_direct,
             lambda u, root: scale * u**power_transformed,
-            0.0,
+            _tail_cutoff(0.0),
             q,
-            front=1.0,
         )
 
     # numerator: 2 * integral sqrt(t) G dt; denominator: integral G/sqrt(t) dt,

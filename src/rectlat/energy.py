@@ -11,9 +11,11 @@ sum through the Gaussian-superposition measure of ``f`` as an integral
 of ``theta3(e^{-t delta}) theta3(e^{-t/delta}) - 1`` against the
 measure, splits the integral at ``split_point``, and maps the lower part
 through ``t -> pi^2/t`` so that both halves have smooth, exponentially
-decaying integrands.  The pieces whose bracket does not vanish at
-infinity (the "-1", and the neutralizing-background ``-pi/t`` of the
-unscreened Coulomb term) integrate in closed form via ``erfc``.
+decaying integrands: the one kernel ``quadrature.integrate``, which
+``split_stack`` calls once per grid end.  The pieces whose bracket does
+not vanish at infinity (the "-1", and the neutralizing-background
+``-pi/t`` of the unscreened Coulomb term) integrate in closed form via
+``erfc``.
 
 ``direct_lattice_sum`` keeps the literal shell-by-shell sum as an
 independent oracle for testing the integral path.
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potentials as pot
+from . import potentials as pot, quadrature
 from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff, integrate_split
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
 from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
 
@@ -81,8 +83,8 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
 
 
 def split_integral(spec, area: float, table_of, q=DEFAULT_CONFIG, eps_max: float = 0.0):
-    """``quadrature.integrate_split`` against the potential's measure: the
-    stack of one point of ``split_stack``."""
+    """``quadrature.integrate`` against the potential's measure: the stack
+    of one point of ``split_stack``."""
     return split_stack([(spec, area)], table_of, q, eps_max)[0]
 
 
@@ -90,26 +92,25 @@ def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max:
     """``split_integral`` at each ``(spec, area)`` of ``points`` (one family),
     one leading row per point; ``table_of(grid)`` gives one bracket or a
     stack (last axis = nodes).  The points on one grid (one tail-cutoff
-    bucket) share a pass, each row bit for bit its point alone.  ``eps_max``
-    is the largest ``|eps|`` of the brackets: a Riesz weight has no
-    exponential decay, so a bracket falling like ``exp(-u e^-|eps|)`` needs
-    a wider tail cutoff."""
+    bucket, the end ``quadrature.integrate`` takes) share a pass, each row
+    bit for bit its point alone.  ``eps_max`` is the largest ``|eps|`` of
+    the brackets: a Riesz weight has no exponential decay, so a bracket
+    falling like ``exp(-u e^-|eps|)`` needs a wider tail cutoff."""
     eps_max = eps_max if points[0][0].family == pot.RIESZ else 0.0
-    grids = {}  # tail cutoff -> (decay scale, indices of its points)
+    grids = {}  # tail cutoff (the grid's end) -> indices of its points
     for i, (spec, area) in enumerate(points):
         if not 0 < area < math.inf:  # the message is formatted only for a refusal
             check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
-        scale = pot.tail_scale(spec, area)
-        grids.setdefault(_tail_cutoff(scale, eps_max), (scale, []))[1].append(i)
+        grids.setdefault(_tail_cutoff(pot.tail_scale(spec, area), eps_max), []).append(i)
     out = None
-    for scale, idx in grids.values():
+    for hi, idx in grids.items():
         specs, areas = zip(*(points[i] for i in idx))
         # a point alone on its grid keeps float weights and prefactor
         fronts = [pot.front_factor(s, a) for s, a in zip(specs, areas)]
         front = fronts[0] if len(idx) == 1 else np.array(fronts)[:, None]
         w_direct = lambda u, root: pot.weight_direct(specs, areas, u, root)
         w_transformed = lambda u, root: pot.weight_transformed(specs, areas, u, root)
-        rows = integrate_split(table_of, w_direct, w_transformed, scale, q, front, eps_max)
+        rows = quadrature.integrate(table_of, w_direct, w_transformed, hi, q, front)
         rows = rows if len(idx) > 1 else rows[None]
         if len(idx) == len(points):  # one grid: its rows are the result
             return rows

@@ -12,7 +12,7 @@ class ParameterDomainError(RectlatError, ValueError):
 
 
 class QuadratureError(RectlatError, ArithmeticError):
-    """Adaptive quadrature failed to meet the requested tolerance.
+    """A quadrature pass failed its null-rule test against the tolerance.
 
     The unresolved residual estimate is stored in ``residual``.
     """

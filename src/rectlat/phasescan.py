@@ -32,11 +32,11 @@ from .critical import (
     _deep_crossing,
     _gap_scan,
     _series_window,
+    _window_start,
     find_first_order,
     find_tricritical,
     find_transition,
     first_order_bracket,
-    kappa1_lower,
     kappa1_upper,
     a_star_min,
 )
@@ -361,8 +361,9 @@ def scan_tricritical_locus(
     """Tricritical coordinates (kappa1, A_t, v1_t) along a kappa1 grid.
 
     Walks outward from the best-behaved interior anchor with warm
-    starts; points outside the existence window are marked out-of-domain,
-    and a solve refused for any other reason ``failed: <Class>: <message>``.
+    starts; points outside the existence window (``find_tricritical``'s
+    domain refusal) are marked out-of-domain, and a solve refused for any
+    other reason ``failed: <Class>: <message>``.
     Returns ``(rows, bounds)`` where rows are
     ``(kappa1, a_t, v1_t, status)`` and bounds is ``(kappa1_lower,
     kappa1_upper)`` (or None when not requested); the bounds close the
@@ -390,7 +391,7 @@ def scan_tricritical_locus(
     rows = [results[i] for i in range(len(grid))]
     if not with_bounds:
         return rows, None
-    bounds = (kappa1_lower(q=q), kappa1_upper(q=q))
+    bounds = (_window_start(q), kappa1_upper(q=q))
     rows.append((bounds[0], None, None, "kappa1-lower"))
     rows.append((bounds[1], None, None, "kappa1-upper"))
     return rows, bounds

@@ -1,18 +1,19 @@
 """Deterministic quadrature for the lattice-energy integrals.
 
 Every integral in this package is a self-rescaling theta bracket against
-a measure.  The one split kernel ``integrate_split`` splits it at
-``split_point`` and maps the part below through ``t -> pi^2/t``, which
-leaves semi-infinite integrals of smooth integrands that decay at least
-like ``exp(-u)`` with at most a mild polynomial factor.  They are
-evaluated on composite 24-node Gauss-Legendre panels laid out
-geometrically in ``log u``: one grid per piece, one pass.
+a measure.  The one kernel, ``integrate``, takes the bracket table, the
+measure weights of the two halves and the grid's upper end; it splits the
+integral at ``split_point`` and maps the part below through
+``t -> pi^2/t``, which leaves semi-infinite integrals of smooth integrands
+that decay at least like ``exp(-u)`` with at most a mild polynomial
+factor.  They are evaluated on composite 24-node Gauss-Legendre panels
+laid out geometrically in ``log u``: one grid per half, one pass.
 
 The pass carries its own error estimate: a null rule (Berntsen & Espelid,
 ACM TOMS 17, 1991) that needs no extra nodes.  On every panel it takes the
 degree-22 and degree-23 Legendre content of the contributions (one fixed
 ``(24, 2)`` matrix product); the estimate is their absolute sum over the
-panels of every piece.  The integral is accepted when that estimate is at
+panels of every grid.  The integral is accepted when that estimate is at
 most ``max(rel_tol * scale, abs_tol)``, where ``scale`` is the sum of the
 absolute contributions, and refused with a ``QuadratureError`` otherwise.
 The 24-node rule integrates every degree below 48 exactly, and a smooth
@@ -24,15 +25,15 @@ halves of a split integral cancel), so a ``rel_tol`` below that, with a
 smaller ``abs_tol``, is refused.
 
 At the default split (``pi^2/pi = pi``) both halves start at ``pi`` and
-share one grid, so they are one piece: the bracket table is formed once
-per grid and multiplied by the sum of the two measure weights.  At any
-other split the halves are two pieces on two grids.
+share one grid: the bracket table is formed once and multiplied by the
+sum of the two measure weights.  At any other split the halves are two
+grids.
 
-A piece may return arrays: a stack of brackets against the same measure
-then shares one pass (the same grids, the same measure weights), and so
-does a stack of measures on the same grid (one row of weights per
-measure, e.g. the points of a Newton step and its Jacobian stencil)
-against the same brackets.  The stack is accepted only when every
+The table and the weights may be stacks: a stack of brackets against the
+same measure then shares one pass (the same grids, the same measure
+weights), and so does a stack of measures on the same grid (one row of
+weights per measure, e.g. the points of a Newton step and its Jacobian
+stencil) against the same brackets.  The stack is accepted only when every
 component passes its own test, and each component is then bit-for-bit
 the value it would have alone.
 
@@ -46,7 +47,6 @@ table of the eps lattice that every direct-gap scan evaluates
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -109,26 +109,24 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 class Grid:
-    """Gauss-Legendre panels on (lo, hi], geometric in log u, with
-    ``2**level`` times the base panel count; ``root`` holds ``sqrt(nodes)``.
+    """Gauss-Legendre panels on (lo, hi], geometric in log u; ``root``
+    holds ``sqrt(nodes)``.
 
     ``cached(key, builder)`` memoizes node-wise tables (theta brackets,
     series coefficient matrices) so that repeated integrals against
     different measures reuse them; ``builder`` is a function of the nodes.
     """
 
-    __slots__ = ("lo", "hi", "nodes", "root", "weights", "_tables")
+    __slots__ = ("nodes", "root", "weights", "_tables")
 
-    def __init__(self, lo: float, hi: float, level: int):
+    def __init__(self, lo: float, hi: float):
         span = math.log(hi / lo)
-        n_panels = max(8, math.ceil(2.5 * span)) * 2**level
+        n_panels = max(8, math.ceil(2.5 * span))
         edges = np.linspace(0.0, span, n_panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
         y = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         u = lo * np.exp(y)
-        self.lo = lo
-        self.hi = hi
         self.nodes = u
         self.root = np.sqrt(u)
         self.weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel() * u  # du = u dy
@@ -144,15 +142,15 @@ class Grid:
 _GRID_CACHE: dict[tuple, Grid] = {}
 
 
-@functools.lru_cache(maxsize=64)  # a point's split integral asks twice: to group, to integrate
-def _tail_cutoff(decay_scale: float, eps_max: float = 0.0) -> float:
+def _tail_cutoff(p: float, eps_max: float = 0.0) -> float:
     """Upper limit beyond which exp(-u - p/u) is negligible relative to
     its peak exp(-2 sqrt(p)), with ~40 extra e-foldings of margin; bucketed
-    so that nearby decay scales share grids (and their tables).  A bracket
-    that decays only like exp(-u e^-eps_max) against a weight without
-    exponential decay (Riesz, eps != 0) takes ``ceil(eps_max / ln 1.5)``
-    more buckets, a factor of at least e^eps_max."""
-    p = max(decay_scale, 0.0)
+    so that nearby scales ``p`` (``potentials.tail_scale``) share grids
+    (and their tables).  A bracket that decays only like exp(-u e^-eps_max)
+    against a weight without exponential decay (Riesz, eps != 0) takes
+    ``ceil(eps_max / ln 1.5)`` more buckets, a factor of at least
+    e^eps_max."""
+    p = max(p, 0.0)
     d = 2.0 * math.sqrt(p) + _BASE_HI
     hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
     buckets = max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
@@ -160,40 +158,47 @@ def _tail_cutoff(decay_scale: float, eps_max: float = 0.0) -> float:
 
 
 def grid_for(lo: float, hi: float, level: int) -> Grid:
-    """The cached grid on (lo, hi] at ``level``.
+    """The cached grid on (lo, hi].
 
-    ``integrate`` always asks for level 0.  The argument stays because the
-    benchmark's tracer (``perfbench/tracer.py``) reads it, positionally,
-    for its ``quadrature.level_max`` and ``quadrature.grid_units`` counts;
-    it goes when those counts do.
+    ``integrate`` passes ``level`` 0, which selects nothing: the benchmark's
+    tracer (``perfbench/tracer.py``) reads the argument, positionally, for
+    its ``quadrature.level_max`` and ``quadrature.grid_units`` counts.
     """
-    key = (round(lo, 12), hi, level)
+    key = (round(lo, 12), hi)
     g = _GRID_CACHE.get(key)
     if g is None:
-        g = Grid(lo, hi, level)
-        _GRID_CACHE[key] = g
+        g = _GRID_CACHE[key] = Grid(lo, hi)
     return g
 
 
-def integrate(
-    pieces, decay_scale: float, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0
-):
-    """Sum of semi-infinite integrals, each on one grid.
+def integrate(table_of, w_direct, w_transformed, hi: float, q=DEFAULT_CONFIG, front=1.0):
+    """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``,
+    on grids that end at ``hi`` (``_tail_cutoff``).
 
-    ``pieces`` is a sequence of ``(lo, fn)`` where ``fn(grid)`` returns
-    the node-wise contributions (integrand times panel weights) on the
-    grid's nodes, one array or a stack of them (last axis = nodes).  The
-    value is their sum (added in order, starting from 0.0), the scale the
-    sum of their absolute values and the error the null-rule estimate.
-    The value is returned when every component's error is at most
-    ``max(rel_tol * scale, abs_tol)``; otherwise a ``QuadratureError``
-    carries the largest error as its residual.  ``eps_max`` widens the
-    tail cutoff for slowly decaying brackets (``_tail_cutoff``).
+    ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
+    axis = nodes); ``w_direct(u, root)`` and ``w_transformed(u, root)``
+    give the measure weights on ``[a, inf)`` and on ``(0, a)`` mapped to
+    ``[pi^2/a, inf)``, from the nodes ``u`` and their square roots: a row
+    per measure for a stack of them, with ``front`` a ``(k, 1)`` column.
+    The value is the sum over the grids' nodes of the contributions
+    ``front * weights * w * B`` (one grid from ``pi`` with the two weights
+    summed at the default split, one grid per half elsewhere, added from
+    0.0), the scale the sum of their absolute values and the error the
+    null-rule estimate.  The value is returned when every component's
+    error is at most ``max(rel_tol * scale, abs_tol)``; otherwise a
+    ``QuadratureError`` carries the largest error as its residual.
     """
-    hi = _tail_cutoff(decay_scale, eps_max)
+    a = q.split_point
+    if a == math.pi:  # both halves start at pi: one grid
+        sides = [(a, lambda u, root: w_direct(u, root) + w_transformed(u, root))]
+    else:
+        sides = [(a, w_direct), (math.pi**2 / a, w_transformed)]
     value = scale = error = 0.0
-    for lo, fn in pieces:
-        contrib = fn(grid_for(lo, hi, 0))
+    for lo, weight in sides:
+        grid = grid_for(lo, hi, 0)
+        w, table = front * grid.weights * weight(grid.nodes, grid.root), table_of(grid)
+        # (k, n) weights against (m, n) brackets: (k, m, n)
+        contrib = (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
         value += contrib.sum(axis=-1)
         scale += np.abs(contrib).sum(axis=-1)
         panels = contrib.reshape(*contrib.shape[:-1], -1, _GL_ORDER)
@@ -205,32 +210,3 @@ def integrate(
         f"(error estimate {np.max(error):.3e} against scale {np.max(scale):.3e})",
         residual=float(np.max(error)),
     )
-
-
-def integrate_split(
-    table_of, w_direct, w_transformed, decay_scale: float, q, front, eps_max: float = 0.0
-):
-    """``front * int_0^inf B(t) w(t) dt`` for a bracket ``B(t) = (pi/t) B(pi^2/t)``.
-
-    ``table_of(grid)`` gives ``B`` on the nodes, one table or a stack (last
-    axis = nodes); ``w_direct(u, root)`` and ``w_transformed(u, root)``
-    give the measure weights on ``[a, inf)`` and on ``(0, a)`` mapped to
-    ``[pi^2/a, inf)``, from the nodes ``u`` and their square roots: a row
-    per measure for a stack of them, with ``front`` a ``(k, 1)`` column, each
-    row of the value bit for bit its measure alone.  ``eps_max`` is passed
-    to ``integrate``.
-    """
-    a = q.split_point
-
-    def piece(weight):
-        def contributions(grid):  # (k, n) weights against (m, n) brackets: (k, m, n)
-            w, table = front * grid.weights * weight(grid.nodes, grid.root), table_of(grid)
-            return (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
-
-        return contributions
-
-    if a == math.pi:  # both halves start at pi: one piece on one grid
-        both = lambda u, root: w_direct(u, root) + w_transformed(u, root)
-        return integrate([(a, piece(both))], decay_scale, q, eps_max)
-    pieces = [(a, piece(w_direct)), (math.pi**2 / a, piece(w_transformed))]
-    return integrate(pieces, decay_scale, q, eps_max)

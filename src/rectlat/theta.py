@@ -133,14 +133,6 @@ _PAIR_NEG_JSQ = -(
 _EXP_FLOOR = -700.0
 
 
-def _pair_theta(v: np.ndarray) -> np.ndarray:
-    """T(v) = 1 + 2 sum_j e^{-j^2 v} at ascending ``v >= pi``; a term with
-    (j^2 - 1) v >= 45 is below half an ulp of the sum, so the terms up to
-    the first node's last one give every node's sum."""
-    x = np.maximum(_PAIR_NEG_JSQ[: int(math.sqrt(_PAIR_CUT / v[0] + 1.0)), None] * v, _EXP_FLOOR)
-    return 1.0 + 2.0 * np.exp(x, out=x).sum(axis=0)
-
-
 def _pair_gap_rows(v: np.ndarray, theta: np.ndarray, eps: list, lim: list) -> np.ndarray:
     """P(v, e) - P(v, 0) = T(v) (d- + d+) + d- d+ for each ``e`` in ``eps``,
     without cancellation, from T(v) = ``theta`` on ascending ``v >= pi``;
@@ -224,7 +216,7 @@ def _pair_gap_direct(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
         return out
     nodes = None if np.all(v[1:] >= v[:-1]) else np.argsort(v, kind="stable")
     vs = v if nodes is None else v[nodes]
-    theta = _pair_theta(vs)
+    theta = 1.0 + _excess_direct(vs)
     eps = eps.tolist()
     lim = [_PAIR_CUT * math.exp(abs(e)) for e in eps]
     order = sorted(range(len(eps)), key=lim.__getitem__, reverse=True)

@@ -9,12 +9,23 @@ r^2 = A (j^2 + k^2), and the curvature condition of the square lattice is
 
 over the lattice points (j, k) != 0, s = j^2 + k^2.  The error a root
 implies is |g(A) / g'(A)| / A with g that sum.
+
+The Yukawa-Coulomb tricritical point (A_t, kappa1_t) is certified on the
+theta side, since the real-space sum diverges for the Coulomb tail: the
+30-digit (E2, E4) of ``conftest.mp_rows`` (mpmath brackets and
+``mpmath.quad``) at the solved point, against the solver's own
+central-difference Jacobian, imply the error |J^-1 F| relative to each
+unknown.
 """
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from rectlat.critical import a_star_min
+from conftest import mp_rows
+from rectlat import critical
+from rectlat.critical import a_star_min, find_tricritical
+from rectlat.potentials import derive_yukawa_coulomb
 
 
 def _curvature_condition(kappa, area):
@@ -66,3 +77,27 @@ def test_a_star_min_is_certified(kappa1, q):
 def test_certificate_refuses_a_perturbed_root(kappa1):
     # the certificate resolves far below the perturbation it must catch
     assert _implied_error(kappa1, _A_STAR_MIN[kappa1] * (1.0 + 1e-11)) > 1e-13
+
+
+_YC_TRICRITICAL = (2.7954339501894836, 2.0365177601065243)
+
+
+def _tricritical_implied_error(area, q):
+    """|J^-1 (E2, E4)| relative to (A_t, kappa1_t), with (E2, E4) from the
+    oracle at ``area`` and J the production stencil Jacobian at the point."""
+    z = np.array(_YC_TRICRITICAL)
+    points, h = critical._stencil(z, critical._RELATIVE_STEPS)
+    rows = critical._evaluator(derive_yukawa_coulomb, q)(points)
+    jac = np.column_stack([(rows[2 * i] - rows[2 * i + 1]) / (2.0 * h[i]) for i in range(2)])
+    f = np.array(mp_rows(derive_yukawa_coulomb(z[1]), area)[:2])
+    return np.abs(np.linalg.solve(jac, f)) / z
+
+
+def test_yukawa_coulomb_tricritical_is_certified(q):
+    tc = find_tricritical("yukawa-coulomb", q=q)
+    assert (tc.a_t, tc.param_t) == _YC_TRICRITICAL
+    assert np.all(_tricritical_implied_error(tc.a_t, q) <= 1e-13)
+
+
+def test_tricritical_certificate_refuses_a_perturbed_root(q):
+    assert np.max(_tricritical_implied_error(_YC_TRICRITICAL[0] * (1.0 + 1e-11), q)) > 1e-13

@@ -123,8 +123,10 @@ class TestSolverCommands:
         assert row["v1_t"] == pytest.approx(6.7951845011079, rel=1e-9)
 
     def test_tricritical_out_of_domain_exit_code(self, capsys):
+        # below the window's lower end: a domain refusal, exit 2
         code = main(["tricritical", "--family", "double-yukawa", "--kappa1", "1.2"])
-        assert code == 4
+        assert code == 2
+        assert "below the tricritical window's lower end" in capsys.readouterr().err
 
     def test_transition_bracket_error(self, capsys):
         code = main(["transition", "--family", "yukawa", "--kappa", "1.0"])
@@ -157,7 +159,7 @@ class TestSolverCommands:
             (["first-order", "--family", "yukawa-coulomb", "--kappa1", "1.85"], "search failure: "),
             (["first-order", "--family", "double-yukawa", "--v1", "60", "--kappa1", "2"],
              "classification failure: "),
-            (["tricritical", "--family", "double-yukawa", "--kappa1", "1.2"], "nonconvergence: "),
+            (["tricritical", "--family", "double-yukawa", "--kappa1", "1.5"], "nonconvergence: "),
         ],
         ids=["search", "classification", "nonconvergence"],
     )
@@ -234,8 +236,8 @@ class TestScanCommand:
     def test_failed_seed_is_a_row(self, capsys, monkeypatch):
         # the coarse E2 root at kappa1 = 20 fails in the quadrature: that
         # point keeps a failed row and the rest of the scan goes on.  The
-        # refused integral is one grid at level 0 (one piece at the default
-        # split), and carries its null-rule estimate as the residual
+        # refused integral is one grid at level 0 (one grid for both halves
+        # at the default split), and carries its null-rule estimate as the residual
         levels, refusals = [], []
         real_grid_for, real_integrate = quadrature.grid_for, quadrature.integrate
 

@@ -217,9 +217,17 @@ class TestFindTricritical:
         scale = abs(e2_closed(derive_double_yukawa(tc.param_t, 2.0), tc.a_t * 1.03))
         assert abs(tc.residuals[0]) < 1e-11 * scale
 
-    def test_outside_existence_window(self):
-        with pytest.raises(NonconvergenceError):
+    def test_outside_existence_window(self, warm_end, monkeypatch):
+        # below the window's lower end the solve is refused before any
+        # point reaches its batch evaluator
+        calls = []
+        inner = rectlat.critical.e2_e4_stack
+        monkeypatch.setattr(
+            rectlat.critical, "e2_e4_stack", lambda *a: calls.append(a) or inner(*a)
+        )
+        with pytest.raises(ParameterDomainError, match="lower end"):
             find_tricritical("double-yukawa", 1.2, initial_guess=(2.5, 40.0))
+        assert calls == []
 
     def test_requires_kappa1(self):
         with pytest.raises(ParameterDomainError):
@@ -231,8 +239,9 @@ class TestFindTricritical:
 
     @pytest.fixture
     def warm_end(self, q):
-        # the window's end is one Yukawa-Coulomb solve per process; warm it
-        # so that counts and point sets below hold in any test order
+        # each end of the window is one solve per process; warm both so
+        # that counts and point sets below hold in any test order
+        rectlat.critical._window_start(q)
         return rectlat.critical._window_end(q)
 
     @pytest.mark.parametrize("kappa1", [None, 2.05, 3.0], ids=["end", "2.05", "3.0"])
@@ -247,25 +256,23 @@ class TestFindTricritical:
             find_tricritical("double-yukawa", warm_end if kappa1 is None else kappa1)
         assert calls == []
 
-    def test_one_pass_per_newton_step(self, monkeypatch, q):
+    def test_one_pass_per_newton_step(self, monkeypatch, q, count_calls):
         # the start, its Jacobian stencil and the residual scale's two
         # points share the first pass; the first candidate goes alone, and
         # each full step after it brings its own stencil: 6 passes (23
         # before, one per point), 27 points
-        points, passes = [], []
-        inner, integrate = rectlat.critical.e2_e4_stack, rectlat.quadrature.integrate
+        points = []
+        inner = rectlat.critical.e2_e4_stack
 
         def counted(stack, q):
             points.extend(stack)
             return inner(stack, q)
 
         monkeypatch.setattr(rectlat.critical, "e2_e4_stack", counted)
-        monkeypatch.setattr(
-            rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
-        )
+        passes = count_calls()
         tc = find_tricritical("yukawa-coulomb", q=q)
         assert tc.param_t == 2.0365177601065243
-        assert len(passes) <= 8
+        assert 0 < len(passes) <= 8
         assert len(points) == len({(float(area), spec.kappa1) for spec, area in points})
 
     def test_stalled_newton_names_its_stop(self):
@@ -296,7 +303,7 @@ class TestFindTricritical:
         )
         assert tc.jacobian_condition == pytest.approx(3969.41, rel=1e-5)
 
-    def test_kappa1_upper_stops_stalled_solves_early(self, warm_end, monkeypatch, q):
+    def test_kappa1_upper_stops_stalled_solves_early(self, warm_end, monkeypatch, q, count_calls):
         # the walk's failed Newton solves below the end stop after 12 steps
         # without halving their residual instead of crawling on for up to 60,
         # and the ones at or above the end are refused before any integral
@@ -304,20 +311,18 @@ class TestFindTricritical:
         # alone, 1,995 with both, one pass each).  A run of full Newton steps
         # evaluates each candidate with its Jacobian stencil in one pass:
         # 2,055 points measured, in 1,177 passes
-        points, passes = [], []
-        inner, integrate = rectlat.critical.e2_e4_stack, rectlat.quadrature.integrate
+        points = []
+        inner = rectlat.critical.e2_e4_stack
 
         def counted(stack, q):
             points.extend(stack)
             return inner(stack, q)
 
         monkeypatch.setattr(rectlat.critical, "e2_e4_stack", counted)
-        monkeypatch.setattr(
-            rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
-        )
+        passes = count_calls()
         rectlat.critical.kappa1_upper(q)
         assert len(points) <= 2100
-        assert len(passes) <= 1250
+        assert 0 < len(passes) <= 1250
 
     def test_kappa1_upper_runs_no_newton_above_the_end(self, warm_end, monkeypatch, q):
         # refused solves count as failed ones, so the walk takes the steps it

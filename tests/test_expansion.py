@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +19,7 @@ from rectlat.expansion import (
 )
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 
-from conftest import rel_or_abs
+from conftest import MP_ORDERS, mp_rows, rel_or_abs
 
 
 class TestSquareLatticeCoefficient:
@@ -184,74 +183,6 @@ class TestBracketScaling:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
 
-# Stirling numbers of the second kind, S(m, n) for n = 1..m: the m-th power of
-# the operator u d/du is sum_n S(m, n) u^n (d/du)^n.
-_STIRLING2 = {
-    1: (1,),
-    2: (1, 1),
-    3: (1, 3, 1),
-    4: (1, 7, 6, 1),
-    5: (1, 15, 25, 10, 1),
-    6: (1, 31, 90, 65, 15, 1),
-    7: (1, 63, 301, 350, 140, 21, 1),
-    8: (1, 127, 966, 1701, 1050, 266, 28, 1),
-}
-_ORDERS = (2, 4, 6, 8)
-
-
-def _mp_brackets(u):
-    """eps^2, eps^4, eps^6 and eps^8 coefficients of T(u e^-eps) T(u e^eps)
-    in mpmath.
-
-    T(u e^eps) = sum_m a_m eps^m with a_m = (u d/du)^m T / m!, and the
-    mirrored factor has coefficients (-1)^m a_m, so the product's m-th
-    coefficient is sum_i (-1)^(m-i) a_i a_(m-i): 2 a0 a2 - a1^2 at m = 2.
-    Below pi the exact rescaling B(u) = (pi/u) B(pi^2/u) keeps the theta
-    series short.
-    """
-    if u < mpmath.pi:
-        return [mpmath.pi / u * b for b in _mp_brackets(mpmath.pi**2 / u)]
-    terms = [(j * j, mpmath.exp(-j * j * u)) for j in range(1, int(mpmath.sqrt(120 / u)) + 3)]
-    derivs = [2 * mpmath.fsum((-c) ** n * e for c, e in terms) for n in range(9)]
-    derivs[0] += 1
-    a = [derivs[0]] + [
-        mpmath.fsum(s * u**n * derivs[n] for n, s in enumerate(_STIRLING2[m], start=1))
-        / mpmath.factorial(m)
-        for m in range(1, 9)
-    ]
-    return [mpmath.fsum((-1) ** (m - i) * a[i] * a[m - i] for i in range(m + 1)) for m in _ORDERS]
-
-
-_MP_ROWS = {}
-
-
-def _mp_rows(spec, area):
-    """(E2, E4, E6, E8) = 1/2 integral rho(t) (B2, B4, B6, B8)(A t) dt at 30 digits."""
-    key = (spec, area)
-    if key in _MP_ROWS:
-        return _MP_ROWS[key]
-    with mpmath.workdps(30):
-        area = mpmath.mpf(area)
-        terms = [(mpmath.mpf(spec.v1), mpmath.mpf(spec.kappa1)),
-                 (-mpmath.mpf(spec.v2), mpmath.mpf(spec.kappa2))]
-        memo = {}
-
-        def integrand(u, row):
-            if u not in memo:
-                weight = mpmath.fsum(v * mpmath.exp(-k * k * area / (4 * u)) for v, k in terms)
-                memo[u] = [weight / mpmath.sqrt(u) * b for b in _mp_brackets(u)]
-            return memo[u][row]
-
-        front = 1 / (2 * mpmath.sqrt(mpmath.pi * area))
-        points = [0, 1, mpmath.pi, 10, 40, mpmath.inf]
-        rows = tuple(
-            float(front * mpmath.quad(lambda u: integrand(u, row), points))
-            for row in range(len(_ORDERS))
-        )
-    _MP_ROWS[key] = rows
-    return rows
-
-
 _ORACLE_CASES = pytest.mark.parametrize(
     "spec, area, approx",
     [
@@ -264,7 +195,7 @@ _ORACLE_CASES = pytest.mark.parametrize(
 
 @_ORACLE_CASES
 def test_e2_e4_against_high_precision_oracle(spec, area, approx):
-    want = _mp_rows(spec, area)
+    want = mp_rows(spec, area)
     assert want == pytest.approx(approx, rel=5e-3)
     got = e2_e4_closed(spec, area)
     for value, reference in zip(got, want[:2]):
@@ -276,5 +207,5 @@ def test_series_rows_against_high_precision_oracle(spec, area, approx):
     # the series route builds its rows from the 1D factor, independent of
     # the theta derivatives the oracle and the closed route use
     rows = landau_series(spec, area)
-    for m, reference in zip(_ORDERS, _mp_rows(spec, area)):
+    for m, reference in zip(MP_ORDERS, mp_rows(spec, area)):
         assert abs(rows[m] - reference) <= 1e-12 * abs(reference), m

@@ -1,6 +1,6 @@
 """The one-grid pass and the shared bracket table against a plain reference.
 
-The reference pass below evaluates each piece on a fresh grid with a fresh
+The reference pass below evaluates each half on a fresh grid with a fresh
 table, and accepts the integral when every component's null-rule estimate,
 taken from the Legendre coefficients of each panel, passes its test.  It
 keeps the kernel's arithmetic: ``(front * weights * w) * table`` per node
@@ -35,18 +35,18 @@ from rectlat.expansion import (
     e2_e4_closed,
     landau_series,
 )
-from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for, integrate_split
+from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for
 
 # h/2 times the Legendre coefficients a_22 and a_23 of a panel, from its
 # contributions (h/2) w_j g(x_j)
 _LEGENDRE_22_23 = legvander(leggauss(24)[0], 23)[:, 22:] * np.array([22.5, 23.5])
 
 
-def reference_pass(table_of, w_direct, w_transformed, decay_scale, q, front, eps_max=0.0):
-    """``(value, passed)`` of the split integral: the value, and which
-    components pass their null-rule test.  Weights with a leading axis
-    (``front`` a column) are a stack of measures, taken one at a time."""
-    hi = _tail_cutoff(decay_scale, eps_max)
+def reference_pass(table_of, w_direct, w_transformed, hi, q=QuadratureConfig(), front=1.0):
+    """``(value, passed)`` of the split integral on grids that end at ``hi``:
+    the value, and which components pass their null-rule test.  Weights
+    with a leading axis (``front`` a column) are a stack of measures, taken
+    one at a time."""
     a = q.split_point
     if a == math.pi:
         sides = [(a, lambda u, root: w_direct(u, root) + w_transformed(u, root))]
@@ -54,7 +54,7 @@ def reference_pass(table_of, w_direct, w_transformed, decay_scale, q, front, eps
         sides = [(a, w_direct), (math.pi**2 / a, w_transformed)]
     value = scale = error = 0.0
     for lo, weight in sides:
-        grid = Grid(lo, hi, 0)
+        grid = Grid(lo, hi)
         w, table = weight(grid.nodes, grid.root), table_of(grid)
         rows = [(f * grid.weights * wk) * table for f, wk in zip(np.ravel(front), np.atleast_2d(w))]
         contrib = np.stack(rows) if w.ndim > 1 else rows[0]
@@ -88,29 +88,25 @@ def check_against_reference(run, q):
     integrals."""
     records = []
 
-    def recording(m, module):
-        real = module.integrate_split
+    real = rectlat.quadrature.integrate
 
-        def record(table_of, *args, **kwargs):
-            formed = []
+    def record(table_of, *args, **kwargs):
+        formed = []
 
-            def counted(grid):
-                formed.append(grid)
-                return table_of(grid)
+        def counted(grid):
+            formed.append(grid)
+            return table_of(grid)
 
-            try:
-                value = real(counted, *args, **kwargs)
-            except QuadratureError as err:
-                records.append((table_of, args, kwargs, err, len(formed)))
-                raise
-            records.append((table_of, args, kwargs, value, len(formed)))
-            return value
-
-        m.setattr(module, "integrate_split", record)
+        try:
+            value = real(counted, *args, **kwargs)
+        except QuadratureError as err:
+            records.append((table_of, args, kwargs, err, len(formed)))
+            raise
+        records.append((table_of, args, kwargs, value, len(formed)))
+        return value
 
     with pytest.MonkeyPatch.context() as m:
-        recording(m, energy)
-        recording(m, critical)
+        m.setattr(rectlat.quadrature, "integrate", record)
         try:
             run(q)
         except QuadratureError:
@@ -182,11 +178,11 @@ def test_pair_gap_runs_once_per_pass(monkeypatch, split):
     assert sizes == [grid_for(lo, hi, 0).nodes.size for lo in los]
 
 
-def _measure(spec, area, q):
+def _measure(spec, area, q, eps_max=0.0):
     return (
         lambda u, root: pot.weight_direct(spec, area, u, root),
         lambda u, root: pot.weight_transformed(spec, area, u, root),
-        pot.tail_scale(spec, area),
+        _tail_cutoff(pot.tail_scale(spec, area), eps_max),
         q,
         pot.front_factor(spec, area),
     )
@@ -206,7 +202,7 @@ def test_estimate_is_the_reference_level_0(split):
         formed.append(grid)
         return rows(grid)
 
-    value = integrate_split(counted, *measure)
+    value = rectlat.quadrature.integrate(counted, *measure)
     expected, passed = reference_pass(rows, *measure)
     assert passed.all() and value.tobytes() == expected.tobytes()
     assert len(formed) == (1 if split == math.pi else 2)
@@ -218,7 +214,7 @@ def test_estimate_is_the_reference_level_0(split):
     ids=["p2", "p4", "p2p4", "series"],
 )
 def test_cached_tables_are_built_once_on_the_level_nodes(monkeypatch, table_of):
-    grid = Grid(math.pi, _tail_cutoff(1.7), 1)
+    grid = Grid(math.pi, _tail_cutoff(1.7))
     seen = []
     real = Grid.cached
 
@@ -234,7 +230,7 @@ def test_cached_tables_are_built_once_on_the_level_nodes(monkeypatch, table_of):
     assert table_of(grid) is not None and len(seen) == 1
     monkeypatch.undo()
     assert seen[0] is grid.nodes
-    fresh = table_of(Grid(math.pi, _tail_cutoff(1.7), 1))
+    fresh = table_of(Grid(math.pi, _tail_cutoff(1.7)))
     assert table.tobytes() == fresh.tobytes()
     assert table.shape[-1] == grid.nodes.size
 
@@ -261,7 +257,7 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
     monkeypatch.setattr(energy, "theta_product_gap", counted)
     for start in (0, 33, 128):
         suffix = lattice[start:].copy()  # equal to the lattice's suffix, not a view of it
-        fresh = integrate_split(
+        fresh = rectlat.quadrature.integrate(
             lambda g: np.stack([real(g.nodes, e) for e in suffix]), *_measure(spec, area, q)
         )
         assert energy_gap(spec, area, suffix, q).tobytes() == fresh.tobytes()
@@ -276,14 +272,14 @@ def test_lattice_rows_are_fresh_rows(monkeypatch, spec, area, split):
         assert table.tobytes() == np.stack([real(g.nodes, e) for e in lattice]).tobytes()
 
 
-def test_newton_step_builds_its_rows_once(monkeypatch):
+def test_newton_step_builds_its_rows_once(monkeypatch, count_calls):
     # the two gaps of a deep-crossing Newton step, at A and at A (1 + 1e-6),
     # are one stacked ``energy_gap``: one pass on their shared grid, whose
     # table of the three eps rows is one pair-gap call, and each row bit for
     # bit a fresh one
     q = QuadratureConfig()
-    built, passes = [], []
-    real, integrate = energy.theta_product_gap, rectlat.quadrature.integrate
+    built = []
+    real = energy.theta_product_gap
 
     def counted(u, eps):
         built.append(eps)
@@ -294,9 +290,7 @@ def test_newton_step_builds_its_rows_once(monkeypatch):
         return energy.split_integral(YC, area, rows, q)
 
     monkeypatch.setattr(energy, "theta_product_gap", counted)
-    monkeypatch.setattr(
-        rectlat.quadrature, "integrate", lambda *a, **k: passes.append(1) or integrate(*a, **k)
-    )
+    passes = count_calls()
     eps = 0.5 + np.array([-1e-5, 0.0, 1e-5])
     areas = [2.8, 2.8 * (1.0 + 1e-6)]
     rows = energy_gap(YC, areas, eps, q)
@@ -367,7 +361,7 @@ def test_stack_is_each_point_alone(monkeypatch, name, split):
     for row, (spec, area) in zip(rows, points):
         alone = split_integral(spec, area, table_of, q, eps_max)
         assert row.tobytes() == np.asarray(alone).tobytes()
-        expected, passed = reference_pass(table_of, *_measure(spec, area, q), eps_max)
+        expected, passed = reference_pass(table_of, *_measure(spec, area, q, eps_max))
         assert passed.all() and row.tobytes() == np.asarray(expected).tobytes()
     stacked = lambda q: split_stack(points, table_of, q, eps_max)
     assert check_against_reference(stacked, q) == []

@@ -251,7 +251,7 @@ class TestPredictedRoots:
         assert miss == pytest.approx((tp.a_star + 1.0) / tp.a_star)
 
 
-def test_phase_diagram_work_budget(monkeypatch, q):
+def test_phase_diagram_work_budget(q, count_calls):
     # the two phase-diagram scans of the benchmark, counted in process: the
     # E2 roots come from their neighbours, the crossing brackets from the
     # series, each (member, density) pays for its gap series once, and four
@@ -259,28 +259,16 @@ def test_phase_diagram_work_budget(monkeypatch, q):
     # crossing gaps and 120 gap series when every crossing walked its
     # bracket; 915 integrals and 222 crossing gaps before that)
     import rectlat.critical
-    import rectlat.quadrature
 
     rectlat.critical._gap_coefficients.cache_clear()
-    counts = {"integrals": 0, "crossing gaps": 0, "gap series": 0}
-
-    def counted(module, name, key):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(rectlat.quadrature, "integrate", "integrals")
-    counted(rectlat.critical, "_crossing_gap", "crossing gaps")
-    counted(rectlat.critical, "landau_series", "gap series")
+    integrals = count_calls()
+    crossing_gaps = count_calls(rectlat.critical, "_crossing_gap")
+    gap_series = count_calls(rectlat.critical, "landau_series")
     scan_critical_curve(2.0, v1_grid=np.geomspace(3.702, 60.0, 32), q=q)
     scan_yukawa_coulomb(np.linspace(1.9, 2.03, 4), q=q)
-    assert counts["integrals"] <= 540
-    assert counts["crossing gaps"] <= 95
-    assert counts["gap series"] <= 85
+    assert 0 < len(integrals) <= 540
+    assert 0 < len(crossing_gaps) <= 95
+    assert 0 < len(gap_series) <= 85
 
 
 def _gap_rows(v1_grid, q):
@@ -389,18 +377,12 @@ class TestAStarMinScan:
         for k1, value, _ in rows:
             assert value == pytest.approx(a_star_min(k1, q), rel=1e-13)
 
-    def test_work_budget(self, monkeypatch, q):
+    def test_work_budget(self, q, count_calls):
         # the benchmark's 40-row scan: 1,211 integrals when every row
         # searched the 41-point density grid
-        import rectlat.quadrature
-
-        calls = []
-        integrate = rectlat.quadrature.integrate
-        monkeypatch.setattr(
-            rectlat.quadrature, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k)
-        )
+        calls = count_calls()
         scan_a_star_min(np.geomspace(0.1, 50.0, 40), q=q)
-        assert len(calls) <= 400
+        assert 0 < len(calls) <= 400
 
     def test_predicted_rows_past_the_domain_are_refused(self, q):
         # a falling grid predicts the rows at and below kappa1 = 0 from two
@@ -430,16 +412,11 @@ class TestAStarMinScan:
 
 class TestTricriticalLocusScan:
     def test_locus_with_out_of_domain_points(self, q):
-        # above the window's upper end (2.0365) the solve is refused as a
-        # domain error; below its lower end (1.4368) Newton and the nested
-        # fallback fail, and that refusal is the row's
+        # above the window's upper end (2.0365) and below its lower end
+        # (1.4368) the solve is refused as a domain error
         rows, bounds = scan_tricritical_locus([1.2, 1.8, 2.0, 2.1], q=q, with_bounds=False)
         assert bounds is None
-        assert rows[0][1:] == (
-            None,
-            None,
-            "failed: NonconvergenceError: tricritical solve failed (Newton and nested fallback)",
-        )
+        assert rows[0][1:] == (None, None, "out-of-domain")
         assert rows[1][3] == "ok"
         assert rows[2][3] == "ok"
         assert rows[3][1:] == (None, None, "out-of-domain")

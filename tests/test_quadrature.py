@@ -64,31 +64,41 @@ def test_config_rejects_non_finite(field, bad):
         QuadratureConfig(**{field: bad})
 
 
-def _exp_piece(grid):
-    return grid.weights * np.exp(-grid.nodes)
+_ONE = lambda u, root: np.ones_like(u)
+_ZERO = lambda u, root: np.zeros_like(u)
+
+
+def _direct(table_of, q=DEFAULT_CONFIG, decay_scale=0.0):
+    """``int_pi^inf table_of(grid)`` on the one grid from pi: the direct
+    half's weight is 1 and the transformed half's 0."""
+    return integrate(table_of, _ONE, _ZERO, _tail_cutoff(decay_scale), q)
+
+
+def _exp_table(grid):
+    return np.exp(-grid.nodes)
 
 
 def test_exponential_tail_exact():
-    value = integrate([(math.pi, _exp_piece)], 0.0, DEFAULT_CONFIG)
+    value = _direct(_exp_table, DEFAULT_CONFIG)
     assert value == pytest.approx(math.exp(-math.pi), rel=1e-13)
 
 
 def test_polynomial_times_exponential():
     # int_a^inf u^4 e^-u du = Gamma(5, a)
-    def piece(grid):
-        return grid.weights * grid.nodes**4 * np.exp(-grid.nodes)
+    def table(grid):
+        return grid.nodes**4 * np.exp(-grid.nodes)
 
     a = math.pi
     expected = math.exp(-a) * (a**4 + 4 * a**3 + 12 * a**2 + 24 * a + 24)
-    assert integrate([(a, piece)], 0.0) == pytest.approx(expected, rel=1e-13)
+    assert _direct(table) == pytest.approx(expected, rel=1e-13)
 
 
 def test_shifted_decay_scale():
     # mass far from the left endpoint: exp(-p/u - u) peaks at sqrt(p)
     p = 2000.0
 
-    def piece(grid):
-        return grid.weights * np.exp(-p / grid.nodes - grid.nodes)
+    def table(grid):
+        return np.exp(-p / grid.nodes - grid.nodes)
 
     # int_0^inf exp(-p/u - u) du = 2 sqrt(p) K_1(2 sqrt(p)); the value is
     # about 1.7e-38, so the comparison is relative only
@@ -96,32 +106,30 @@ def test_shifted_decay_scale():
         head = mpmath.quad(lambda u: mpmath.exp(-p / u - u), [0, 1, mpmath.pi])
         whole = 2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p))
         expected = float(whole - head)
-    assert integrate([(math.pi, piece)], p) == pytest.approx(expected, rel=1e-11, abs=0.0)
+    assert _direct(table, decay_scale=p) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_failure_carries_residual():
     # an integrand the panels cannot pin to an impossible tolerance
     def noisy(grid):
-        return grid.weights * np.sin(301.7 * grid.nodes) * np.exp(-0.5 * grid.nodes)
+        return np.sin(301.7 * grid.nodes) * np.exp(-0.5 * grid.nodes)
 
     q = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300)
     with pytest.raises(QuadratureError) as exc:
-        integrate([(math.pi, noisy)], 0.0, q)
+        _direct(noisy, q)
     assert exc.value.residual > 0.0
 
 
-def _cosine_piece(ks, grids=None):
+def _cosine_table(ks, grids=None):
     """cos(k u) exp(-u/2) for each k; the grid resolves k up to 1."""
     ks = np.asarray(ks, dtype=float)
 
-    def piece(grid):
+    def table(grid):
         if grids is not None:
             grids.append(grid)
-        return (
-            grid.weights * np.cos(np.multiply.outer(ks, grid.nodes)) * np.exp(-0.5 * grid.nodes)
-        )
+        return np.cos(np.multiply.outer(ks, grid.nodes)) * np.exp(-0.5 * grid.nodes)
 
-    return piece
+    return table
 
 
 def _cosine_exact(k, a=math.pi):
@@ -136,9 +144,9 @@ def test_under_resolved_level_0_is_refused():
     k = 10.0
     grids = []
     with pytest.raises(QuadratureError) as exc:
-        integrate([(math.pi, _cosine_piece(k, grids))], 0.0)
+        _direct(_cosine_table(k, grids))
     assert grids == [grid_for(math.pi, _tail_cutoff(0.0), 0)]
-    level_0 = _cosine_piece(k)(grids[0])
+    level_0 = grids[0].weights * _cosine_table(k)(grids[0])
     tol = DEFAULT_CONFIG.rel_tol * np.abs(level_0).sum()
     assert abs(level_0.sum() - _cosine_exact(k)) > tol
     assert exc.value.residual > tol
@@ -148,26 +156,26 @@ def test_one_unresolved_component_refuses_the_stack():
     # the grid resolves cos(k u) exp(-u/2) at k = 0.5 and 1 but not at 1.5:
     # a stack passes only when every component does, and each component
     # is then bit-for-bit its value alone
-    stacked = integrate([(math.pi, _cosine_piece((0.5, 1.0)))], 0.0)
+    stacked = _direct(_cosine_table((0.5, 1.0)))
     assert stacked.shape == (2,)
     for i, k in enumerate((0.5, 1.0)):
-        assert stacked[i] == integrate([(math.pi, _cosine_piece(k))], 0.0)
+        assert stacked[i] == _direct(_cosine_table(k))
         assert stacked[i] == pytest.approx(_cosine_exact(k), rel=1e-11, abs=1e-15)
     for ks in (1.5, (0.5, 1.0, 1.5)):
         with pytest.raises(QuadratureError):
-            integrate([(math.pi, _cosine_piece(ks))], 0.0)
+            _direct(_cosine_table(ks))
 
 
 def test_scalar_pieces_return_scalars():
-    value = integrate([(math.pi, _exp_piece)], 0.0)
+    value = _direct(_exp_table)
     assert np.ndim(value) == 0
 
 
 def test_grid_caching_and_determinism():
-    g1 = grid_for(math.pi, _tail_cutoff(0.0), 1)
-    g2 = grid_for(math.pi, _tail_cutoff(0.0), 1)
+    g1 = grid_for(math.pi, _tail_cutoff(0.0), 0)
+    g2 = grid_for(math.pi, _tail_cutoff(0.0), 0)
     assert g1 is g2
-    g3 = Grid(g1.lo, g1.hi, 1)
+    g3 = Grid(math.pi, _tail_cutoff(0.0))
     np.testing.assert_array_equal(g1.nodes, g3.nodes)
     np.testing.assert_array_equal(g1.weights, g3.weights)
 

@@ -43,8 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +80,7 @@ class PoorFitWarning(UserWarning):
     """Raised (as a warning) when a power-law fit falls below r^2 = 0.999."""
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
+class TransitionPoint(NamedTuple):
     a_star: float
     order: str  # "second" | "first"
     e2_residual: float
@@ -90,16 +88,14 @@ class TransitionPoint:
     bracket: tuple
 
 
-@dataclass(frozen=True)
-class TricriticalPoint:
+class TricriticalPoint(NamedTuple):
     a_t: float
     param_t: float  # v1 (double Yukawa) or kappa1 (Yukawa-Coulomb)
     residuals: tuple
     jacobian_condition: float
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     beta: float
     amplitude: float
     r_squared: float
@@ -333,6 +329,7 @@ def _dy_spec_unchecked(kappa1: float, kappa2: float) -> pot.PotentialSpec:
         v2=v2,
         kappa2=kappa2,
         norm_residuals=(0.0, 0.0),
+        strength_gap=pot._strength_gap(v1, kappa1, kappa2),
     )
 
 

@@ -23,8 +23,9 @@ independent oracle for testing the integral path.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,16 +35,17 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
 from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
 
-@dataclass(frozen=True)
-class LatticeState:
-    """Inverse density and log aspect ratio of a rectangular lattice."""
+class LatticeState(NamedTuple("LatticeState", [("area", float), ("eps", float)])):
+    """Inverse density and log aspect ratio of a rectangular lattice; the
+    area is checked in ``_make`` and ``_replace`` as in a new record."""
 
-    area: float
-    eps: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = self.area
-        check_domain(a > 0, f"inverse density A must be positive, got {a}", A=a, eps=self.eps)
+    def __new__(cls, area: float, eps: float = 0.0):
+        check_domain(area > 0, f"inverse density A must be positive, got {area}", A=area, eps=eps)
+        return super().__new__(cls, area, eps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def delta(self) -> float:
@@ -67,6 +69,8 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     for vs, k in pot.laplace_pairs(spec):
         if k > 0.0:
             c = k * k * area / (4.0 * math.pi**2)
+            if not (c > 0.0 and math.pi / c < math.inf):  # sqrt(pi / c) is no double
+                raise ParameterDomainError(f"kappa^2 A / (4 pi^2) = {c:.3g} is too small, kappa={k}")
             cb = c * b
             erfc = math.erfc(math.sqrt(cb))
             k1 = math.sqrt(math.pi / c) * erfc
@@ -82,10 +86,30 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     return total
 
 
+def _grid_end(spec, area: float, eps_max: float) -> float:
+    """The end of the point's grid; ``eps_max`` counts for Riesz only (``split_stack``)."""
+    if not 0 < area < math.inf:  # the message is formatted only for a refusal
+        check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
+    eps_max = eps_max if spec.family == pot.RIESZ else 0.0
+    return _tail_cutoff(pot.tail_scale(spec, area), eps_max)
+
+
+def _grid_pass(spec, area, table_of, q, hi):
+    """``quadrature.integrate`` against the measure of one point (a spec and
+    its area) or of a sequence of points on the grid that ends at ``hi``."""
+    if isinstance(spec, pot.PotentialSpec):  # a lone point: float weights and prefactor
+        front = pot.front_factor(spec, area)
+    else:
+        front = np.array([pot.front_factor(s, a) for s, a in zip(spec, area)])[:, None]
+    w_direct = functools.partial(pot.weight_direct, spec, area)
+    w_transformed = functools.partial(pot.weight_transformed, spec, area)
+    return quadrature.integrate(table_of, w_direct, w_transformed, hi, q, front)
+
+
 def split_integral(spec, area: float, table_of, q=DEFAULT_CONFIG, eps_max: float = 0.0):
     """``quadrature.integrate`` against the potential's measure: the stack
     of one point of ``split_stack``."""
-    return split_stack([(spec, area)], table_of, q, eps_max)[0]
+    return _grid_pass(spec, area, table_of, q, _grid_end(spec, area, eps_max))
 
 
 def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0):
@@ -96,22 +120,17 @@ def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max:
     bit for bit its point alone.  ``eps_max`` is the largest ``|eps|`` of
     the brackets: a Riesz weight has no exponential decay, so a bracket
     falling like ``exp(-u e^-|eps|)`` needs a wider tail cutoff."""
-    eps_max = eps_max if points[0][0].family == pot.RIESZ else 0.0
+    if len(points) == 1:  # a lone point: no grouping
+        return split_integral(*points[0], table_of, q, eps_max)[None]
     grids = {}  # tail cutoff (the grid's end) -> indices of its points
     for i, (spec, area) in enumerate(points):
-        if not 0 < area < math.inf:  # the message is formatted only for a refusal
-            check_domain(area > 0, f"area must be finite and positive, got {area}", area=area)
-        grids.setdefault(_tail_cutoff(pot.tail_scale(spec, area), eps_max), []).append(i)
+        grids.setdefault(_grid_end(spec, area, eps_max), []).append(i)
     out = None
     for hi, idx in grids.items():
-        specs, areas = zip(*(points[i] for i in idx))
-        # a point alone on its grid keeps float weights and prefactor
-        fronts = [pot.front_factor(s, a) for s, a in zip(specs, areas)]
-        front = fronts[0] if len(idx) == 1 else np.array(fronts)[:, None]
-        w_direct = lambda u, root: pot.weight_direct(specs, areas, u, root)
-        w_transformed = lambda u, root: pot.weight_transformed(specs, areas, u, root)
-        rows = quadrature.integrate(table_of, w_direct, w_transformed, hi, q, front)
-        rows = rows if len(idx) > 1 else rows[None]
+        if len(idx) == 1:  # a point alone on its grid
+            rows = _grid_pass(*points[idx[0]], table_of, q, hi)[None]
+        else:
+            rows = _grid_pass(*zip(*(points[i] for i in idx)), table_of, q, hi)
         if len(idx) == len(points):  # one grid: its rows are the result
             return rows
         if out is None:

@@ -39,8 +39,7 @@ share one grid and one table the same way, one row of weights each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,8 +49,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .theta import modular_reduce, theta3_derivs
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(NamedTuple):
     """Even expansion coefficients of the energy at fixed inverse density."""
 
     area: float

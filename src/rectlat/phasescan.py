@@ -18,8 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ LOCUS_CSV_HEADER = "kappa1,a_t,v1_t,status"
 A_STAR_MIN_CSV_HEADER = "kappa1,a_star_min,status"
 
 
-@dataclass(frozen=True)
-class PhaseDiagramRow:
+class PhaseDiagramRow(NamedTuple):
     family: str
     kappa1: float
     v1: Optional[float]
@@ -459,8 +457,7 @@ def rows_to_csv(rows, header: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header.split(","))
     for row in rows:
-        values = list(asdict(row).values()) if isinstance(row, PhaseDiagramRow) else list(row)
-        writer.writerow([_fmt(v) for v in values])
+        writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
 
 
@@ -470,7 +467,7 @@ def rows_to_json(rows, config: dict, header: Optional[str] = None) -> str:
     from . import __version__
 
     payload_rows = [
-        asdict(r) if isinstance(r, PhaseDiagramRow) else dict(zip(header.split(","), r))
+        r._asdict() if isinstance(r, PhaseDiagramRow) else dict(zip(header.split(","), r))
         for r in rows
     ]
     return json.dumps(

@@ -26,8 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +54,7 @@ NORMALIZATION_TOL = 1e-10
 KAPPA1_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(NamedTuple):
     """One member of a potential family, with derived parameters attached."""
 
     family: str
@@ -69,9 +67,11 @@ class PotentialSpec:
     kappa2: Optional[float] = None
     needs_background: bool = False
     norm_residuals: Optional[tuple] = None
+    strength_gap: Optional[float] = None  # v1 - v2 without cancellation (``_strength_gap``)
 
     def to_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None and k != "norm_residuals"}
+        derived = ("norm_residuals", "strength_gap")
+        data = {k: v for k, v in self._asdict().items() if v is not None and k not in derived}
         if not data.get("needs_background"):
             data.pop("needs_background", None)
         return json.dumps(data)
@@ -111,6 +111,7 @@ def derive_double_yukawa(v1: float, kappa1: float) -> PotentialSpec:
         v2=v2,
         kappa2=kappa2,
         norm_residuals=_normalization_residuals(v1, kappa1, v2, kappa2),
+        strength_gap=_strength_gap(float(v1), float(kappa1), kappa2),
     )
     _check_normalization(spec)
     return spec
@@ -129,6 +130,7 @@ def derive_yukawa_coulomb(kappa1: float) -> PotentialSpec:
         kappa2=0.0,
         needs_background=True,
         norm_residuals=_normalization_residuals(v1, kappa1, v2, 0.0),
+        strength_gap=_strength_gap(v1, float(kappa1), 0.0),
     )
     _check_normalization(spec)
     return spec
@@ -215,7 +217,13 @@ def laplace_pairs(spec: PotentialSpec):
 def front_factor(spec: PotentialSpec, area: float) -> float:
     """Prefactor of the reduced integrals (the 1/2 of the energy included)."""
     if spec.family == RIESZ:
-        return 0.5 / (math.gamma(spec.s / 2.0) * area ** (spec.s / 2.0))
+        try:
+            scale = math.gamma(spec.s / 2.0) * area ** (spec.s / 2.0)
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ParameterDomainError(f"Gamma(s/2) A^(s/2) is no double for s={spec.s}, A={area}")
+        return 0.5 / scale
     return 0.5 / math.sqrt(math.pi * area)
 
 
@@ -223,7 +231,9 @@ def tail_scale(spec: PotentialSpec, area: float) -> float:
     """Decay-shaping scale p = max(kappa^2 A / 4) passed to the grid builder."""
     if spec.family == RIESZ:
         return 0.0
-    return max(k * k for _, k in laplace_pairs(spec)) * area / 4.0
+    if spec.family == YUKAWA:
+        return spec.kappa * spec.kappa * area / 4.0
+    return max(spec.kappa1 * spec.kappa1, spec.kappa2 * spec.kappa2) * area / 4.0
 
 
 def weight_direct(spec, area, u: np.ndarray, root=None) -> np.ndarray:
@@ -264,19 +274,19 @@ def _weights(spec, area, u, root, transformed):
     if specs[0].family == YUKAWA:
         return cols[1] * np.exp(cols[0] * u if transformed else cols[0] / u) / rsq
     p2, dp, v1, gap = cols
-    if transformed:
-        return np.exp(p2 * u) * (v1 * np.expm1(dp * u) + gap) / rsq
-    return np.exp(p2 / u) * (v1 * np.expm1(dp / u) + gap) / rsq
+    w, x = (p2 * u, dp * u) if transformed else (p2 / u, dp / u)  # reused in place
+    x = np.add(np.multiply(np.expm1(x, out=x), v1, out=x), gap, out=x)  # v1 expm1(dp u) + gap
+    return np.divide(np.multiply(np.exp(w, out=w), x, out=w), rsq, out=w)
 
 
 def _rates(s, a, scale):  # with p = kappa^2 A / scale: (-p2, p2 - p1, v1, v1 - v2), Yukawa (-p, v)
     if s.family == YUKAWA:
         return -(s.kappa**2 * a / scale), s.v
     p1, p2 = s.kappa1**2 * a / scale, s.kappa2**2 * a / scale
-    return -p2, p2 - p1, s.v1, _strength_gap(s)
+    return -p2, p2 - p1, s.v1, s.strength_gap
 
 
-def _strength_gap(spec: PotentialSpec) -> float:
+def _strength_gap(v1: float, kappa1: float, kappa2: float) -> float:
     """v1 - v2 without cancellation; vanishes linearly as kappa2 -> kappa1."""
-    dk = spec.kappa2 - spec.kappa1
-    return spec.v1 * (dk - (1.0 + spec.kappa1) * math.expm1(dk)) / (1.0 + spec.kappa2)
+    dk = kappa2 - kappa1
+    return v1 * (dk - (1.0 + kappa1) * math.expm1(dk)) / (1.0 + kappa2)

@@ -48,7 +48,7 @@ table of the eps lattice that every direct-gap scan evaluates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,27 +82,30 @@ _GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
 _GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 _NULL_RULE = np.concatenate([_GL_HALF[::-1, 2:] * (1.0, -1.0), _GL_HALF[:, 2:]])
 _BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
+_LOG_BUCKET = math.log(1.5)  # log of the ratio between neighbouring grid ends
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(
+    NamedTuple("QuadratureConfig", [("rel_tol", float), ("abs_tol", float), ("split_point", float)])
+):
     """Tolerances and domain split for the energy integrals.
 
     An integral (each component of a stack) is accepted when its null-rule
     error estimate is at most ``max(rel_tol * scale, abs_tol)``, ``scale``
     being the integral of the absolute integrand.  ``split_point`` is the
     boundary between the directly-evaluated part of the t-integral and
-    the part mapped through t -> pi^2/t.
+    the part mapped through t -> pi^2/t.  Each field must be finite and
+    positive, in a new record as in one from ``_make`` or ``_replace``.
     """
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    split_point: float = math.pi
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "split_point"):
-            x = getattr(self, name)
+    def __new__(cls, rel_tol=1e-12, abs_tol=1e-14, split_point=math.pi):
+        for name, x in zip(cls._fields, (rel_tol, abs_tol, split_point)):
             check_domain(x > 0, f"{name} must be finite and positive, got {x}", **{name: x})
+        return super().__new__(cls, rel_tol, abs_tol, split_point)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -153,8 +156,8 @@ def _tail_cutoff(p: float, eps_max: float = 0.0) -> float:
     p = max(p, 0.0)
     d = 2.0 * math.sqrt(p) + _BASE_HI
     hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
-    buckets = max(0, math.ceil(math.log(hi / _BASE_HI, 1.5)))
-    return _BASE_HI * 1.5 ** (buckets + math.ceil(eps_max / math.log(1.5)))
+    buckets = max(0, math.ceil(math.log(hi / _BASE_HI) / _LOG_BUCKET))  # log base 1.5
+    return _BASE_HI * 1.5 ** (buckets + math.ceil(eps_max / _LOG_BUCKET))
 
 
 def grid_for(lo: float, hi: float, level: int) -> Grid:
@@ -189,20 +192,23 @@ def integrate(table_of, w_direct, w_transformed, hi: float, q=DEFAULT_CONFIG, fr
     ``QuadratureError`` carries the largest error as its residual.
     """
     a = q.split_point
-    if a == math.pi:  # both halves start at pi: one grid
-        sides = [(a, lambda u, root: w_direct(u, root) + w_transformed(u, root))]
+    if a == math.pi:  # both halves start at pi: one grid, the two weights summed
+        sides = ((a, w_direct, w_transformed),)
     else:
-        sides = [(a, w_direct), (math.pi**2 / a, w_transformed)]
+        sides = ((a, w_direct, None), (math.pi**2 / a, w_transformed, None))
     value = scale = error = 0.0
-    for lo, weight in sides:
+    for lo, weight, added in sides:
         grid = grid_for(lo, hi, 0)
-        w, table = front * grid.weights * weight(grid.nodes, grid.root), table_of(grid)
+        u, root = grid.nodes, grid.root
+        w = front * grid.weights  # a row per measure for a column ``front``
+        w *= weight(u, root) if added is None else weight(u, root) + added(u, root)
+        table = table_of(grid)
         # (k, n) weights against (m, n) brackets: (k, m, n)
         contrib = (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
-        value += contrib.sum(axis=-1)
-        scale += np.abs(contrib).sum(axis=-1)
-        panels = contrib.reshape(*contrib.shape[:-1], -1, _GL_ORDER)
-        error += np.abs(panels @ _NULL_RULE).sum(axis=(-2, -1))
+        value += np.add.reduce(contrib, -1)
+        null = contrib.reshape(contrib.shape[:-1] + (-1, _GL_ORDER)) @ _NULL_RULE
+        error += np.add.reduce(np.abs(null, out=null), (-2, -1))
+        scale += np.add.reduce(np.abs(contrib, out=contrib), -1)
     if (error <= np.maximum(q.rel_tol * scale, q.abs_tol)).all():
         return value
     raise QuadratureError(

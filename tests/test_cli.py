@@ -70,6 +70,25 @@ class TestEnergyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("energy --family riesz --s 344 --area 2", "Gamma(s/2) A^(s/2)"),
+            ("expand --family riesz --s 400 --area 2 --method closed", "Gamma(s/2) A^(s/2)"),
+            ("energy --family riesz --s 3 --area 1e-300", "Gamma(s/2) A^(s/2)"),
+            ("expand --family riesz --s 3 --area 1e300", "Gamma(s/2) A^(s/2)"),
+            ("energy --family yukawa --kappa 1e-170 --area 2", "kappa^2 A / (4 pi^2) = 0 "),
+        ],
+        ids=["gamma-overflow", "gamma-overflow-expand", "area-underflow", "area-overflow",
+             "kappa-underflow"],
+    )
+    def test_extreme_finite_input_exits_2(self, capsys, argv, message):
+        # each factor that leaves the double range is refused where it is
+        # formed, not met later as a Python traceback (exit 1)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_missing_family_params_exit_code(self, capsys):
         assert main(["energy", "--family", "riesz", "--area", "1.0"]) == 2
 

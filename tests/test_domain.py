@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 import rectlat.critical as critical
 from rectlat.cli import main
 from rectlat.critical import find_tricritical
-from rectlat.energy import LatticeState
+from rectlat.energy import LatticeState, lattice_energy
 from rectlat.errors import ParameterDomainError
-from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
+from rectlat.expansion import expansion_closed
+from rectlat.potentials import (
+    derive_double_yukawa,
+    derive_yukawa_coulomb,
+    front_factor,
+    riesz,
+    yukawa,
+)
 from rectlat.quadrature import QuadratureConfig
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -264,3 +271,45 @@ def test_non_positive_lin_grid_still_runs():
         code = main(["scan", "--mode", "a-star-min", "--kappa1-grid", "0:1:lin:2"])
     assert code == 0
     assert out.getvalue().splitlines()[1] == "0,,failed: ParameterDomainError: kappa1 must be positive"
+
+
+def test_replaced_records_are_validated_like_new_ones():
+    # ``_replace`` and ``_make`` build through the validating constructor
+    with pytest.raises(ParameterDomainError, match="rel_tol"):
+        QuadratureConfig()._replace(rel_tol=-1.0)
+    with pytest.raises(ParameterDomainError, match="split_point"):
+        QuadratureConfig._make([1e-12, 1e-14, math.nan])
+    with pytest.raises(ParameterDomainError, match="inverse density"):
+        LatticeState(2.0)._replace(area=0.0)
+    with pytest.raises(ParameterDomainError, match="inverse density"):
+        LatticeState._make([-1.0, 0.0])
+    assert QuadratureConfig()._replace(split_point=3.0) == QuadratureConfig(split_point=3.0)
+    assert LatticeState(2.0)._replace(eps=0.5).mirrored() == LatticeState(2.0, -0.5)
+
+
+@pytest.mark.parametrize(
+    "s, area",
+    [(344.0, 2.0), (400.0, 2.0), (343.0, 2.0), (3.0, 1e-300), (3.0, 1e300)],
+    ids=["gamma-overflow", "gamma-overflow-400", "product-overflow", "power-underflow",
+         "power-overflow"],
+)
+def test_riesz_front_factor_outside_the_double_range_is_a_domain_error(s, area):
+    with pytest.raises(ParameterDomainError, match="is no double"):
+        front_factor(riesz(s), area)
+    with pytest.raises(ParameterDomainError, match="is no double"):
+        lattice_energy(riesz(s), LatticeState(area))
+    with pytest.raises(ParameterDomainError, match="is no double"):
+        expansion_closed(riesz(s), area)
+
+
+@pytest.mark.parametrize("kappa", [1e-170, 1e-160], ids=["underflow-to-0", "subnormal"])
+def test_yukawa_tail_beyond_the_double_range_is_a_domain_error(kappa):
+    # kappa^2 A / 4 pi^2 at or below pi / DBL_MAX: sqrt(pi / c) is no double
+    with pytest.raises(ParameterDomainError, match="is too small, kappa="):
+        lattice_energy(yukawa(kappa), LatticeState(2.0))
+
+
+def test_extreme_but_representable_inputs_still_run():
+    # the refusals leave every factor that is a double alone
+    assert 0.0 < front_factor(riesz(300.0), 2.0) < 1e-300
+    assert math.isfinite(lattice_energy(yukawa(1e-150), LatticeState(2.0)))

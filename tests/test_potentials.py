@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -54,6 +53,13 @@ def spec_from_json(text: str) -> PotentialSpec:
 
 
 class TestDoubleYukawa:
+    def test_strength_gap_is_derived_at_construction(self, dy98):
+        # v1 - v2 without cancellation, formed once per member for the
+        # measure weights; to_json leaves it out
+        for spec in (dy98, derive_yukawa_coulomb(2.0365)):
+            assert spec.strength_gap == pytest.approx(spec.v1 - spec.v2, rel=1e-13)
+            assert "strength_gap" not in json.loads(spec.to_json())
+
     def test_derived_parameters(self, dy98):
         # from kappa2 = (k1 v1 - e^k1)/(v1 + e^k1) and the matching v2
         assert dy98.kappa2 == pytest.approx(0.7103906014844530, rel=1e-14)
@@ -75,8 +81,7 @@ class TestDoubleYukawa:
 
     def test_normalization_error_refused(self, dy98):
         v2 = dy98.v2 * (1.0 + 1e-8)
-        bad = replace(
-            dy98,
+        bad = dy98._replace(
             v2=v2,
             norm_residuals=_normalization_residuals(dy98.v1, dy98.kappa1, v2, dy98.kappa2),
         )

@@ -91,6 +91,13 @@ def test_no_scipy_at_run_time(load):
     assert _fresh_interpreter(f"import runpy, sys\n{load}\n{report}") == "[]\n"
 
 
+def test_no_dataclasses_at_import():
+    # the records are NamedTuples: defining a frozen dataclass generated
+    # code for about 1.25 ms a record, against 0.23 ms for a NamedTuple
+    report = "print('dataclasses' in sys.modules)"
+    assert _fresh_interpreter(f"import sys\nimport rectlat.cli\n{report}") == "False\n"
+
+
 def test_no_process_pool_at_import():
     # scans run in one process: no pool or process module is ever loaded
     pool = ("multiprocessing", "concurrent.futures", "subprocess", "socket")

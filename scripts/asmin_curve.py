@@ -9,6 +9,7 @@ import numpy as np
 
 from rectlat.cli import exit_code
 from rectlat.critical import a_star_min_zero_limit
+from rectlat.errors import check_domain
 from rectlat.phasescan import A_STAR_MIN_CSV_HEADER, scan_a_star_min, write_table
 from rectlat.quadrature import QuadratureConfig
 
@@ -21,6 +22,9 @@ def main():
     ap.add_argument("--output", default=None)
     ns = ap.parse_args()
 
+    ends = {"kappa1_min": ns.kappa1_min, "kappa1_max": ns.kappa1_max}
+    ok = ns.points >= 0 and ns.kappa1_min > 0 and ns.kappa1_max > 0
+    check_domain(ok, "--points must be at least 0 and both kappa1 ends positive", **ends)
     q = QuadratureConfig()
     grid = np.geomspace(ns.kappa1_min, ns.kappa1_max, ns.points)
     rows = scan_a_star_min(grid, q)

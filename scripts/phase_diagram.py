@@ -13,6 +13,7 @@ import numpy as np
 
 from rectlat.cli import exit_code
 from rectlat.critical import find_tricritical
+from rectlat.errors import check_domain
 from rectlat.phasescan import SCAN_CSV_HEADER, scan_critical_curve, tricritical_row, write_table
 from rectlat.potentials import DOUBLE_YUKAWA, derive_yukawa_coulomb
 from rectlat.quadrature import QuadratureConfig
@@ -26,6 +27,8 @@ def main():
     ap.add_argument("--output", default=None)
     ns = ap.parse_args()
 
+    ok = ns.points >= 0 and ns.v1_max > 0
+    check_domain(ok, "--points must be at least 0 and --v1-max positive", v1_max=ns.v1_max)
     q = QuadratureConfig()
     # the admissibility border v1 = exp(kappa1)/kappa1 is the Yukawa-Coulomb
     # member's v1; building it refuses an out-of-domain kappa1 first

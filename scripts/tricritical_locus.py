@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from rectlat.cli import exit_code
+from rectlat.errors import check_domain
 from rectlat.phasescan import LOCUS_CSV_HEADER, scan_tricritical_locus, write_table
 from rectlat.quadrature import QuadratureConfig
 
@@ -21,6 +22,7 @@ def main():
     ap.add_argument("--output", default=None)
     ns = ap.parse_args()
 
+    check_domain(ns.points >= 0, "--points must be at least 0")
     grid = np.linspace(ns.kappa1_min, ns.kappa1_max, ns.points)
     rows, _ = scan_tricritical_locus(grid, QuadratureConfig(), with_bounds=not ns.skip_bounds)
     write_table(rows, LOCUS_CSV_HEADER, "csv", None, ns.output)

@@ -24,7 +24,6 @@ from .expansion import (
     e0,
     e2_closed,
     e2_e4_closed,
-    e4_closed,
     expansion_closed,
     expansion_series,
     landau_series,
@@ -55,7 +54,6 @@ from .potentials import (
     yukawa,
 )
 from .quadrature import QuadratureConfig
-from .theta import theta3
 
 __version__ = "0.1.0"
 
@@ -85,7 +83,6 @@ __all__ = [
     "e2_closed",
     "e2_e4_closed",
     "e2_slope",
-    "e4_closed",
     "energy_gap",
     "expansion_closed",
     "expansion_series",
@@ -101,6 +98,5 @@ __all__ = [
     "minimize_aspect",
     "potential_value",
     "riesz",
-    "theta3",
     "yukawa",
 ]

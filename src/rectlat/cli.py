@@ -7,9 +7,11 @@ scans, 15 significant digits).  No environment variables are consulted
 and no timestamps are emitted, so identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success, 2 parameter-domain error, 3 numerical failure,
-4 nonconvergence, search failure or classification failure (the message
-names which).
+Exit codes come from the error's class alone (``exit_code``): 0
+success, 2 an input refusal (any ``RectlatError`` not named below), 3
+numerical failure, 4 nonconvergence, search failure or classification
+failure (the stderr label names which).  Any other exception is a bug:
+it propagates, and the process exits 1 with its traceback.
 
 Run as ``python -m rectlat.cli``, the process freezes its heap
 (``gc.freeze()``) on its way out, so the interpreter's shutdown
@@ -39,13 +41,11 @@ from .critical import (
 )
 from .energy import LatticeState, lattice_energy
 from .errors import (
-    BracketError,
     ClassificationError,
     NonconvergenceError,
-    ParameterDomainError,
     QuadratureError,
+    RectlatError,
     SearchFailureError,
-    UnsupportedOracleError,
     check_domain,
 )
 from .phasescan import (
@@ -99,10 +99,9 @@ def _flag_pair(ns, first, second):
     a tuple when both were given, ``None`` when neither was; one given
     without the other is refused."""
     values = (getattr(ns, first), getattr(ns, second))
-    if values.count(None) == 1:
-        given, missing = (first, second) if values[1] is None else (second, first)
-        flag = lambda f: f"--{f.replace('_', '-')}"
-        raise ParameterDomainError(f"{flag(given)} needs {flag(missing)}")
+    given, missing = (first, second) if values[1] is None else (second, first)
+    flag = lambda f: f"--{f.replace('_', '-')}"
+    check_domain(values.count(None) != 1, f"{flag(given)} needs {flag(missing)}")
     return None if values[0] is None else values
 
 
@@ -117,8 +116,8 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, kind, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise ParameterDomainError(message) from None
+    except ValueError:  # refused below, as an empty grid
+        lo, hi, kind, n = 0.0, 0.0, "", 0
     check_domain(n >= 1 and kind in ("lin", "log"), message, lo=lo, hi=hi)
     positive = kind == "lin" or (lo > 0 and hi > 0)
     check_domain(positive, f"a log grid needs both ends positive, got {text!r}")
@@ -245,12 +244,11 @@ def cmd_scan(ns) -> int:
         ns.workers is None or ns.workers >= 1,
         f"--workers must be an integer of at least 1, got {ns.workers!r}",
     )
-    if ns.mode != "critical-curve" and not ns.kappa1_grid:
-        raise ParameterDomainError(f"{ns.mode} scan requires --kappa1-grid")
+    curve = ns.mode == "critical-curve"
+    check_domain(curve or bool(ns.kappa1_grid), f"{ns.mode} scan requires --kappa1-grid")
     config = {"command": "scan", "mode": ns.mode}
-    if ns.mode == "critical-curve":
-        if ns.kappa1 is None:
-            raise ParameterDomainError("critical-curve scan requires --kappa1")
+    if curve:
+        check_domain(ns.kappa1 is not None, "critical-curve scan requires --kappa1")
         v1_grid = _parse_grid(ns.v1_grid) if ns.v1_grid else None
         a_grid = _parse_grid(ns.a_grid) if ns.a_grid else None
         rows = scan_critical_curve(ns.kappa1, v1_grid, a_grid, q)
@@ -343,26 +341,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: The exit code and stderr label of each refusal class, the first that
+#: matches; any other ``RectlatError`` refuses an input.
+_REFUSALS = {
+    QuadratureError: (3, "numerical failure"),
+    SearchFailureError: (4, "search failure"),
+    ClassificationError: (4, "classification failure"),
+    NonconvergenceError: (4, "nonconvergence"),
+    RectlatError: (2, "error"),
+}
+
+
 def exit_code(run, *args) -> int:
-    """``run(*args)``'s own exit code, or the documented code of the refusal
-    it raised, with the message on stderr.  The scripts exit through it too."""
+    """``run(*args)``'s own exit code, or the code of the refusal it raised
+    (``_REFUSALS``), with the message on stderr.  Nothing else is caught: any
+    other exception is a bug and propagates.  The scripts exit through it too."""
     try:
         return run(*args)
-    except (ParameterDomainError, UnsupportedOracleError, BracketError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except QuadratureError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except SearchFailureError as err:
-        print(f"search failure: {err}", file=sys.stderr)
-        return 4
-    except ClassificationError as err:
-        print(f"classification failure: {err}", file=sys.stderr)
-        return 4
-    except NonconvergenceError as err:
-        print(f"nonconvergence: {err}", file=sys.stderr)
-        return 4
+    except RectlatError as err:
+        code, label = next(v for cls, v in _REFUSALS.items() if isinstance(err, cls))
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 def main(argv=None) -> int:

@@ -447,13 +447,6 @@ def _positive(z):
 _RELATIVE_STEPS = (lambda z: 1e-6 * z[0], lambda z: 1e-6 * z[1])
 
 
-def _check_guess(guess):
-    """Refuse an initial guess (A, param) unless both are finite and positive."""
-    a, param = guess
-    message = f"tricritical initial guess (A, param) must be positive, got {guess!r}"
-    check_domain(a > 0 and param > 0, message, guess_a=a, guess_param=param)
-
-
 def find_tricritical(
     family: str,
     fixed_param: Optional[float] = None,
@@ -463,39 +456,30 @@ def find_tricritical(
     """Joint root of (E2, E4).
 
     For the double-Yukawa family ``fixed_param`` is kappa1 and the
-    reported parameter is v1; internally the solver walks (A, kappa2).
-    A kappa1 at or above the locus's upper end (``_window_end``, where
-    kappa2^t reaches zero), or below its lower end (``_window_start``),
-    is refused with ``ParameterDomainError`` before any solve at that
-    kappa1.  For Yukawa-Coulomb the unknowns are (A, kappa1) directly, so
-    a ``fixed_param`` is refused.  So is an ``initial_guess`` (A, v1 or
-    kappa1) that is not finite and positive.
+    reported parameter is v1; internally the solver walks (A, kappa2)
+    over -0.2 < kappa2 < 0.999999 kappa1.  A kappa1 at or above the
+    locus's upper end (``_window_end``, where kappa2^t reaches zero), or
+    below its lower end (``_window_start``), is refused with
+    ``ParameterDomainError`` before any solve at that kappa1.  For
+    Yukawa-Coulomb the unknowns are (A, kappa1) directly, both positive,
+    so a ``fixed_param`` is refused.  So is an ``initial_guess`` (A, v1 or
+    kappa1) that is not finite or that maps outside the solve's domain.
 
     Raises ``NonconvergenceError`` when Newton fails and the nested
     fallback then finds nothing or ends at kappa2 <= 0; either error
     carries Newton's trace and has Newton's error as its ``__cause__``.
     """
+    message = f"no tricritical solve for family {family!r}"
+    check_domain(family in (pot.DOUBLE_YUKAWA, pot.YUKAWA_COULOMB), message)
     if family == pot.DOUBLE_YUKAWA:
-        if fixed_param is None:
-            raise ParameterDomainError("double-yukawa tricritical solve needs kappa1")
+        check_domain(fixed_param is not None, "double-yukawa tricritical solve needs kappa1")
         pot._check_kappa1(fixed_param)
         kappa1 = float(fixed_param)
         if initial_guess is None:
             initial_guess = (2.7, max(6.8, 1.8 * math.exp(kappa1) / kappa1))
-        _check_guess(initial_guess)
-        end = _window_end(q)
-        check_domain(
-            kappa1 < end,
-            f"kappa1={kappa1!r} is at or above the tricritical window's upper end "
-            f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
-        )
-        start = _window_start(q)
-        check_domain(
-            kappa1 >= start,
-            f"kappa1={kappa1!r} is below the tricritical window's lower end "
-            f"{start!r}, where v1^t reaches {_LOWER_END_V1:g}",
-        )
-        z0 = (initial_guess[0], _kappa2_of_v1(kappa1, initial_guess[1]))
+        a, v1 = initial_guess
+        # a v1 <= 0 maps below kappa2 = -1, above kappa1 or onto a division by zero
+        z0 = (a, _kappa2_of_v1(kappa1, v1) if v1 > 0.0 else -math.inf)
         F = _evaluator(lambda kappa2: _dy_spec_unchecked(kappa1, kappa2), q)
 
         def in_domain(z):
@@ -511,12 +495,11 @@ def find_tricritical(
                 )
             return TricriticalPoint(float(z[0]), float(spec.v1), tuple(f), cond)
 
-    elif family == pot.YUKAWA_COULOMB:
+    else:
         message = f"the yukawa-coulomb tricritical solve finds kappa1; got kappa1={fixed_param}"
         check_domain(fixed_param is None, message)
         if initial_guess is None:
             initial_guess = (2.8, 2.04)
-        _check_guess(initial_guess)
         z0 = initial_guess
         F = _evaluator(pot.derive_yukawa_coulomb, q)
 
@@ -525,9 +508,21 @@ def find_tricritical(
         def result(z, f, cond):
             return TricriticalPoint(float(z[0]), float(z[1]), tuple(f), cond)
 
-    else:
-        raise ParameterDomainError(f"no tricritical solve for family {family!r}")
-
+    message = f"tricritical initial guess (A, param) {initial_guess!r} is outside the solve domain"
+    check_domain(in_domain(z0), message, guess_a=initial_guess[0], guess_param=initial_guess[1])
+    if family == pot.DOUBLE_YUKAWA:  # the guess first: the window ends cost solves
+        end = _window_end(q)
+        check_domain(
+            kappa1 < end,
+            f"kappa1={kappa1!r} is at or above the tricritical window's upper end "
+            f"{end!r} (the yukawa-coulomb tricritical kappa1), where kappa2^t <= 0",
+        )
+        start = _window_start(q)
+        check_domain(
+            kappa1 >= start,
+            f"kappa1={kappa1!r} is below the tricritical window's lower end "
+            f"{start!r}, where v1^t reaches {_LOWER_END_V1:g}",
+        )
     try:
         z, f, cond, _ = _newton2(F, z0, in_domain, steps)
         return result(z, f, cond)
@@ -833,10 +828,9 @@ def fit_exponent(
         deltas = np.geomspace(window[0], window[1], 12) * a_ref
     else:
         deltas = np.asarray(deltas, dtype=float)
-    if deltas.size < 8:
-        raise ParameterDomainError("exponent fit needs at least 8 samples")
-    if np.any(deltas <= 0) or np.any(np.diff(deltas) <= 0):
-        raise ParameterDomainError("deltas must be positive and increasing")
+    check_domain(deltas.size >= 8, "exponent fit needs at least 8 samples")
+    increasing = bool(np.all(deltas > 0) and np.all(np.diff(deltas) > 0))  # NaN too
+    check_domain(increasing, "deltas must be positive and increasing")
 
     eps = np.empty(deltas.size)
     for i, d in enumerate(deltas):

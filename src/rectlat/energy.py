@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potentials as pot, quadrature
-from .errors import ParameterDomainError, UnsupportedOracleError, check_domain
+from .errors import UnsupportedOracleError, check_domain
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
 from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
@@ -51,9 +51,6 @@ class LatticeState(NamedTuple("LatticeState", [("area", float), ("eps", float)])
     def delta(self) -> float:
         return math.exp(self.eps)
 
-    def mirrored(self) -> "LatticeState":
-        return LatticeState(self.area, -self.eps)
-
 
 def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     """Closed-form part of the reduced energy integral (before the front
@@ -69,19 +66,19 @@ def _analytic_tail(spec, area: float, a: float, b: float) -> float:
     for vs, k in pot.laplace_pairs(spec):
         if k > 0.0:
             c = k * k * area / (4.0 * math.pi**2)
-            if not (c > 0.0 and math.pi / c < math.inf):  # sqrt(pi / c) is no double
-                raise ParameterDomainError(f"kappa^2 A / (4 pi^2) = {c:.3g} is too small, kappa={k}")
+            message = f"kappa^2 A / (4 pi^2) = {c:.3g} is too small, kappa={k}"
+            check_domain(c > 0.0 and math.pi / c < math.inf, message)  # sqrt(pi / c) a double
             cb = c * b
             erfc = math.erfc(math.sqrt(cb))
             k1 = math.sqrt(math.pi / c) * erfc
             k3 = 2.0 * math.exp(-cb) / math.sqrt(b) - 2.0 * math.sqrt(c * math.pi) * erfc
             total += vs * (k1 - math.pi * k3)
         else:
-            if not spec.needs_background:
-                raise ParameterDomainError(
-                    "unscreened Coulomb term has a divergent lattice sum without "
-                    "a neutralizing background"
-                )
+            check_domain(
+                spec.needs_background,
+                "unscreened Coulomb term has a divergent lattice sum without "
+                "a neutralizing background",
+            )
             total += vs * (-2.0 * math.pi / math.sqrt(a) - 2.0 * math.pi / math.sqrt(b))
     return total
 
@@ -143,11 +140,11 @@ def lattice_energy(
     spec: pot.PotentialSpec, state: LatticeState, q: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """Energy per particle via the theta-product integral representation."""
-    if spec.family == pot.RIESZ and spec.s <= 2.0:
-        raise ParameterDomainError(
-            f"Riesz lattice energy requires s > 2 (got s={spec.s}); "
-            "the sum is not absolutely convergent otherwise"
-        )
+    check_domain(
+        spec.family != pot.RIESZ or spec.s > 2.0,
+        f"Riesz lattice energy requires s > 2 (got s={spec.s}); "
+        "the sum is not absolutely convergent otherwise",
+    )
     area, eps = state.area, state.eps
     value = split_integral(spec, area, lambda g: theta_product_excess(g.nodes, eps), q, abs(eps))
     a = q.split_point

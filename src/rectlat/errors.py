@@ -50,7 +50,8 @@ class UnsupportedOracleError(RectlatError, ValueError):
 
 
 def check_domain(ok: bool, message: str, **values) -> None:
-    """Refuse out-of-domain input with ``ParameterDomainError``.
+    """Refuse out-of-domain input with ``ParameterDomainError``, the
+    package's only raiser of it.
 
     Every keyword value must be a finite number (a NaN or an infinity is
     named in the error), and ``ok`` must hold; ``message`` says why it

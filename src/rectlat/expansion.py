@@ -13,9 +13,9 @@ Two independent evaluation routes are provided.
 * Closed form: the eps^2 and eps^4 coefficients of the theta product
   reduce to explicit combinations of ``theta3`` and its t-derivatives
   (``_p2_direct``, ``_p4_direct``); integrating them against the
-  potential measure gives ``e2_closed`` / ``e4_closed``, or both at once
-  from ``e2_e4_closed``.  All three read rows of one table of the two
-  brackets cached on each grid.
+  potential measure gives ``e2_closed``, or E2 and E4 at once from
+  ``e2_e4_closed``.  Both read rows of one table of the two brackets
+  cached on each grid.
 * Series: at every quadrature node each 1D factor ``T(u e^(+-eps))`` of
   the theta product is built as a truncated power series in eps, its
   terms ``exp(-j^2 u e^eps)`` by series-exponentiation, and the rows are
@@ -125,10 +125,6 @@ def curvature_table(grid):
     return _p2_p4_table(grid)[0]
 
 
-def _p4_table(grid):
-    return _p2_p4_table(grid)[1]
-
-
 def _series_table(grid):
     return grid.cached("series", _series_rows)[1:]
 
@@ -142,12 +138,9 @@ def e2_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return split_integral(spec, area, curvature_table, q)
 
 
-def e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return split_integral(spec, area, _p4_table, q)
-
-
 def e2_e4_closed(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
-    """``(e2_closed, e4_closed)`` from one shared quadrature pass."""
+    """E2 (``e2_closed``) and E4, the two rows of the closed bracket table,
+    from one shared quadrature pass."""
     e2, e4 = split_integral(spec, area, _p2_p4_table, q)
     return e2, e4
 

@@ -45,6 +45,7 @@ from .errors import (
     ParameterDomainError,
     RectlatError,
     SearchFailureError,
+    check_domain,
 )
 from .expansion import e2_closed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -306,8 +307,7 @@ def scan_critical_curve(
     Sweeps either the strength v1 directly, or a density grid that is
     converted to strengths by inverting the critical curve.
     """
-    if (v1_grid is None) == (a_grid is None):
-        raise ValueError("provide exactly one of v1_grid or a_grid")
+    check_domain((v1_grid is None) != (a_grid is None), "provide exactly one of v1_grid or a_grid")
     if a_grid is not None:
         pot._check_kappa1(kappa1)
         v1_grid = [_v1_on_critical_curve(kappa1, a, q) for a in a_grid]

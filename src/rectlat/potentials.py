@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError, check_domain
+from .errors import check_domain
 
 RIESZ = "riesz"
 YUKAWA = "yukawa"
@@ -149,13 +149,11 @@ def make_spec(family, *, s=None, kappa=None, v=None, v1=None, kappa1=None) -> Po
         DOUBLE_YUKAWA: derive_double_yukawa,
         YUKAWA_COULOMB: derive_yukawa_coulomb,
     }.get(family)
-    if build is None:
-        raise ParameterDomainError(f"unknown potential family {family!r}")
+    check_domain(build is not None, f"unknown potential family {family!r}")
     given = {"s": s, "kappa": kappa, "v": 1.0 if v is None else v, "v1": v1, "kappa1": kappa1}
     names = FAMILY_PARAMETERS[family]
     for name in names:
-        if given[name] is None:
-            raise ParameterDomainError(f"family {family} requires parameter {name}")
+        check_domain(given[name] is not None, f"family {family} requires parameter {name}")
     return build(*(given[name] for name in names))
 
 
@@ -187,17 +185,15 @@ def _check_normalization(spec: PotentialSpec):
 def potential_value(spec: PotentialSpec, r):
     """Point value f(r); the Yukawa-Coulomb case returns the bare pair term."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ParameterDomainError("separation r must be positive")
+    check_domain(not np.any(r <= 0), "separation r must be positive")
     if spec.family == RIESZ:
         return r ** (-spec.s)
     if spec.family == YUKAWA:
         return spec.v * np.exp(-spec.kappa * r) / r
     if spec.family == DOUBLE_YUKAWA:
         return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2 * np.exp(-spec.kappa2 * r)) / r
-    if spec.family == YUKAWA_COULOMB:
-        return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2) / r
-    raise ParameterDomainError(f"unknown family {spec.family!r}")
+    check_domain(spec.family == YUKAWA_COULOMB, f"unknown family {spec.family!r}")
+    return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2) / r
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +205,9 @@ def laplace_pairs(spec: PotentialSpec):
     """Signed (strength, kappa) pairs of the exponential measure terms."""
     if spec.family == YUKAWA:
         return ((spec.v, spec.kappa),)
-    if spec.family in (DOUBLE_YUKAWA, YUKAWA_COULOMB):
-        return ((spec.v1, spec.kappa1), (-spec.v2, spec.kappa2))
-    raise ParameterDomainError(f"{spec.family} has no finite exponential-term list")
+    message = f"{spec.family} has no finite exponential-term list"
+    check_domain(spec.family in (DOUBLE_YUKAWA, YUKAWA_COULOMB), message)
+    return ((spec.v1, spec.kappa1), (-spec.v2, spec.kappa2))
 
 
 def front_factor(spec: PotentialSpec, area: float) -> float:
@@ -221,8 +217,9 @@ def front_factor(spec: PotentialSpec, area: float) -> float:
             scale = math.gamma(spec.s / 2.0) * area ** (spec.s / 2.0)
         except OverflowError:
             scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise ParameterDomainError(f"Gamma(s/2) A^(s/2) is no double for s={spec.s}, A={area}")
+        if not 0.0 < scale < math.inf:  # the message is formatted only for a refusal
+            message = f"Gamma(s/2) A^(s/2) is no double for s={spec.s}, A={area}"
+            check_domain(0.0 < scale < math.inf, message)
         return 0.5 / scale
     return 0.5 / math.sqrt(math.pi * area)
 

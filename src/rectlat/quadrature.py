@@ -84,6 +84,11 @@ _NULL_RULE = np.concatenate([_GL_HALF[::-1, 2:] * (1.0, -1.0), _GL_HALF[:, 2:]])
 _BASE_HI = 90.0  # tail cutoff for unit-rate decay with poly factors up to u^8
 _LOG_BUCKET = math.log(1.5)  # log of the ratio between neighbouring grid ends
 
+#: Largest grid end before bucketing (``_tail_cutoff``): the brackets' u^4
+#: factors overflow near u = 1e77, and bucketing adds at most a factor 2.25.
+END_MAX = 1e75
+_SPAN_MAX = math.log(END_MAX / _BASE_HI)
+
 
 class QuadratureConfig(
     NamedTuple("QuadratureConfig", [("rel_tol", float), ("abs_tol", float), ("split_point", float)])
@@ -152,11 +157,20 @@ def _tail_cutoff(p: float, eps_max: float = 0.0) -> float:
     (and their tables).  A bracket that decays only like exp(-u e^-eps_max)
     against a weight without exponential decay (Riesz, eps != 0) takes
     ``ceil(eps_max / ln 1.5)`` more buckets, a factor of at least
-    e^eps_max."""
+    e^eps_max.  An end above ``END_MAX`` before bucketing (a ``p`` or an
+    ``eps_max`` too large, infinite or NaN) is refused."""
     p = max(p, 0.0)
-    d = 2.0 * math.sqrt(p) + _BASE_HI
-    hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
-    buckets = max(0, math.ceil(math.log(hi / _BASE_HI) / _LOG_BUCKET))  # log base 1.5
+    root = math.sqrt(p)
+    d = 2.0 * root + _BASE_HI
+    hi = 0.5 * (d + math.sqrt(360.0 * root + 8100.0))  # d^2 - 4p, without the cancellation
+    span = math.log(hi / _BASE_HI)
+    if not span + eps_max <= _SPAN_MAX:  # the message is formatted only for a refusal
+        message = (
+            f"the integrals' grid would end past {END_MAX:g}: the tail scale "
+            f"kappa^2 A / 4 = {p:.3g} or |eps| = {eps_max:.3g} is too large"
+        )
+        check_domain(span + eps_max <= _SPAN_MAX, message)
+    buckets = max(0, math.ceil(span / _LOG_BUCKET))  # log base 1.5
     return _BASE_HI * 1.5 ** (buckets + math.ceil(eps_max / _LOG_BUCKET))
 
 

@@ -8,8 +8,9 @@ bracket without a sign change) and ``minimize_scalar`` is scipy's
 ``minimize_scalar(method="bounded")``, ported operation for operation:
 they evaluate the same points in the same order and return the same
 doubles, without the cost of importing scipy.  A failure is a refusal:
-``BracketError`` for a bracket without a sign change, ``ValueError`` for
-a NaN function value, ``NonconvergenceError`` at the iteration cap.
+``BracketError`` for a bracket without a sign change,
+``ParameterDomainError`` for a NaN function value, ``NonconvergenceError``
+at the iteration cap.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def brentq(f, a, b, xtol, rtol):
 
     def call(x):
         fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; the root search cannot continue")
+        if math.isnan(fx):  # the message is formatted only for a refusal
+            message = f"the function value at x={x} is NaN; the root search cannot continue"
+            check_domain(not math.isnan(fx), message)
         return fx
 
     xpre, xcur = float(a), float(b)

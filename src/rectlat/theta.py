@@ -72,15 +72,6 @@ def theta3_derivs(t, nmax: int = 4) -> list[np.ndarray]:
     return [float(v[0]) for v in out] if t.ndim == 0 else out
 
 
-def theta3(t):
-    """theta3(exp(-t)) for t > 0, elementwise; scalar in, scalar out."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError("theta argument t must be positive")
-    out = 1.0 + _theta_excess(np.atleast_1d(t))
-    return float(out[0]) if t.ndim == 0 else out
-
-
 def _excess_direct(t: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(-np.multiply.outer(t, _JSQ)).sum(axis=-1)
 

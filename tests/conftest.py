@@ -4,7 +4,11 @@ import pytest
 
 import rectlat.quadrature
 from rectlat import derive_double_yukawa, derive_yukawa_coulomb
-from rectlat.quadrature import QuadratureConfig
+from rectlat.energy import split_integral
+from rectlat.errors import check_domain
+from rectlat.expansion import _p2_p4_table
+from rectlat.quadrature import DEFAULT_CONFIG, QuadratureConfig
+from rectlat.theta import _theta_excess
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +51,26 @@ def rng():
 def rel_or_abs(a, b, rel, abs_tol=1e-12):
     """Relative comparison that degrades to absolute near zeros."""
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_tol)
+
+
+def theta3(t):
+    """theta3(exp(-t)) for t > 0, elementwise; scalar in, scalar out: one
+    plus the package's ``theta._theta_excess``, as an oracle for the
+    products and brackets built from it."""
+    t = np.asarray(t, dtype=float)
+    check_domain(bool(np.all(t > 0.0)), "theta argument t must be positive")
+    out = 1.0 + _theta_excess(np.atleast_1d(t))
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def p4_table(grid):
+    """The eps^4 bracket on the grid's nodes: row 1 of the cached closed table."""
+    return _p2_p4_table(grid)[1]
+
+
+def e4_closed(spec, area, q=DEFAULT_CONFIG):
+    """E4 alone: the eps^4 row of the closed table, integrated on its own."""
+    return split_integral(spec, area, p4_table, q)
 
 
 # Stirling numbers of the second kind, S(m, n) for n = 1..m: the m-th power of

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rectlat.quadrature as quadrature
-from rectlat.cli import main
+from rectlat.cli import exit_code, main
 from rectlat.errors import QuadratureError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -428,3 +428,82 @@ class TestProcessEntry:
         assert main(["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2",
                      "--area", "2.6"]) == 0
         assert gc.get_freeze_count() == before
+
+
+DY = "--family double-yukawa --v1 9.8 --kappa1 2"
+DY_GUESS = "tricritical --family double-yukawa --kappa1 2"
+LABELS = ("error: ", "numerical failure: ", "search failure: ", "classification failure: ",
+          "nonconvergence: ")
+
+
+class TestExtremeInputs:
+    """One extreme finite value in a numeric flag is a result or a refusal
+    with its documented exit code and label, and a message that names what
+    was refused: never a traceback (exit 1), a bare math-library message or
+    a NaN error estimate."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"energy {DY} --area 1e300",
+            f"expand {DY} --area 1e300 --method both",
+            f"transition {DY} --a-lo 1e300 --a-hi 12",
+            f"transition {DY} --a-lo 0.5 --a-hi 1e300",
+            f"fit {DY} --a-ref 1e300",
+            "first-order --family yukawa-coulomb --kappa1 2.0365 --a-lo 1e300 --a-hi 2.8",
+            "energy --family yukawa --kappa 1e300 --area 1",
+            "energy --family yukawa --kappa 1 --area 1e300",
+            "energy --family riesz --s 3 --area 1 --delta 1e300",
+            "energy --family riesz --s 3 --area 1e30 --delta 1e300",
+            "energy --family riesz --s 3 --area 1 --delta 1e-300",
+            "scan --mode a-star-min --kappa1-grid 1e300:50:log:3",
+            "scan --mode a-star-min --kappa1-grid 0.1:1e300:log:3",
+            f"{DY_GUESS} --guess-a 1e300 --guess-param 6.8",
+            f"{DY_GUESS} --guess-a 2.7 --guess-param 1e300",
+            f"{DY_GUESS} --guess-a 2.7 --guess-param 1e-300",
+            f"{DY_GUESS} --guess-a 2.7 --guess-param 1e30",
+            f"{DY_GUESS} --guess-a 2.7 --guess-param 1e-30",
+            f"{DY_GUESS} --guess-a 1e-300 --guess-param 1e300",
+            f"{DY_GUESS} --guess-a 2.7 --guess-param -7.38905609893065",
+            "tricritical --family yukawa-coulomb --guess-a 1e300 --guess-param 2.04",
+        ],
+    )
+    def test_extreme_value_is_a_documented_refusal(self, capsys, argv):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert err == "" if code == 0 else err.startswith(LABELS)
+        for text in ("math domain", "NaN to integer", "nan against", "Traceback"):
+            assert text not in err
+
+
+class TestExitCode:
+    def test_a_bare_value_error_propagates(self):
+        # only RectlatError is a refusal: anything else is a bug, exit 1
+        def broken():
+            raise ValueError("not a refusal")
+
+        with pytest.raises(ValueError, match="not a refusal"):
+            exit_code(broken)
+
+    def test_the_class_alone_picks_code_and_label(self, capsys):
+        from rectlat import errors
+
+        def raising(cls):
+            def run():
+                raise cls("why")
+
+            return run
+
+        cases = {
+            errors.ParameterDomainError: (2, "error: why\n"),
+            errors.BracketError: (2, "error: why\n"),
+            errors.UnsupportedOracleError: (2, "error: why\n"),
+            errors.QuadratureError: (3, "numerical failure: why\n"),
+            errors.SearchFailureError: (4, "search failure: why\n"),
+            errors.ClassificationError: (4, "classification failure: why\n"),
+            errors.NonconvergenceError: (4, "nonconvergence: why\n"),
+        }
+        for cls, (code, err) in cases.items():
+            assert exit_code(raising(cls)) == code
+            assert capsys.readouterr().err == err

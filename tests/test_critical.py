@@ -35,9 +35,11 @@ from rectlat.errors import (
     ParameterDomainError,
     SearchFailureError,
 )
-from rectlat.expansion import e2_closed, e4_closed
+from rectlat.expansion import e2_closed
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
 from rectlat.solvers import RTOL_MIN, brentq
+
+from conftest import e4_closed
 
 
 class TestMinimizeAspect:

@@ -1,9 +1,12 @@
 """Non-finite and out-of-domain input is refused up front, by the library and by the CLI."""
 
+import ast
+import builtins
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -119,18 +122,23 @@ def test_out_of_domain_kappa1_is_a_domain_error(call):
         call()
 
 
-# A tricritical guess that is not finite and positive is refused before any
-# integral, in the guess's own words: v1 = -e^2 would divide by zero in the
-# map v1 -> kappa2, and A = -1 was refused as a probe's area of -1.03.
+# A tricritical guess that is not finite, or that maps outside the solve's
+# domain, is refused before any integral, in the guess's own words: v1 = -e^2
+# would divide by zero in the map v1 -> kappa2, v1 = 1e300 maps kappa2 onto
+# kappa1 (a division by zero in the member), and A = -1 was refused as a
+# probe's area of -1.03.
 BAD_GUESSES = [
     ("double-yukawa", 2.0, (2.7, -math.exp(2.0))),
     ("double-yukawa", 2.0, (2.7, math.inf)),
     ("double-yukawa", 2.0, (-1.0, 6.8)),
     ("double-yukawa", 2.0, (math.nan, 6.8)),
+    ("double-yukawa", 2.0, (1e-300, 1e300)),
+    ("double-yukawa", 2.0, (2.7, 0.0)),
     ("yukawa-coulomb", None, (2.8, 0.0)),
     ("yukawa-coulomb", None, (-math.inf, 2.04)),
 ]
-BAD_GUESS_IDS = ["dy-minus-e2", "dy-inf", "dy-a-negative", "dy-a-nan", "yc-zero", "yc-a-minus-inf"]
+BAD_GUESS_IDS = ["dy-minus-e2", "dy-inf", "dy-a-negative", "dy-a-nan", "dy-v1-1e300", "dy-v1-zero",
+                 "yc-zero", "yc-a-minus-inf"]
 
 
 @pytest.mark.parametrize("family, kappa1, guess", BAD_GUESSES, ids=BAD_GUESS_IDS)
@@ -284,7 +292,7 @@ def test_replaced_records_are_validated_like_new_ones():
     with pytest.raises(ParameterDomainError, match="inverse density"):
         LatticeState._make([-1.0, 0.0])
     assert QuadratureConfig()._replace(split_point=3.0) == QuadratureConfig(split_point=3.0)
-    assert LatticeState(2.0)._replace(eps=0.5).mirrored() == LatticeState(2.0, -0.5)
+    assert LatticeState(2.0, 0.5)._replace(eps=-0.5) == LatticeState(2.0, -0.5)
 
 
 @pytest.mark.parametrize(
@@ -313,3 +321,41 @@ def test_extreme_but_representable_inputs_still_run():
     # the refusals leave every factor that is a double alone
     assert 0.0 < front_factor(riesz(300.0), 2.0) < 1e-300
     assert math.isfinite(lattice_energy(yukawa(1e-150), LatticeState(2.0)))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rectlat"
+
+
+def _functions(tree):
+    """``(name, node)`` of every function in the module, nested ones too."""
+    return [(n.name, n) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+
+def test_check_domain_is_the_only_raiser_of_domain_errors():
+    # a refusal of input goes through one path: ``errors.check_domain``
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): name for name, f in _functions(tree) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            target = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(target, ast.Name) and target.id == "ParameterDomainError":
+                raisers.append((path.name, owner.get(id(node))))
+    assert raisers and set(raisers) == {("errors.py", "check_domain")}
+
+
+def test_exit_code_catches_package_errors_only():
+    # any exception outside the package's own classes is a bug, shown as one
+    tree = ast.parse((SRC / "cli.py").read_text())
+    exit_code = dict(_functions(tree))["exit_code"]
+    caught = [
+        ast.unparse(h.type) for h in ast.walk(exit_code) if isinstance(h, ast.ExceptHandler)
+    ]
+    assert caught == ["RectlatError"]
+    names = {n.id for n in ast.walk(exit_code) if isinstance(n, ast.Name)}
+    builtin_errors = {
+        name for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert not names & builtin_errors

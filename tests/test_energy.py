@@ -12,7 +12,8 @@ from rectlat.errors import ParameterDomainError, UnsupportedOracleError
 from rectlat.expansion import e2_e4_closed, landau_series
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 from rectlat.quadrature import QuadratureConfig
-from rectlat.theta import theta3
+
+from conftest import theta3
 
 #: Catalan's constant, for the inverse-quartic square-lattice sum
 CATALAN = 0.9159655941772190
@@ -28,7 +29,7 @@ class TestLatticeState:
     def test_delta_and_mirror(self):
         st = LatticeState(2.0, 0.3)
         assert st.delta == pytest.approx(math.exp(0.3))
-        assert st.mirrored().eps == -0.3
+        assert st._replace(eps=-st.eps).delta == pytest.approx(1.0 / st.delta)
 
 
 class TestAspectSymmetry:

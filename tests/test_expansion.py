@@ -11,7 +11,6 @@ from rectlat.expansion import (
     e0,
     e2_closed,
     e2_e4_closed,
-    e4_closed,
     expansion_closed,
     expansion_series,
     landau_series,
@@ -19,7 +18,7 @@ from rectlat.expansion import (
 )
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 
-from conftest import MP_ORDERS, mp_rows, rel_or_abs
+from conftest import MP_ORDERS, e4_closed, mp_rows, rel_or_abs
 
 
 class TestSquareLatticeCoefficient:

@@ -29,13 +29,14 @@ from rectlat.energy import LatticeState, energy_gap, lattice_energy, split_integ
 from rectlat.errors import QuadratureError
 from rectlat.expansion import (
     _p2_p4_table,
-    _p4_table,
     _series_table,
     curvature_table,
     e2_e4_closed,
     landau_series,
 )
 from rectlat.quadrature import Grid, QuadratureConfig, _tail_cutoff, grid_for
+
+from conftest import p4_table
 
 # h/2 times the Legendre coefficients a_22 and a_23 of a panel, from its
 # contributions (h/2) w_j g(x_j)
@@ -210,7 +211,7 @@ def test_estimate_is_the_reference_level_0(split):
 
 
 @pytest.mark.parametrize(
-    "table_of", [curvature_table, _p4_table, _p2_p4_table, _series_table],
+    "table_of", [curvature_table, p4_table, _p2_p4_table, _series_table],
     ids=["p2", "p4", "p2p4", "series"],
 )
 def test_cached_tables_are_built_once_on_the_level_nodes(monkeypatch, table_of):

@@ -46,6 +46,13 @@ class TestCriticalCurve:
         assert rows[0].status.startswith("failed")
         assert rows[1].status == "ok"
 
+    @pytest.mark.parametrize(
+        "grids", [{}, {"v1_grid": [9.8], "a_grid": [2.5]}], ids=["none", "both"]
+    )
+    def test_exactly_one_grid_is_a_domain_error(self, q, grids):
+        with pytest.raises(ParameterDomainError, match="exactly one"):
+            scan_critical_curve(2.0, q=q, **grids)
+
     def test_density_grid_inversion(self, q):
         rows = scan_critical_curve(2.0, a_grid=[2.45, 2.55], q=q)
         assert all(r.status == "ok" for r in rows)

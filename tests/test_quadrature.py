@@ -7,6 +7,7 @@ import pytest
 from rectlat.errors import ParameterDomainError, QuadratureError
 from rectlat.quadrature import (
     DEFAULT_CONFIG,
+    END_MAX,
     Grid,
     QuadratureConfig,
     _tail_cutoff,
@@ -191,3 +192,36 @@ def test_cached_tables():
     t2 = g.cached("double", builder)
     assert t1 is t2
     assert len(calls) == 1
+
+
+def test_tail_cutoff_matches_the_cancelling_formula():
+    # the grid end once took d^2 - 4p, which cancels to its exact value
+    # 360 sqrt(p) + 8100 at large p; where the cancelling form still holds,
+    # both give the same bucketed end
+    def cancelling(p):
+        d = 2.0 * math.sqrt(p) + 90.0
+        hi = 0.5 * (d + math.sqrt(d * d - 4.0 * p))
+        return 90.0 * 1.5 ** max(0, math.ceil(math.log(hi / 90.0) / math.log(1.5)))
+
+    for p in [0.0, *np.geomspace(1e-12, 1e12, 200_001).tolist()]:
+        assert _tail_cutoff(p) == cancelling(p)
+
+
+@pytest.mark.parametrize(
+    "p, eps_max",
+    [(1e300, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.0, 700.0), (0.0, math.inf), (1e151, 0.0)],
+    ids=["p-huge", "p-inf", "p-nan", "eps-huge", "eps-inf", "end-past-1e75"],
+)
+def test_grid_end_past_its_bound_is_refused(p, eps_max):
+    # u^4 overflows near u = 1e77: the end is refused before it is bucketed
+    with pytest.raises(ParameterDomainError, match="grid would end past 1e\\+75"):
+        _tail_cutoff(p, eps_max)
+
+
+def test_grid_end_just_below_its_bound_integrates():
+    # kappa = 1, A = 1e150: the tail scale 2.5e149 ends its grid at 1e75
+    from rectlat.energy import LatticeState, lattice_energy
+    from rectlat.potentials import yukawa
+
+    assert _tail_cutoff(2.5e149) <= 2.25 * END_MAX
+    assert lattice_energy(yukawa(1.0), LatticeState(1e150)) == 0.0

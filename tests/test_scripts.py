@@ -76,6 +76,28 @@ def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, args",
+    [
+        ("tricritical_locus.py", ["--points", "-1"]),
+        ("asmin_curve.py", ["--points", "-1"]),
+        ("asmin_curve.py", ["--kappa1-min", "0"]),
+        ("phase_diagram.py", ["--points", "-1"]),
+        ("phase_diagram.py", ["--v1-max", "0"]),
+    ],
+    ids=["locus-points", "asmin-points", "asmin-zero-end", "phase-points", "phase-zero-max"],
+)
+def test_scripts_refuse_their_own_bad_flags(monkeypatch, capsys, name, args):
+    # numpy's geomspace and linspace raise a bare ValueError here, which the CLI's
+    # exit path does not catch; each script refuses the flag first (exit 2)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --points must be at least 0")
+
+
+@pytest.mark.parametrize(
     "load",
     [
         "import rectlat.cli",

@@ -115,7 +115,7 @@ def test_same_sign_bracket_is_a_bracket_error():
 
 def test_nan_value_is_a_value_error():
     f = lambda x: x - 0.7 if abs(x - 0.7) > 0.1 else math.nan
-    with pytest.raises(ValueError, match="NaN") as err:
+    with pytest.raises(ParameterDomainError, match="NaN") as err:
         brentq(f, 0.0, 1.0, xtol=1e-15, rtol=RTOL_MIN)
     assert not isinstance(err.value, BracketError)
 

@@ -6,14 +6,16 @@ import pytest
 
 import rectlat.theta
 from rectlat.energy import GAP_LATTICE
+from rectlat.errors import ParameterDomainError
 from rectlat.quadrature import grid_for
 from rectlat.theta import (
     SPLIT,
-    theta3,
     theta3_derivs,
     theta_product_excess,
     theta_product_gap,
 )
+
+from conftest import theta3
 
 
 def brute_theta_deriv(t, n, jmax=400):
@@ -73,9 +75,9 @@ def test_first_deriv_negative_everywhere():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         theta3(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         theta3(-1.0)
 
 

@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate the limiting critical density of the large-v1 regime,
-a_star_min(kappa1), over a logarithmic kappa1 grid."""
+a_star_min(kappa1), over a logarithmic kappa1 grid.
+
+The rows are those of ``rectlat scan --mode a-star-min --kappa1-grid
+MIN:MAX:log:N``; the script adds the closing kappa1 -> 0 limit row,
+which the CLI does not emit.
+"""
 
 import argparse
 import sys

@@ -4,6 +4,9 @@
 Sweeps the repulsive strength v1 from just above the admissibility
 border up to a configurable maximum, emitting the second-order critical
 curve, the first-order coexistence points, and the tricritical point.
+Beyond ``rectlat scan --mode critical-curve --v1-grid``, it solves the
+tricritical point first, doubles the sweep resolution within 10% of its
+strength, and appends it as the closing row.
 """
 
 import argparse

@@ -8,7 +8,7 @@ first-order coexistence densities, and tricritical points, including
 critical-exponent fits and parameter-plane scans.
 """
 
-from .energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
+from .energy import LatticeState, energy_gap, lattice_energy
 from .errors import (
     BracketError,
     ClassificationError,
@@ -17,7 +17,6 @@ from .errors import (
     QuadratureError,
     RectlatError,
     SearchFailureError,
-    UnsupportedOracleError,
 )
 from .expansion import (
     ExpansionCoefficients,
@@ -49,7 +48,6 @@ from .potentials import (
     PotentialSpec,
     derive_double_yukawa,
     derive_yukawa_coulomb,
-    potential_value,
     riesz,
     yukawa,
 )
@@ -73,12 +71,10 @@ __all__ = [
     "SearchFailureError",
     "TransitionPoint",
     "TricriticalPoint",
-    "UnsupportedOracleError",
     "a_star_min",
     "a_star_min_zero_limit",
     "derive_double_yukawa",
     "derive_yukawa_coulomb",
-    "direct_lattice_sum",
     "e0",
     "e2_closed",
     "e2_e4_closed",
@@ -96,7 +92,6 @@ __all__ = [
     "landau_series",
     "lattice_energy",
     "minimize_aspect",
-    "potential_value",
     "riesz",
     "yukawa",
 ]

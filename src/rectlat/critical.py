@@ -366,9 +366,11 @@ def _newton2(F, z0, in_domain, steps):
     stencil (speculatively), so a run of full steps costs one pass each.
 
     Raises ``NonconvergenceError`` (with the trace) naming the stop that
-    fired: a singular Jacobian, an exhausted line search, a residual norm
-    that did not halve over ``_STALL_STEPS`` accepted steps (the starting
-    residual counts as step 0), or the cap of 60 steps.
+    fired: a Jacobian that is not finite (its difference quotients
+    overflow on a stencil at extreme scale) or singular, an exhausted line
+    search, a residual norm that did not halve over ``_STALL_STEPS``
+    accepted steps (the starting residual counts as step 0), or the cap of
+    60 steps.
     """
     z = np.array(z0, dtype=float)
     trace = []
@@ -385,8 +387,11 @@ def _newton2(F, z0, in_domain, steps):
     for _ in range(60):
         rows = F(stencil)
         jac = np.empty((2, 2))
-        for i in range(2):
-            jac[:, i] = (rows[2 * i] - rows[2 * i + 1]) / (2.0 * h[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(2):
+                jac[:, i] = (rows[2 * i] - rows[2 * i + 1]) / (2.0 * h[i])
+        if not np.all(np.isfinite(jac)):
+            raise NonconvergenceError("2D Newton stopped: Jacobian not finite", trace=trace)
         try:
             dz = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as err:

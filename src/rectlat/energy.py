@@ -16,9 +16,6 @@ decaying integrands: the one kernel ``quadrature.integrate``, which
 not vanish at infinity (the "-1", and the neutralizing-background
 ``-pi/t`` of the unscreened Coulomb term) integrate in closed form via
 ``erfc``.
-
-``direct_lattice_sum`` keeps the literal shell-by-shell sum as an
-independent oracle for testing the integral path.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potentials as pot, quadrature
-from .errors import UnsupportedOracleError, check_domain
+from .errors import check_domain
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
 from .theta import GAP_EPS_BOUND, theta_product_excess, theta_product_gap
 
@@ -204,73 +201,3 @@ def _gap_rows(eps):
         return lambda g: g.cached("pair_gap_lattice", lattice)[start:]
     return lambda g: theta_product_gap(g.nodes, eps)
 
-
-# ---------------------------------------------------------------------------
-# direct-sum oracle
-# ---------------------------------------------------------------------------
-
-#: Most shells ``direct_lattice_sum`` sums (about 1e8 pair terms).
-SHELL_CAP = 5_000
-
-
-def _shell_points(m: int):
-    """Integer pairs with max(|j|,|k|) == m."""
-    side = np.arange(-m, m + 1)
-    j = np.concatenate([np.full(side.size, m), np.full(side.size, -m), side[1:-1], side[1:-1]])
-    k = np.concatenate([side, side, np.full(side.size - 2, m), np.full(side.size - 2, -m)])
-    return j, k
-
-
-def direct_lattice_sum(
-    spec: pot.PotentialSpec, state: LatticeState, cutoff_tol: float = 1e-14
-) -> float:
-    """Literal shell-by-shell lattice sum, for validating the integral path.
-
-    Supported for potentials whose tail makes the sum absolutely
-    convergent with a computable shell bound: Yukawa, double Yukawa
-    (kappa2 > 0) and Riesz with s > 2.  The number of shells is predicted
-    from that bound before summing; a sum that would need more than
-    ``SHELL_CAP`` shells is refused with ``UnsupportedOracleError``.
-    """
-    message = f"cutoff_tol must be positive, got {cutoff_tol}"
-    check_domain(cutoff_tol > 0, message, cutoff_tol=cutoff_tol)
-    if spec.family == pot.YUKAWA_COULOMB:
-        raise UnsupportedOracleError(
-            "direct sum of the Yukawa-Coulomb potential is only conditionally "
-            "convergent; use the background-regularized integral representation"
-        )
-    if spec.family == pot.RIESZ and spec.s <= 2.0:
-        raise UnsupportedOracleError("direct Riesz sum requires s > 2")
-
-    area, delta = state.area, state.delta
-    dmin = math.sqrt(area) * min(math.sqrt(delta), 1.0 / math.sqrt(delta))
-
-    # The shells m' >= m lie at r >= dmin m' with 8 m' points each, and T(m)
-    # bounds their sum; shells 1..n are summed, n = floor(reach) the last
-    # shell before T falls below cutoff_tol (T(reach) = cutoff_tol).
-    if spec.family == pot.RIESZ:
-        s = spec.s
-        # T(m) = 8 dmin^-s m^(2-s) / (s-2), the integral bound; the log is
-        # clipped where the count overflows, far above any cap
-        log_reach = (math.log(8.0 / ((s - 2.0) * cutoff_tol)) - s * math.log(dmin)) / (s - 2.0)
-        reach = math.exp(min(log_reach, 700.0))
-    else:
-        if spec.family == pot.YUKAWA:
-            strength, decay = spec.v, spec.kappa
-        else:
-            strength, decay = spec.v1 + spec.v2, spec.kappa2
-        # T(m) = 16 strength e^{-x m} / (dmin (1 - e^{-x})), x = decay dmin:
-        # twice the geometric envelope of 8 m' strength e^{-decay r} / r
-        x = decay * dmin
-        reach = math.log(16.0 * strength / (dmin * -math.expm1(-x) * cutoff_tol)) / x
-    if not reach <= SHELL_CAP:
-        raise UnsupportedOracleError(
-            f"direct lattice sum needs about {reach:.6g} shells to reach cutoff "
-            f"{cutoff_tol:g}, above the cap of {SHELL_CAP}"
-        )
-    acc = 0.0
-    for m in range(1, max(1, math.floor(reach)) + 1):
-        j, k = _shell_points(m)
-        r = np.sqrt(area * (j * j / delta + k * k * delta))
-        acc += 0.5 * float(np.sum(pot.potential_value(spec, r)))
-    return acc

@@ -38,15 +38,12 @@ class NonconvergenceError(RectlatError, ArithmeticError):
 
 
 class SearchFailureError(RectlatError, ArithmeticError):
-    """A 1D minimization found neither an interior nor a boundary minimum."""
+    """A broken-branch minimum is pinned at the search cap or floor, where
+    the energy may fall further beyond it."""
 
 
 class ClassificationError(RectlatError, ArithmeticError):
     """A transition could not be classified (e.g. coexistence barrier absent)."""
-
-
-class UnsupportedOracleError(RectlatError, ValueError):
-    """The direct lattice sum was requested for a potential it cannot handle."""
 
 
 def check_domain(ok: bool, message: str, **values) -> None:

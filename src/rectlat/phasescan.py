@@ -239,7 +239,7 @@ def _predicted_crossing(spec, q, a_pred, eps_pred, last_miss):
     return float(a_trans), float(eps_jump)
 
 
-def _scan_rows(family, points, q) -> list[PhaseDiagramRow]:
+def _scan_rows(family, points, q, areas=None) -> list[PhaseDiagramRow]:
     """Transition rows over scan points, in grid order.
 
     One pass solves each row's E2 root, bracketed from the roots of the
@@ -252,10 +252,17 @@ def _scan_rows(family, points, q) -> list[PhaseDiagramRow]:
     crossing lies left of the root), and of ``eps_jump``.  Any other row,
     and a predicted row refused there, walks its bracket from the E2 root.
     A point whose member or E2 root cannot be had keeps a failed row.
+
+    With ``areas`` (a density sweep), each point's v1 is the strength
+    whose transition density is its area (``_v1_on_critical_curve``),
+    inverted inside the row's capture: a refused inversion fails its row
+    alone.
     """
     done, jobs, solved, misses = [], [], [], []
     for k, point in enumerate(points):
         try:
+            if areas is not None:
+                point = (_v1_on_critical_curve(point[1], areas[k], q), point[1])
             spec = _member(family, point)
             tp, miss = _e2_root(spec, q, solved, misses)
         except RectlatError as err:
@@ -305,13 +312,13 @@ def scan_critical_curve(
     """Transition points of the double-Yukawa family at fixed kappa1.
 
     Sweeps either the strength v1 directly, or a density grid that is
-    converted to strengths by inverting the critical curve.
+    converted to strengths by inverting the critical curve, row by row.
     """
     check_domain((v1_grid is None) != (a_grid is None), "provide exactly one of v1_grid or a_grid")
-    if a_grid is not None:
-        pot._check_kappa1(kappa1)
-        v1_grid = [_v1_on_critical_curve(kappa1, a, q) for a in a_grid]
-    return _scan_rows(pot.DOUBLE_YUKAWA, [(v1, kappa1) for v1 in v1_grid], q)
+    if a_grid is None:
+        return _scan_rows(pot.DOUBLE_YUKAWA, [(v1, kappa1) for v1 in v1_grid], q)
+    pot._check_kappa1(kappa1)
+    return _scan_rows(pot.DOUBLE_YUKAWA, [(None, kappa1)] * len(a_grid), q, a_grid)
 
 
 def _v1_on_critical_curve(kappa1, area, q):
@@ -397,12 +404,14 @@ def scan_tricritical_locus(
 
 def _a_star_min_on(kappa1, q, bracket):
     """``a_star_min(kappa1)`` sought on a predicted ``bracket``, with its
-    tolerances, or None unless kappa1 and the bracket are positive and the
-    limiting condition is nonzero at both ends and of opposite sign there:
-    above kappa1 ~ 700 it underflows to 0.0 over whole ranges, where Brent
-    would return an end.  Brent reuses the two end values."""
+    tolerances, or None unless kappa1 is positive, the bracket ordered with
+    both ends positive (a wide miss around a negative prediction puts ``hi``
+    below zero), and the limiting condition nonzero at both ends and of
+    opposite sign there: above kappa1 ~ 700 it underflows to 0.0 over whole
+    ranges, where Brent would return an end.  Brent reuses the two end
+    values."""
     lo, hi = bracket
-    if not (kappa1 > 0.0 and lo > 0.0):
+    if not (kappa1 > 0.0 and 0.0 < lo < hi):
         return None
     f = lambda a: _a_star_min_condition(kappa1, a, q)
     ends = {lo: f(lo), hi: f(hi)}
@@ -416,7 +425,7 @@ def scan_a_star_min(kappa1_grid: Sequence[float], q: QuadratureConfig = DEFAULT_
 
     Walks the grid once, in order: a row whose two rows before are solved
     is sought on ``_prediction``'s bracket first (``_a_star_min_on``), and
-    otherwise, or where that bracket holds no sign change, by
+    otherwise, or where that bracket is refused or holds no sign change, by
     ``a_star_min`` and its own grid scan.  A refused row is recorded as
     failed.  Returns ``(kappa1, a_star_min, status)`` rows.
     """

@@ -182,20 +182,6 @@ def _check_normalization(spec: PotentialSpec):
     )
 
 
-def potential_value(spec: PotentialSpec, r):
-    """Point value f(r); the Yukawa-Coulomb case returns the bare pair term."""
-    r = np.asarray(r, dtype=float)
-    check_domain(not np.any(r <= 0), "separation r must be positive")
-    if spec.family == RIESZ:
-        return r ** (-spec.s)
-    if spec.family == YUKAWA:
-        return spec.v * np.exp(-spec.kappa * r) / r
-    if spec.family == DOUBLE_YUKAWA:
-        return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2 * np.exp(-spec.kappa2 * r)) / r
-    check_domain(spec.family == YUKAWA_COULOMB, f"unknown family {spec.family!r}")
-    return (spec.v1 * np.exp(-spec.kappa1 * r) - spec.v2) / r
-
-
 # ---------------------------------------------------------------------------
 # quadrature-facing helpers
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from rectlat.critical import (
     kappa1_upper,
     minimize_aspect,
 )
-from rectlat.energy import LatticeState, direct_lattice_sum, lattice_energy
+from rectlat.energy import LatticeState, lattice_energy
 from rectlat.expansion import e2_closed, landau_series
 from rectlat.potentials import (
     derive_double_yukawa,
@@ -32,7 +32,7 @@ from rectlat.potentials import (
     yukawa,
 )
 
-from conftest import e4_closed, rel_or_abs
+from conftest import direct_lattice_sum, e4_closed, rel_or_abs
 
 A_STAR_REF = 2.61449322978
 DY_TRICRITICAL_REF = (2.7163619942262467, 6.7951845011079)

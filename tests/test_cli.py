@@ -243,6 +243,21 @@ class TestScanCommand:
         assert rows[0].startswith("1000,,failed: BracketError: no sign change of the limiting")
         assert rows[1].startswith("2000,,failed: BracketError: limiting condition underflows")
 
+    def test_a_refused_inversion_fails_its_row_alone(self, capsys):
+        # the density 1e300 (and 1e150) is refused by the inversion's own
+        # grid end; the scan still exits 0 with the A = 2.4 row as on a
+        # grid whose other densities merely miss the critical curve
+        curve = ["scan", "--mode", "critical-curve", "--kappa1", "2", "--a-grid"]
+        assert main([*curve, "2.4:1e300:log:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert main([*curve, "2.4:1e100:log:3"]) == 0
+        missed = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0] == missed[0] and rows[0].endswith(",ok")
+        refused = "double-yukawa,2,,,,0,,,failed: ParameterDomainError: the integrals' grid"
+        assert all(row.startswith(refused) for row in rows[1:]) and len(rows) == 3
+        missed_row = "double-yukawa,2,,,,0,,,failed: BracketError: critical curve inversion failed"
+        assert missed[1:] == [missed_row] * 2
+
     def test_scan_csv_phase_header(self, capsys):
         assert (
             main(["scan", "--mode", "yukawa-coulomb", "--kappa1-grid", "2.05:2.06:lin:2"]) == 0
@@ -458,12 +473,14 @@ class TestExtremeInputs:
             "energy --family riesz --s 3 --area 1 --delta 1e-300",
             "scan --mode a-star-min --kappa1-grid 1e300:50:log:3",
             "scan --mode a-star-min --kappa1-grid 0.1:1e300:log:3",
+            "scan --mode a-star-min --kappa1-grid 1e-30:50:log:40",
             f"{DY_GUESS} --guess-a 1e300 --guess-param 6.8",
             f"{DY_GUESS} --guess-a 2.7 --guess-param 1e300",
             f"{DY_GUESS} --guess-a 2.7 --guess-param 1e-300",
             f"{DY_GUESS} --guess-a 2.7 --guess-param 1e30",
             f"{DY_GUESS} --guess-a 2.7 --guess-param 1e-30",
             f"{DY_GUESS} --guess-a 1e-300 --guess-param 1e300",
+            f"{DY_GUESS} --guess-a 1e-300 --guess-param 6.8",
             f"{DY_GUESS} --guess-a 2.7 --guess-param -7.38905609893065",
             "tricritical --family yukawa-coulomb --guess-a 1e300 --guess-param 2.04",
         ],
@@ -498,7 +515,6 @@ class TestExitCode:
         cases = {
             errors.ParameterDomainError: (2, "error: why\n"),
             errors.BracketError: (2, "error: why\n"),
-            errors.UnsupportedOracleError: (2, "error: why\n"),
             errors.QuadratureError: (3, "numerical failure: why\n"),
             errors.SearchFailureError: (4, "search failure: why\n"),
             errors.ClassificationError: (4, "classification failure: why\n"),

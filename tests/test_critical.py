@@ -24,7 +24,6 @@ from rectlat.critical import (
 from rectlat.energy import (
     GAP_LATTICE,
     LatticeState,
-    direct_lattice_sum,
     energy_gap,
     lattice_energy,
 )
@@ -39,7 +38,7 @@ from rectlat.expansion import e2_closed
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
 from rectlat.solvers import RTOL_MIN, brentq
 
-from conftest import e4_closed
+from conftest import direct_lattice_sum, e4_closed
 
 
 class TestMinimizeAspect:

@@ -7,13 +7,13 @@ import pytest
 
 import rectlat.energy as energy
 from rectlat.critical import a_star_min, a_star_min_zero_limit
-from rectlat.energy import LatticeState, direct_lattice_sum, energy_gap, lattice_energy
-from rectlat.errors import ParameterDomainError, UnsupportedOracleError
+from rectlat.energy import LatticeState, energy_gap, lattice_energy
+from rectlat.errors import ParameterDomainError
 from rectlat.expansion import e2_e4_closed, landau_series
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, riesz, yukawa
 from rectlat.quadrature import QuadratureConfig
 
-from conftest import theta3
+from conftest import direct_lattice_sum, theta3
 
 #: Catalan's constant, for the inverse-quartic square-lattice sum
 CATALAN = 0.9159655941772190
@@ -112,7 +112,7 @@ class TestAgainstDirectSum:
         # 18,700 shells; the refusal comes before any of them is summed
         spec = derive_double_yukawa(3.702, 2.0)
         start = time.perf_counter()
-        with pytest.raises(UnsupportedOracleError, match="about 1868[0-9].* shells"):
+        with pytest.raises(ValueError, match="about 1868[0-9].* shells"):
             direct_lattice_sum(spec, LatticeState(2.8135, 0.0))
         assert time.perf_counter() - start < 1.0
 
@@ -122,9 +122,9 @@ class TestAgainstDirectSum:
             direct_lattice_sum(dy98, LatticeState(2.6), cutoff_tol=cutoff_tol)
 
     def test_unsupported_oracles(self):
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(ValueError, match="only conditionally convergent"):
             direct_lattice_sum(derive_yukawa_coulomb(2.0), LatticeState(2.0))
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(ValueError, match="requires s > 2"):
             direct_lattice_sum(riesz(2.0), LatticeState(2.0))
 
 

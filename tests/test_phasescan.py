@@ -399,6 +399,14 @@ class TestAStarMinScan:
         refusal = "failed: ParameterDomainError: kappa1 must be positive"
         assert [row[1:] for row in rows[3:]] == [(None, refusal)] * 2
 
+    def test_prediction_below_zero_falls_back(self, q):
+        # 2.79 at kappa1 = 1.18 and 1.28 at 7.69 predict -0.23 at kappa1 = 50,
+        # on a bracket wide enough that its lower end is positive and its
+        # upper end negative: the condition ran at A < 0 and the row failed
+        rows = scan_a_star_min(np.geomspace(1e-30, 50.0, 40), q=q)
+        assert rows[-1] == (50.0, pytest.approx(1.04038491679392, rel=1e-14), "ok")
+        assert rows[-1][1] == a_star_min(50.0, q)
+
     def test_underflowing_rows_keep_their_refusals(self, q):
         # above kappa1 ~ 700 the condition underflows to 0.0 at some
         # densities; a predicted bracket with such an end would hand Brent

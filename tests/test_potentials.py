@@ -18,12 +18,13 @@ from rectlat.potentials import (
     derive_yukawa_coulomb,
     laplace_pairs,
     make_spec,
-    potential_value,
     riesz,
     weight_direct,
     weight_transformed,
     yukawa,
 )
+
+from conftest import potential_value
 
 
 def measure_density(spec: PotentialSpec, t):

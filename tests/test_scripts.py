@@ -34,18 +34,6 @@ def run_cli(capsys, *args):
     return capsys.readouterr().out
 
 
-def test_tricritical_locus_matches_scan(monkeypatch, capsys):
-    out = run_script(
-        monkeypatch, capsys, "tricritical_locus.py",
-        "--kappa1-min", "1.9", "--kappa1-max", "2.0", "--points", "2", "--skip-bounds",
-    )
-    want = run_cli(
-        capsys, "scan", "--mode", "tricritical-locus", "--kappa1-grid", "1.9:2.0:lin:2",
-        "--no-bounds",
-    )
-    assert out == want
-
-
 def test_asmin_curve_matches_scan(monkeypatch, capsys):
     out = run_script(
         monkeypatch, capsys, "asmin_curve.py", "--kappa1-min", "1", "--kappa1-max", "2",
@@ -78,13 +66,12 @@ def test_phase_diagram_refuses_out_of_domain_kappa1(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("tricritical_locus.py", ["--points", "-1"]),
         ("asmin_curve.py", ["--points", "-1"]),
         ("asmin_curve.py", ["--kappa1-min", "0"]),
         ("phase_diagram.py", ["--points", "-1"]),
         ("phase_diagram.py", ["--v1-max", "0"]),
     ],
-    ids=["locus-points", "asmin-points", "asmin-zero-end", "phase-points", "phase-zero-max"],
+    ids=["asmin-points", "asmin-zero-end", "phase-points", "phase-zero-max"],
 )
 def test_scripts_refuse_their_own_bad_flags(monkeypatch, capsys, name, args):
     # numpy's geomspace and linspace raise a bare ValueError here, which the CLI's
@@ -100,11 +87,10 @@ def test_scripts_refuse_their_own_bad_flags(monkeypatch, capsys, name, args):
 @pytest.mark.parametrize(
     "load",
     [
-        "import rectlat.cli",
-        *(f"runpy.run_path({str(SCRIPTS / name)!r}, run_name='imported')"
-          for name in ("asmin_curve.py", "phase_diagram.py", "tricritical_locus.py")),
+        pytest.param("import rectlat.cli", id="cli"),
+        *(pytest.param(f"runpy.run_path({str(path)!r}, run_name='imported')", id=path.stem)
+          for path in sorted(SCRIPTS.glob("*.py"))),
     ],
-    ids=["cli", "asmin_curve", "phase_diagram", "tricritical_locus"],
 )
 def test_no_scipy_at_run_time(load):
     # importing scipy.optimize and scipy.special took about 0.55 s of every

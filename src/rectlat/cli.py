@@ -70,11 +70,7 @@ def _add_common(p, default_format):
 
 
 def _add_family(p):
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=pot.FAMILIES,
-    )
+    p.add_argument("--family", required=True, choices=pot.FAMILIES)
     p.add_argument("--s", type=float, help="Riesz exponent")
     p.add_argument("--kappa", type=float, help="Yukawa screening")
     p.add_argument("--v", type=float, help="Yukawa strength (default 1)")
@@ -154,24 +150,14 @@ def cmd_energy(ns, spec, q) -> dict:
 
 
 def cmd_expand(ns, spec, q) -> dict:
-    record = {"A": ns.area}
-    if ns.method in ("closed", "both"):
-        closed = expansion.expansion_closed(spec, ns.area, q)
-    if ns.method in ("series", "both"):
-        series = expansion.expansion_series(spec, ns.area, q)
-    if ns.method == "closed":
-        record.update(e0=closed.e0, e2=closed.e2, e4=closed.e4, e6=None, method="closed")
-    elif ns.method == "series":
-        record.update(e0=series.e0, e2=series.e2, e4=series.e4, e6=series.e6, method="series")
-    else:
+    closed = expansion.expansion_closed(spec, ns.area, q) if ns.method != "series" else None
+    series = expansion.expansion_series(spec, ns.area, q) if ns.method != "closed" else None
+    shown = series or closed  # the series row where both ran (closed has no e6)
+    record = {"A": ns.area, "e0": shown.e0, "e2": shown.e2, "e4": shown.e4, "e6": shown.e6}
+    record["method"] = ns.method
+    if closed and series:
         record.update(
-            e0=series.e0,
-            e2=series.e2,
-            e4=series.e4,
-            e6=series.e6,
-            method="both",
-            e2_discrepancy=abs(closed.e2 - series.e2),
-            e4_discrepancy=abs(closed.e4 - series.e4),
+            e2_discrepancy=abs(closed.e2 - series.e2), e4_discrepancy=abs(closed.e4 - series.e4)
         )
     return record
 
@@ -300,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_family_command(cmd_transition))
 
     p = sub.add_parser("tricritical", help="joint root of E2 and E4")
-    p.add_argument(
-        "--family", required=True, choices=(pot.DOUBLE_YUKAWA, pot.YUKAWA_COULOMB)
-    )
+    p.add_argument("--family", required=True, choices=(pot.DOUBLE_YUKAWA, pot.YUKAWA_COULOMB))
     p.add_argument("--kappa1", type=float, help="fixed kappa1 (double Yukawa)")
     p.add_argument("--guess-a", type=float)
     p.add_argument("--guess-param", type=float)
@@ -323,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_family_command(cmd_fit))
 
     p = sub.add_parser("scan", help="parameter sweeps")
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=("critical-curve", "yukawa-coulomb", "tricritical-locus", "a-star-min"),
-    )
+    p.add_argument("--mode", required=True, choices=tuple(_SCAN_FLAGS))
     p.add_argument("--kappa1", type=float)
     p.add_argument("--v1-grid", help="lo:hi:lin|log:N")
     p.add_argument("--a-grid", help="lo:hi:lin|log:N")

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .expansion import curvature_table, e2_closed, e2_e4_stack, landau_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _tail_cutoff
-from .solvers import RTOL_MIN, brentq, minimize_scalar, sign_change
+from .solvers import RTOL_MIN, brentq, minimize_scalar, real_roots, sign_change
 
 #: Largest log-aspect the truncated expansion of the gap is trusted for.
 SERIES_EPS_MAX = 0.15
@@ -121,97 +121,13 @@ def _gap_coefficients(spec, area, q):
     return rows[2], rows[4], rows[6], rows[8]
 
 
-def _horner(poly, x):
-    """``(value, derivative)`` at ``x`` of ``poly`` (highest degree first)."""
-    f = df = 0.0
-    for c in poly:
-        df = df * x + f
-        f = f * x + c
-    return f, df
-
-
-def _polished(poly, x):
-    """``x`` after Newton steps on ``poly`` (highest degree first) for as
-    long as they move it and shrink the residual, at most three."""
-    f, df = _horner(poly, x)
-    for _ in range(3):
-        if df == 0.0:
-            break
-        x_new = x - f / df
-        if x_new == x:
-            break
-        f_new, df_new = _horner(poly, x_new)
-        if not abs(f_new) < abs(f):
-            break
-        x, f, df = x_new, f_new, df_new
-    return x
-
-
-def _quadratic_roots(a, b, c):
-    """Roots of ``a x^2 + b x + c`` (a != 0) without cancellation; a complex
-    pair whose imaginary part is below 1e-10 of its real part (or of 1) is
-    taken as a double root at that real part, and any other is dropped."""
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        re = -b / (2.0 * a)
-        im = math.sqrt(-disc) / (2.0 * abs(a))
-        return [re, re] if im <= 1e-10 * max(1.0, abs(re)) else []
-    w = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [w / a, c / w] if w != 0.0 else [0.0, 0.0]
-
-
-def _cubic_roots(poly):
-    """Real roots of the cubic ``poly`` (highest degree first).
-
-    One root comes in closed form, polished: the largest of the
-    trigonometric solution where all three are real and distinct, else
-    Cardano's real root.  The other two are the roots of the quadratic
-    left by dividing it out, from the constant term down when it is the
-    larger root and from the leading term down otherwise, so that the
-    division does not lose the smaller roots to cancellation.
-    """
-    a, b, c, d = poly
-    # the depressed cubic t^3 + p t + q in t = x + b / 3a
-    s = b / (3.0 * a)
-    p = c / a - 3.0 * s * s
-    q = (2.0 * s * s - c / a) * s + d / a
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc < 0.0:  # so p < 0
-        m = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(max(-1.0, min(1.0, 1.5 * q / (p * math.sqrt(-p / 3.0))))) / 3.0
-        t = m * math.cos(phi if s < 0.0 else phi + 2.0 * math.pi / 3.0)
-    else:
-        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
-        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        t = u - p / (3.0 * u) if u != 0.0 else 0.0
-    x1 = _polished(poly, t - s)
-    if abs(a * x1**3) > abs(d):
-        q0 = -d / x1
-        q1 = (q0 - c) / x1
-    else:
-        q1 = b + a * x1
-        q0 = c + q1 * x1
-    return [x1, *(_polished(poly, x) for x in _quadratic_roots(a, q1, q0))]
-
-
-def _real_roots(a, b, c, d):
-    """Real roots of ``a x^3 + b x^2 + c x + d`` in closed form, one degree
-    lower for each leading zero coefficient, each polished by Newton; a
-    near-real complex pair counts as a double root (``_quadratic_roots``)."""
-    if a != 0.0:
-        return _cubic_roots((a, b, c, d))
-    if b != 0.0:
-        return [_polished((b, c, d), x) for x in _quadratic_roots(b, c, d)]
-    return [-d / c] if c != 0.0 else []
-
-
 def _stationary_points(coeffs):
     """Positive stationary points of sum_k c_{2k} x^k in x = eps^2,
     as (x, value, curvature) triples sorted by x."""
     c2, c4, c6, c8 = (float(c) for c in coeffs)
     # roots of c2 + 2 c4 x + 3 c6 x^2 + 4 c8 x^3
     pts = []
-    for x in sorted(_real_roots(4.0 * c8, 3.0 * c6, 2.0 * c4, c2)):
+    for x in sorted(real_roots(4.0 * c8, 3.0 * c6, 2.0 * c4, c2)):
         if not x > 0.0:
             continue
         val = (((c8 * x + c6) * x + c4) * x + c2) * x
@@ -347,13 +263,22 @@ _STALL_STEPS = 12
 
 
 def _stencil(z, steps):
-    """``(points, h)``: the central-difference points ``z +- h_i e_i`` and the steps."""
-    h = [step(z) for step in steps]
-    points = [z.copy() for _ in range(4)]
-    for i in range(2):
-        points[2 * i][i] += h[i]
-        points[2 * i + 1][i] -= h[i]
-    return points, h
+    """``(points, h)``: the central-difference points ``z +- h_i e_i`` and the
+    steps, as pairs of floats."""
+    a, w = z
+    ha, hw = steps[0](z), steps[1](z)
+    return [(a + ha, w), (a - ha, w), (a, w + hw), (a, w - hw)], (ha, hw)
+
+
+def _norm(f):
+    """``np.linalg.norm`` of the residual row ``f`` bit for bit: the root of
+    BLAS's dot (a sum of squares in floats differs in the last bit on some
+    residuals); inf, without a warning, where the dot overflows."""
+    a, b = f.tolist()
+    if a * a + b * b < 1e300:  # the dot cannot overflow
+        return math.sqrt(f.dot(f))
+    with np.errstate(over="ignore"):
+        return math.sqrt(f.dot(f))
 
 
 def _newton2(F, z0, in_domain, steps):
@@ -365,61 +290,63 @@ def _newton2(F, z0, in_domain, steps):
     first; after a full step, the next full step's candidate with its
     stencil (speculatively), so a run of full steps costs one pass each.
 
+    The iterate, the steps, the stencil, the Jacobian, the line search and
+    the stop tests are Python floats.  The only numpy calls in a step are
+    LAPACK's ``solve`` and the norm's BLAS dot (``_norm``), kept for their
+    bits (a 2x2 LU by hand differs in the last bits on many systems).  On a
+    2-core Xeon host a step costs about 20 us besides its pass.
+
     Raises ``NonconvergenceError`` (with the trace) naming the stop that
-    fired: a Jacobian that is not finite (its difference quotients
-    overflow on a stencil at extreme scale) or singular, an exhausted line
-    search, a residual norm that did not halve over ``_STALL_STEPS``
-    accepted steps (the starting residual counts as step 0), or the cap of
-    60 steps.
+    fired: a starting residual whose norm is not finite or a Jacobian that
+    is not finite (a start or stencil at extreme scale), a singular
+    Jacobian, an exhausted line search, a residual norm that did not halve
+    over ``_STALL_STEPS`` accepted steps (the starting residual counts as
+    step 0), or the cap of 60 steps.
     """
-    z = np.array(z0, dtype=float)
+    z = (float(z0[0]), float(z0[1]))
     trace = []
     stencil, h = _stencil(z, steps)
     # residuals in scaled units: F's variation under a few-percent density change
-    zp, zm = z.copy(), z.copy()
-    zp[0] *= 1.03
-    zm[0] *= 0.97
-    rows = F([z, *stencil, zp, zm])
-    f = rows[0]
-    norms = [float(np.linalg.norm(f))]  # after each accepted step
-    noise = 1e-12 * np.maximum(0.5 * (np.abs(rows[5]) + np.abs(rows[6])), 1e-300)
+    rows = F([z, *stencil, (z[0] * 1.03, z[1]), (z[0] * 0.97, z[1])])
+    f, norm = rows[0], _norm(rows[0])
+    if not norm < math.inf:
+        raise NonconvergenceError("2D Newton stopped: residual norm not finite", trace=trace)
+    norms = [norm]  # after each accepted step
+    noise = [1e-12 * max(0.5 * (abs(up) + abs(down)), 1e-300)
+             for up, down in zip(rows[5].tolist(), rows[6].tolist())]
     full = False  # whether the last step was a full Newton step
     for _ in range(60):
-        rows = F(stencil)
-        jac = np.empty((2, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(2):
-                jac[:, i] = (rows[2 * i] - rows[2 * i + 1]) / (2.0 * h[i])
-        if not np.all(np.isfinite(jac)):
+        up_a, down_a, up_w, down_w = (row.tolist() for row in F(stencil))
+        d0, d1 = 2.0 * h[0], 2.0 * h[1]
+        jac = [[(up_a[k] - down_a[k]) / d0, (up_w[k] - down_w[k]) / d1] for k in (0, 1)]
+        if not all(map(math.isfinite, jac[0] + jac[1])):
             raise NonconvergenceError("2D Newton stopped: Jacobian not finite", trace=trace)
+        f0, f1 = f.tolist()
         try:
-            dz = np.linalg.solve(jac, -f)
+            dz0, dz1 = np.linalg.solve(jac, [-f0, -f1]).tolist()
         except np.linalg.LinAlgError as err:
             raise NonconvergenceError("2D Newton stopped: singular Jacobian", trace=trace) from err
         lam = 1.0
-        accepted = False
         while lam >= 2.0**-10:
-            z_new = z + lam * dz
+            z_new = (z[0] + lam * dz0, z[1] + lam * dz1)
             if in_domain(z_new):
                 stencil_new, h_new = _stencil(z_new, steps)
                 ahead = full and lam == 1.0  # speculative: its stencil may go unused
                 f_new = F([z_new, *stencil_new] if ahead else [z_new])[0]
-                if np.linalg.norm(f_new) <= np.linalg.norm(f) or np.all(
-                    np.abs(f_new) <= noise
-                ):
-                    z, f, stencil, h = z_new, f_new, stencil_new, h_new
-                    accepted, full = True, lam == 1.0
+                norm_new = _norm(f_new)
+                if norm_new <= norm or all(abs(x) <= n for x, n in zip(f_new.tolist(), noise)):
+                    z, f, norm, stencil, h = z_new, f_new, norm_new, stencil_new, h_new
+                    full = lam == 1.0
                     break
             lam *= 0.5
-        trace.append((z[0], z[1], float(np.linalg.norm(f))))
-        if not accepted:
+        trace.append((z[0], z[1], norm))
+        if lam < 2.0**-10:
             raise NonconvergenceError("2D Newton stopped: line search exhausted", trace=trace)
-        step_ok = np.max(np.abs(lam * dz) / np.maximum(np.abs(z), 1e-8)) < 1e-12
-        if step_ok and np.all(np.abs(f) <= 10 * noise):
-            cond = float(np.linalg.cond(jac))
-            return z, f, cond, trace
-        norms.append(trace[-1][2])
-        if len(norms) > _STALL_STEPS and norms[-1] > 0.5 * norms[-1 - _STALL_STEPS]:
+        step_ok = all(abs(lam * d) / max(abs(x), 1e-8) < 1e-12 for d, x in zip((dz0, dz1), z))
+        if step_ok and all(abs(x) <= 10 * n for x, n in zip(f.tolist(), noise)):
+            return z, f, float(np.linalg.cond(jac)), trace
+        norms.append(norm)
+        if len(norms) > _STALL_STEPS and norm > 0.5 * norms[-1 - _STALL_STEPS]:
             raise NonconvergenceError(
                 f"2D Newton stopped: residual did not halve over {_STALL_STEPS} steps",
                 trace=trace,
@@ -428,17 +355,17 @@ def _newton2(F, z0, in_domain, steps):
 
 
 def _evaluator(spec_at, q):
-    """The batch evaluator ``F(points) -> rows`` of (E2, E4) at z = (A, w) on the
-    members ``spec_at(w)``: unseen points are one ``e2_e4_stack``, and each
-    point (Newton and the fallback revisit points) and member is made once."""
+    """The batch evaluator ``F(points) -> rows`` of (E2, E4) at the pairs of
+    floats z = (A, w) on the members ``spec_at(w)``: unseen points are one
+    ``e2_e4_stack``, and each point (Newton and the fallback revisit
+    points) and member is made once."""
     memo, spec_at = {}, functools.lru_cache(maxsize=None)(spec_at)
 
     def F(points):
-        keys = [(float(z[0]), float(z[1])) for z in points]
-        new = {key: None for key in keys if key not in memo}  # ordered, each once
+        new = {z: None for z in points if z not in memo}  # ordered, each once
         if new:
             memo.update(zip(new, e2_e4_stack([(spec_at(w), a) for a, w in new], q)))
-        return [memo[key] for key in keys]
+        return [memo[z] for z in points]
 
     return F
 
@@ -536,7 +463,7 @@ def find_tricritical(
         try:
             if z is None:
                 raise NonconvergenceError("tricritical solve failed (Newton and nested fallback)")
-            return result(np.array(z), F([z])[0], float("nan"))
+            return result(z, F([z])[0], math.nan)
         except NonconvergenceError as refusal:
             # either refusal keeps Newton's reason and trace
             refusal.trace = err.trace
@@ -577,7 +504,7 @@ def _nested_fallback(F, z0, in_domain):
             if b <= 0:
                 return None
             fb = g(b)
-            if np.sign(fa) * np.sign(fb) < 0:
+            if fa < 0 < fb or fb < 0 < fa:
                 return brentq(g, min(a, b), max(a, b), xtol=1e-15, rtol=RTOL_MIN)
             a, fa = b, fb
             step *= 2.0
@@ -606,7 +533,7 @@ def _nested_fallback(F, z0, in_domain):
             if not in_domain((z0[0], w1)):
                 continue
             g1 = outer(w1)
-            if g1 is not None and np.sign(g1) * np.sign(g0) < 0:
+            if g1 is not None and (g0 < 0 < g1 or g1 < 0 < g0):
                 try:
                     w_star = brentq(
                         outer_strict, min(w0, w1), max(w0, w1), xtol=1e-14, rtol=RTOL_MIN
@@ -940,17 +867,13 @@ def _tricritical_chain(kappa1_values, q, seed=(2.7163619942, 0.4371973853)):
     continuation entirely, or ParameterDomainError for a kappa1 at or
     above the window's upper end (``_window_end``).
     """
-    z = np.array(seed)
+    a, kappa2 = seed
     out = []
     for k1 in kappa1_values:
-        tp = find_tricritical(
-            pot.DOUBLE_YUKAWA,
-            k1,
-            initial_guess=(z[0], _dy_spec_unchecked(k1, z[1]).v1),
-            q=q,
-        )
-        z = np.array([tp.a_t, _kappa2_of_v1(k1, tp.param_t)])
-        out.append((k1, tp.a_t, z[1], tp.param_t))
+        guess = (a, _dy_spec_unchecked(k1, kappa2).v1)
+        tp = find_tricritical(pot.DOUBLE_YUKAWA, k1, initial_guess=guess, q=q)
+        a, kappa2 = tp.a_t, _kappa2_of_v1(k1, tp.param_t)
+        out.append((k1, a, kappa2, tp.param_t))
     return out
 
 

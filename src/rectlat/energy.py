@@ -88,22 +88,20 @@ def _grid_end(spec, area: float, eps_max: float) -> float:
     return _tail_cutoff(pot.tail_scale(spec, area), eps_max)
 
 
-def _grid_pass(spec, area, table_of, q, hi):
-    """``quadrature.integrate`` against the measure of one point (a spec and
-    its area) or of a sequence of points on the grid that ends at ``hi``."""
-    if isinstance(spec, pot.PotentialSpec):  # a lone point: float weights and prefactor
-        front = pot.front_factor(spec, area)
-    else:
-        front = np.array([pot.front_factor(s, a) for s, a in zip(spec, area)])[:, None]
+def _pass(spec, area, table_of, q, hi, front):
+    """``quadrature.integrate`` on the grid that ends at ``hi`` against the
+    measure of one point, or of a sequence of points with ``front`` their
+    column of prefactors."""
     w_direct = functools.partial(pot.weight_direct, spec, area)
     w_transformed = functools.partial(pot.weight_transformed, spec, area)
     return quadrature.integrate(table_of, w_direct, w_transformed, hi, q, front)
 
 
 def split_integral(spec, area: float, table_of, q=DEFAULT_CONFIG, eps_max: float = 0.0):
-    """``quadrature.integrate`` against the potential's measure: the stack
-    of one point of ``split_stack``."""
-    return _grid_pass(spec, area, table_of, q, _grid_end(spec, area, eps_max))
+    """``quadrature.integrate`` against the potential's measure, with float
+    weights and prefactor: the stack of one point of ``split_stack``."""
+    hi = _grid_end(spec, area, eps_max)
+    return _pass(spec, area, table_of, q, hi, pot.front_factor(spec, area))
 
 
 def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max: float = 0.0):
@@ -121,10 +119,12 @@ def split_stack(points, table_of, q: QuadratureConfig = DEFAULT_CONFIG, eps_max:
         grids.setdefault(_grid_end(spec, area, eps_max), []).append(i)
     out = None
     for hi, idx in grids.items():
-        if len(idx) == 1:  # a point alone on its grid
-            rows = _grid_pass(*points[idx[0]], table_of, q, hi)[None]
+        if len(idx) == 1:  # a point alone on its grid: float weights and prefactor
+            rows = split_integral(*points[idx[0]], table_of, q, eps_max)[None]
         else:
-            rows = _grid_pass(*zip(*(points[i] for i in idx)), table_of, q, hi)
+            specs, areas = zip(*(points[i] for i in idx))
+            front = np.array([pot.front_factor(s, a) for s, a in zip(specs, areas)])[:, None]
+            rows = _pass(specs, areas, table_of, q, hi, front)
         if len(idx) == len(points):  # one grid: its rows are the result
             return rows
         if out is None:

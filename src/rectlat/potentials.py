@@ -158,9 +158,11 @@ def make_spec(family, *, s=None, kappa=None, v=None, v1=None, kappa1=None) -> Po
 
 
 def _check_kappa1(kappa1):
-    """Refuse a repulsive screening outside (0, KAPPA1_MAX] before any exp."""
-    message = f"kappa1 must be positive and at most {KAPPA1_MAX:.12g}, got {kappa1}"
-    check_domain(0 < kappa1 <= KAPPA1_MAX, message, kappa1=kappa1)
+    """Refuse a repulsive screening outside (0, KAPPA1_MAX], or one whose
+    exp(kappa1)/kappa1 is no finite double, before any exp of it is used."""
+    message = f"kappa1 must be positive and at most {KAPPA1_MAX:.12g}, with exp(kappa1)/kappa1"
+    ok = 0 < kappa1 <= KAPPA1_MAX and math.exp(kappa1) / float(kappa1) < math.inf
+    check_domain(ok, f"{message} a finite double, got {kappa1}", kappa1=kappa1)
 
 
 def _normalization_residuals(v1, k1, v2, k2):
@@ -242,19 +244,19 @@ def weight_transformed(spec, area, u: np.ndarray, root=None) -> np.ndarray:
 
 
 def _weights(spec, area, u, root, transformed):
-    specs, areas = ((spec,), (area,)) if isinstance(spec, PotentialSpec) else (spec, area)
-    if specs[0].family == RIESZ:  # float exponents keep numpy's scalar-power shortcuts
+    lone = isinstance(spec, PotentialSpec)
+    family = spec.family if lone else spec[0].family
+    if family == RIESZ:  # float exponents keep numpy's scalar-power shortcuts
         w = [math.pi ** (s.s - 1.0) * u ** (-s.s / 2.0) if transformed else u ** (s.s / 2.0 - 1.0)
-             for s in specs]
-        return w[0] if len(w) == 1 else np.stack(w)
-    # each point's floats as for the point alone (``_rates``), several as columns
+             for s in ((spec,) if lone else spec)]
+        return w[0] if lone else np.stack(w)
     scale = 4.0 * math.pi**2 if transformed else 4.0
     rsq = np.sqrt(u) if root is None else root
-    if len(specs) == 1:
-        cols = _rates(specs[0], areas[0], scale)
-    else:
-        cols = np.array([_rates(s, a, scale) for s, a in zip(specs, areas)]).T[..., None]
-    if specs[0].family == YUKAWA:
+    if lone:  # float columns
+        cols = _rates(spec, area, scale)
+    else:  # each point's floats as for the point alone (``_rates``), as columns
+        cols = np.array([_rates(s, a, scale) for s, a in zip(spec, area)]).T[..., None]
+    if family == YUKAWA:
         return cols[1] * np.exp(cols[0] * u if transformed else cols[0] / u) / rsq
     p2, dp, v1, gap = cols
     w, x = (p2 * u, dp * u) if transformed else (p2 / u, dp / u)  # reused in place

@@ -100,7 +100,8 @@ class QuadratureConfig(
     being the integral of the absolute integrand.  ``split_point`` is the
     boundary between the directly-evaluated part of the t-integral and
     the part mapped through t -> pi^2/t.  Each field must be finite and
-    positive, in a new record as in one from ``_make`` or ``_replace``.
+    positive, in a new record as in one from ``_make`` or ``_replace``,
+    and both half-grids must start below the smallest grid end, 90.
     """
 
     __slots__ = ()
@@ -108,6 +109,8 @@ class QuadratureConfig(
     def __new__(cls, rel_tol=1e-12, abs_tol=1e-14, split_point=math.pi):
         for name, x in zip(cls._fields, (rel_tol, abs_tol, split_point)):
             check_domain(x > 0, f"{name} must be finite and positive, got {x}", **{name: x})
+        message = f"split_point must lie in (pi^2/{_BASE_HI:g}, {_BASE_HI:g}), got {split_point}"
+        check_domain(split_point < _BASE_HI and math.pi**2 / split_point < _BASE_HI, message)
         return super().__new__(cls, rel_tol, abs_tol, split_point)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -199,30 +202,19 @@ def integrate(table_of, w_direct, w_transformed, hi: float, q=DEFAULT_CONFIG, fr
     per measure for a stack of them, with ``front`` a ``(k, 1)`` column.
     The value is the sum over the grids' nodes of the contributions
     ``front * weights * w * B`` (one grid from ``pi`` with the two weights
-    summed at the default split, one grid per half elsewhere, added from
-    0.0), the scale the sum of their absolute values and the error the
-    null-rule estimate.  The value is returned when every component's
-    error is at most ``max(rel_tol * scale, abs_tol)``; otherwise a
-    ``QuadratureError`` carries the largest error as its residual.
+    summed at the default split, one grid per half elsewhere), the scale
+    the sum of their absolute values and the error the null-rule estimate.
+    The value is returned when every component's error is at most
+    ``max(rel_tol * scale, abs_tol)``; otherwise a ``QuadratureError``
+    carries the largest error as its residual.
     """
     a = q.split_point
     if a == math.pi:  # both halves start at pi: one grid, the two weights summed
-        sides = ((a, w_direct, w_transformed),)
+        value, error, scale = _sums(table_of, grid_for(a, hi, 0), front, w_direct, w_transformed)
     else:
-        sides = ((a, w_direct, None), (math.pi**2 / a, w_transformed, None))
-    value = scale = error = 0.0
-    for lo, weight, added in sides:
-        grid = grid_for(lo, hi, 0)
-        u, root = grid.nodes, grid.root
-        w = front * grid.weights  # a row per measure for a column ``front``
-        w *= weight(u, root) if added is None else weight(u, root) + added(u, root)
-        table = table_of(grid)
-        # (k, n) weights against (m, n) brackets: (k, m, n)
-        contrib = (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
-        value += np.add.reduce(contrib, -1)
-        null = contrib.reshape(contrib.shape[:-1] + (-1, _GL_ORDER)) @ _NULL_RULE
-        error += np.add.reduce(np.abs(null, out=null), (-2, -1))
-        scale += np.add.reduce(np.abs(contrib, out=contrib), -1)
+        value, error, scale = _sums(table_of, grid_for(a, hi, 0), front, w_direct)
+        v, e, s = _sums(table_of, grid_for(math.pi**2 / a, hi, 0), front, w_transformed)
+        value, error, scale = value + v, error + e, scale + s
     if (error <= np.maximum(q.rel_tol * scale, q.abs_tol)).all():
         return value
     raise QuadratureError(
@@ -230,3 +222,17 @@ def integrate(table_of, w_direct, w_transformed, hi: float, q=DEFAULT_CONFIG, fr
         f"(error estimate {np.max(error):.3e} against scale {np.max(scale):.3e})",
         residual=float(np.max(error)),
     )
+
+
+def _sums(table_of, grid, front, weight, added=None):
+    """``(value, error, scale)`` of one grid's contributions (``integrate``)."""
+    u, root = grid.nodes, grid.root
+    w = front * grid.weights  # a row per measure for a column ``front``
+    w *= weight(u, root) if added is None else weight(u, root) + added(u, root)
+    table = table_of(grid)
+    # (k, n) weights against (m, n) brackets: (k, m, n)
+    contrib = (w[:, None] if w.ndim > 1 and table.ndim > 1 else w) * table
+    value = np.add.reduce(contrib, -1)
+    null = contrib.reshape(contrib.shape[:-1] + (-1, _GL_ORDER)) @ _NULL_RULE
+    error = np.add.reduce(np.abs(null, out=null), (-2, -1))
+    return value, error, np.add.reduce(np.abs(contrib, out=contrib), -1)

@@ -10,7 +10,8 @@ they evaluate the same points in the same order and return the same
 doubles, without the cost of importing scipy.  A failure is a refusal:
 ``BracketError`` for a bracket without a sign change,
 ``ParameterDomainError`` for a NaN function value, ``NonconvergenceError``
-at the iteration cap.
+at the iteration cap.  The real roots of a cubic come in closed form,
+each polished by Newton (``real_roots``).
 """
 
 from __future__ import annotations
@@ -187,3 +188,87 @@ def minimize_scalar(f, lo, hi, xatol):
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
     return xf, fx
+
+
+def _horner(poly, x):
+    """``(value, derivative)`` at ``x`` of ``poly`` (highest degree first)."""
+    f = df = 0.0
+    for c in poly:
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _polished(poly, x):
+    """``x`` after Newton steps on ``poly`` (highest degree first) for as
+    long as they move it and shrink the residual, at most three."""
+    f, df = _horner(poly, x)
+    for _ in range(3):
+        if df == 0.0:
+            break
+        x_new = x - f / df
+        if x_new == x:
+            break
+        f_new, df_new = _horner(poly, x_new)
+        if not abs(f_new) < abs(f):
+            break
+        x, f, df = x_new, f_new, df_new
+    return x
+
+
+def _quadratic_roots(a, b, c):
+    """Roots of ``a x^2 + b x + c`` (a != 0) without cancellation; a complex
+    pair whose imaginary part is below 1e-10 of its real part (or of 1) is
+    taken as a double root at that real part, and any other is dropped."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        re = -b / (2.0 * a)
+        im = math.sqrt(-disc) / (2.0 * abs(a))
+        return [re, re] if im <= 1e-10 * max(1.0, abs(re)) else []
+    w = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [w / a, c / w] if w != 0.0 else [0.0, 0.0]
+
+
+def _cubic_roots(poly):
+    """Real roots of the cubic ``poly`` (highest degree first).
+
+    One root comes in closed form, polished: the largest of the
+    trigonometric solution where all three are real and distinct, else
+    Cardano's real root.  The other two are the roots of the quadratic
+    left by dividing it out, from the constant term down when it is the
+    larger root and from the leading term down otherwise, so that the
+    division does not lose the smaller roots to cancellation.
+    """
+    a, b, c, d = poly
+    # the depressed cubic t^3 + p t + q in t = x + b / 3a
+    s = b / (3.0 * a)
+    p = c / a - 3.0 * s * s
+    q = (2.0 * s * s - c / a) * s + d / a
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc < 0.0:  # so p < 0
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 1.5 * q / (p * math.sqrt(-p / 3.0))))) / 3.0
+        t = m * math.cos(phi if s < 0.0 else phi + 2.0 * math.pi / 3.0)
+    else:
+        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        t = u - p / (3.0 * u) if u != 0.0 else 0.0
+    x1 = _polished(poly, t - s)
+    if abs(a * x1**3) > abs(d):
+        q0 = -d / x1
+        q1 = (q0 - c) / x1
+    else:
+        q1 = b + a * x1
+        q0 = c + q1 * x1
+    return [x1, *(_polished(poly, x) for x in _quadratic_roots(a, q1, q0))]
+
+
+def real_roots(a, b, c, d):
+    """Real roots of ``a x^3 + b x^2 + c x + d`` in closed form, one degree
+    lower for each leading zero coefficient, each polished by Newton; a
+    near-real complex pair counts as a double root (``_quadratic_roots``)."""
+    if a != 0.0:
+        return _cubic_roots((a, b, c, d))
+    if b != 0.0:
+        return [_polished((b, c, d), x) for x in _quadratic_roots(b, c, d)]
+    return [-d / c] if c != 0.0 else []

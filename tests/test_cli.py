@@ -483,6 +483,11 @@ class TestExtremeInputs:
             f"{DY_GUESS} --guess-a 1e-300 --guess-param 6.8",
             f"{DY_GUESS} --guess-a 2.7 --guess-param -7.38905609893065",
             "tricritical --family yukawa-coulomb --guess-a 1e300 --guess-param 2.04",
+            # a subnormal density: the starting residual's norm overflows
+            f"{DY_GUESS} --guess-a 5e-324 --guess-param 6.8",
+            f"{DY_GUESS} --guess-a 1e-310 --guess-param 6.8",
+            "tricritical --family yukawa-coulomb --guess-a 5e-324 --guess-param 2.04",
+            "tricritical --family yukawa-coulomb --guess-a 1e-310 --guess-param 2.04",
         ],
     )
     def test_extreme_value_is_a_documented_refusal(self, capsys, argv):
@@ -492,6 +497,20 @@ class TestExtremeInputs:
         assert err == "" if code == 0 else err.startswith(LABELS)
         for text in ("math domain", "NaN to integer", "nan against", "Traceback"):
             assert text not in err
+
+    @pytest.mark.parametrize("split", ["1e15", "1e30", "1e300", "5e-324", "0.1", "90"])
+    def test_split_point_off_the_grids_is_refused(self, capsys, split):
+        # a half-grid would start at or above the smallest grid end, 90
+        assert main(f"energy {DY} --area 2.6 --split-point {split}".split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: split_point must lie in (pi^2/90, 90), got ")
+
+    def test_subnormal_kappa1_fails_its_row_alone(self, capsys):
+        assert main("scan --mode yukawa-coulomb --kappa1-grid 5e-324:2:log:2".split()) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "exp(kappa1)/kappa1 a finite double, got 5e-324" in out.splitlines()[1]
+        assert out.splitlines()[2].startswith("yukawa-coulomb,2,")
 
 
 class TestExitCode:

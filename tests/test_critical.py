@@ -257,6 +257,68 @@ class TestFindTricritical:
             find_tricritical("double-yukawa", warm_end if kappa1 is None else kappa1)
         assert calls == []
 
+    # The Newton solves' doubles, fixed bit for bit (``repr``): (A, param),
+    # the residuals, the Jacobian's condition number and the trace length.
+    # A change to the solver's arithmetic shows here, at the solve it moved.
+    PINNED = {
+        "yukawa-coulomb": (
+            (None, None),
+            ("2.7954339501894836", "2.0365177601065243"),
+            ("-1.5596603607995134e-16", "-3.986253516808985e-17"),
+            "7.462557197980641",
+            4,
+        ),
+        "double-yukawa 2.0": (
+            (2.0, None),
+            ("2.716361994226237", "6.795184501107865"),
+            ("2.281669259805609e-16", "5.842960325102252e-17"),
+            "34.17501844112576",
+            4,
+        ),
+        # the locus row at kappa1 = 2.03 of ``scan --kappa1-grid 1.6:2.03:lin:12``,
+        # warm-started from the row at 1.9909090909090907
+        "double-yukawa 2.03 warm": (
+            (2.03, (2.705774078801246, 7.166000708035207)),
+            ("2.768741170757358", "5.105212107987292"),
+            ("-1.1468503836256576e-16", "-2.5923231592481048e-17"),
+            "85.1594371137128",
+            7,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_solve_keeps_its_bits(self, case, warm_end, monkeypatch):
+        (kappa1, guess), at, residuals, cond, steps = self.PINNED[case]
+        traces = []
+        inner = rectlat.critical._newton2
+
+        def traced(*args):
+            out = inner(*args)
+            traces.append(out[3])
+            return out
+
+        monkeypatch.setattr(rectlat.critical, "_newton2", traced)
+        tc = find_tricritical(case.split()[0], kappa1, initial_guess=guess)
+        assert (repr(tc.a_t), repr(tc.param_t)) == at
+        assert tuple(repr(float(r)) for r in tc.residuals) == residuals
+        assert repr(tc.jacobian_condition) == cond
+        assert [len(trace) for trace in traces] == [steps]
+
+    def test_kappa1_lower_keeps_its_bits(self, q):
+        assert repr(kappa1_lower(q)) == "1.4368014225754233"
+
+    @pytest.mark.parametrize("guess_a", [5e-324, 1e-310])
+    @pytest.mark.parametrize("family, kappa1, param", [("double-yukawa", 2.0, 6.8),
+                                                      ("yukawa-coulomb", None, 2.04)])
+    def test_subnormal_guess_stops_newton_without_a_warning(
+        self, family, kappa1, param, guess_a, warm_end
+    ):
+        # the starting residual's dot overflows: Newton names that stop
+        # (warnings are errors here), and the nested fallback finds nothing
+        with pytest.raises(NonconvergenceError) as info:
+            find_tricritical(family, kappa1, initial_guess=(guess_a, param))
+        assert "residual norm not finite" in str(info.value.__cause__)
+
     def test_one_pass_per_newton_step(self, monkeypatch, q, count_calls):
         # the start, its Jacobian stencil and the residual scale's two
         # points share the first pass; the first candidate goes alone, and
@@ -366,6 +428,38 @@ class TestFindTricritical:
         assert math.isnan(tc.jacobian_condition)  # the fallback ran
         assert len(seen) > 100
         assert len(set(seen)) == len(seen)
+
+
+class TestNewton2Stops:
+    """Each stop of the 2D Newton on a batch evaluator of a plain function."""
+
+    @staticmethod
+    def solve(g, z0=(1.0, 1.0), in_domain=lambda z: True):
+        F = lambda points: [np.array(g(a, w), dtype=float) for a, w in points]
+        return rectlat.critical._newton2(F, z0, in_domain, rectlat.critical._RELATIVE_STEPS)
+
+    def test_linear_system_converges_on_floats(self):
+        z, f, cond, trace = self.solve(lambda a, w: (a + w - 3.0, a - w + 1.0))
+        assert z == pytest.approx((1.0, 2.0), rel=1e-14)
+        assert all(type(x) is float for x in (*z, *trace[-1]))
+        assert cond == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "g, in_domain, stop",
+        [
+            (lambda a, w: (1e200 * a, 1e200 * w), None, "residual norm not finite"),
+            # the density stencil's values differ by more than the largest double
+            (lambda a, w: (math.copysign(1.5e308, a - 1.0) if 0.0 < abs(a - 1.0) < 0.01 else w,
+                           a - 1.0), None, "Jacobian not finite"),
+            (lambda a, w: (a + w, a + w), None, "singular Jacobian"),
+            (lambda a, w: (a + w - 3.0, a - w + 1.0), lambda z: z == (1.0, 1.0),
+             "line search exhausted"),
+        ],
+        ids=["overflowing-residual", "overflowing-jacobian", "singular", "no-candidate"],
+    )
+    def test_stop_is_named(self, g, in_domain, stop):
+        with pytest.raises(NonconvergenceError, match=stop):
+            self.solve(g, in_domain=in_domain or (lambda z: True))
 
 
 class TestKappa1Lower:

@@ -8,6 +8,7 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,10 @@ def test_non_finite_flag_exits_2(argv):
     [
         lambda: derive_double_yukawa(9.8, 1000.0),
         lambda: derive_yukawa_coulomb(800.0),
+        # exp(kappa1)/kappa1 overflows: a subnormal screening (numpy's too)
+        lambda: derive_yukawa_coulomb(5e-324),
+        lambda: derive_yukawa_coulomb(np.float64(1e-310)),
+        lambda: derive_double_yukawa(9.8, 5e-324),
         lambda: find_tricritical("double-yukawa", 1000.0),
         lambda: find_tricritical("double-yukawa", 0.0),
         lambda: find_tricritical("double-yukawa", -1.0),
@@ -114,8 +119,8 @@ def test_non_finite_flag_exits_2(argv):
         # the Yukawa-Coulomb solve finds kappa1 itself; a given one was ignored
         lambda: find_tricritical("yukawa-coulomb", 5.0),
     ],
-    ids=["dy-1000", "yc-800", "tricritical-1000", "tricritical-0", "tricritical--1",
-         "tricritical-nan", "tricritical-yc-5"],
+    ids=["dy-1000", "yc-800", "yc-5e-324", "yc-np-1e-310", "dy-5e-324", "tricritical-1000",
+         "tricritical-0", "tricritical--1", "tricritical-nan", "tricritical-yc-5"],
 )
 def test_out_of_domain_kappa1_is_a_domain_error(call):
     with pytest.raises(ParameterDomainError, match="kappa1"):
@@ -170,6 +175,7 @@ def test_bad_tricritical_guess_exits_2(family, kappa1, guess):
     [
         ["energy", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "1000", "--area", "2.6"],
         ["energy", "--family", "yukawa-coulomb", "--kappa1", "800", "--area", "2.6"],
+        ["energy", "--family", "yukawa-coulomb", "--kappa1", "5e-324", "--area", "2.6"],
         ["tricritical", "--family", "double-yukawa", "--kappa1", "1000"],
         ["tricritical", "--family", "double-yukawa", "--kappa1", "0"],
         ["tricritical", "--family", "double-yukawa", "--kappa1=-1"],
@@ -178,8 +184,9 @@ def test_bad_tricritical_guess_exits_2(family, kappa1, guess):
         # above the tricritical window's upper end (kappa1 = 2.0365...)
         ["tricritical", "--family", "double-yukawa", "--kappa1", "2.05"],
     ],
-    ids=["energy-dy-1000", "energy-yc-800", "tricritical-1000", "tricritical-0",
-         "tricritical--1", "tricritical-nan", "tricritical-yc-5", "tricritical-2.05"],
+    ids=["energy-dy-1000", "energy-yc-800", "energy-yc-5e-324", "tricritical-1000",
+         "tricritical-0", "tricritical--1", "tricritical-nan", "tricritical-yc-5",
+         "tricritical-2.05"],
 )
 def test_out_of_domain_kappa1_exits_2(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -37,6 +37,12 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(split_point=0.0)
+    # both half-grids start below the smallest grid end, 90
+    for split in (math.pi**2 / 90.0, 90.0, 1e15, 5e-324):
+        with pytest.raises(ParameterDomainError, match="split_point must lie in"):
+            QuadratureConfig(split_point=split)
+    for split in (0.11, 89.9):
+        assert QuadratureConfig(split_point=split).split_point == split
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3", None, 9, 10**6])

@@ -42,8 +42,16 @@ DY = ["--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2"]
             ["tricritical", "--family", "yukawa-coulomb"],
             ("quadrature.nodes", "potentials.weight_nodes"),
         ),
+        # the locus with its bounds: kappa1_upper's walk takes Newton's stops,
+        # the nested fallback and its Brent steps through the names it wraps
+        (
+            ["scan", "--mode", "tricritical-locus", "--kappa1-grid", "2:2.03:lin:2"],
+            ("critical.newton_fallbacks", "critical.find_tricritical:raised:NonconvergenceError",
+             "critical.brent_evals", "potentials.weight_nodes"),
+        ),
     ],
-    ids=["expand", "scan-a-star-min", "scan-yukawa-coulomb", "tricritical-yukawa-coulomb"],
+    ids=["expand", "scan-a-star-min", "scan-yukawa-coulomb", "tricritical-yukawa-coulomb",
+         "scan-tricritical-locus"],
 )
 def test_tracer_counts_the_layers(tmp_path, argv, counted):
     out = tmp_path / "trace.json"

@@ -163,9 +163,10 @@ def _gap_scan(spec, area, q, lo):
 
 def _direct_minimum(spec, area, q):
     """Minimum ``(eps, gap)`` of the energy gap over [0, EPS_CAP]: the
-    bounded minimiser on ``energy_gap`` between the neighbours of the
-    lowest point of the whole 129-point lattice (``_gap_scan``).  A
-    minimum within ``_CAP_RTOL`` of the cap is refused with
+    root of its slope (``minimize_scalar``, one two-row ``energy_gap`` per
+    slope) between the neighbours of the lowest point of the whole
+    129-point lattice (``_gap_scan``), or an end where the slope keeps its
+    sign.  A minimum within ``_CAP_RTOL`` of the cap is refused with
     ``SearchFailureError``: the gap may fall further beyond it."""
     grid, i = _gap_scan(spec, area, q, 0.0)
     left = grid[max(i - 1, 0)]
@@ -395,7 +396,8 @@ def find_tricritical(
     ``ParameterDomainError`` before any solve at that kappa1.  For
     Yukawa-Coulomb the unknowns are (A, kappa1) directly, both positive,
     so a ``fixed_param`` is refused.  So is an ``initial_guess`` (A, v1 or
-    kappa1) that is not finite or that maps outside the solve's domain.
+    kappa1) that is not finite, whose A is below the smallest normal
+    double, or that maps outside the solve's domain.
 
     Raises ``NonconvergenceError`` when Newton fails and the nested
     fallback then finds nothing or ends at kappa2 <= 0; either error
@@ -441,7 +443,8 @@ def find_tricritical(
             return TricriticalPoint(float(z[0]), float(z[1]), tuple(f), cond)
 
     message = f"tricritical initial guess (A, param) {initial_guess!r} is outside the solve domain"
-    check_domain(in_domain(z0), message, guess_a=initial_guess[0], guess_param=initial_guess[1])
+    normal = z0[0] >= np.finfo(float).tiny  # a subnormal A overflows the residual's norm
+    check_domain(normal and in_domain(z0), message, guess_a=z0[0], guess_param=initial_guess[1])
     if family == pot.DOUBLE_YUKAWA:  # the guess first: the window ends cost solves
         end = _window_end(q)
         check_domain(

@@ -1,14 +1,14 @@
-"""Bracketed root finding and bounded scalar minimization (Brent 1973,
-*Algorithms for Minimization without Derivatives*, ch. 4 and 5).
+"""Bracketed root finding (Brent 1973, *Algorithms for Minimization
+without Derivatives*, ch. 4).
 
 A root is bracketed by the caller or at the first sign change of a scan
 (``sign_change``).  ``brentq`` is scipy's ``brentq`` (its C core
 ``Zeros/brentq.c`` plus the checks of the Python wrapper, which refuse a
-bracket without a sign change) and ``minimize_scalar`` is scipy's
-``minimize_scalar(method="bounded")``, ported operation for operation:
-they evaluate the same points in the same order and return the same
-doubles, without the cost of importing scipy.  A failure is a refusal:
-``BracketError`` for a bracket without a sign change,
+bracket without a sign change), ported operation for operation: it
+evaluates the same points in the same order and returns the same
+doubles, without the cost of importing scipy.  A bounded minimum is the
+``brentq`` root of a central difference (``minimize_scalar``).  A failure
+is a refusal: ``BracketError`` for a bracket without a sign change,
 ``ParameterDomainError`` for a NaN function value, ``NonconvergenceError``
 at the iteration cap.  The real roots of a cubic come in closed form,
 each polished by Newton (``real_roots``).
@@ -25,7 +25,9 @@ from .errors import BracketError, NonconvergenceError, check_domain
 RTOL_MIN = 4 * sys.float_info.epsilon
 
 _BRENT_MAXITER = 100
-_BOUNDED_MAXFUN = 500
+
+# The half step of ``minimize_scalar``'s central difference.
+_MIN_STEP = 1e-5
 
 
 def sign_change(f, points):
@@ -114,80 +116,27 @@ def brentq(f, a, b, xtol, rtol):
 
 
 def minimize_scalar(f, lo, hi, xatol):
-    """``(x, f(x))`` at a local minimum of ``f`` on [lo, hi], located to
-    within ``xatol`` plus about sqrt(machine eps) * |x|."""
+    """``(x, f(x))`` at a local minimum of ``f`` on [lo, hi]: the root, to
+    within ``xatol``, of the central difference ``f(x + h) - f(x - h)``
+    (h = 1e-5), or the end where that difference does not change sign.
+
+    Each difference is one call of ``f`` on the list ``[x + h, x - h]``,
+    which gives the two values; ``brentq`` reuses the two end differences.
+    """
     check_domain(lo <= hi, f"lower bound {lo} exceeds upper bound {hi}", lo=lo, hi=hi)
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
 
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        if num >= _BOUNDED_MAXFUN:
-            raise NonconvergenceError(
-                f"bounded minimization did not converge in {_BOUNDED_MAXFUN} evaluations "
-                f"(last x={xf!r})"
-            )
-        golden = True
-        if abs(e) > tol1:
-            # parabolic fit through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = -tol1 if xm < xf else tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
+    def slope(x):
+        up, down = f([x + _MIN_STEP, x - _MIN_STEP])
+        return up - down
 
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+    ends = {lo: slope(lo), hi: slope(hi)}
+    if ends[lo] >= 0:
+        x = lo
+    elif ends[hi] <= 0:
+        x = hi
+    else:
+        x = brentq(lambda t: ends[t] if t in ends else slope(t), lo, hi, xatol, RTOL_MIN)
+    return x, f(x)
 
 
 def _horner(poly, x):

@@ -7,10 +7,11 @@ import pytest
 import rectlat.quadrature
 from rectlat import derive_double_yukawa, derive_yukawa_coulomb
 from rectlat import potentials as pot
-from rectlat.energy import split_integral
+from rectlat.energy import energy_gap, split_integral
 from rectlat.errors import check_domain
 from rectlat.expansion import _p2_p4_table
 from rectlat.quadrature import DEFAULT_CONFIG, QuadratureConfig
+from rectlat.solvers import RTOL_MIN, brentq
 from rectlat.theta import _theta_excess
 
 
@@ -74,6 +75,18 @@ def p4_table(grid):
 def e4_closed(spec, area, q=DEFAULT_CONFIG):
     """E4 alone: the eps^4 row of the closed table, integrated on its own."""
     return split_integral(spec, area, p4_table, q)
+
+
+def gap_slope_root(spec, area, eps, q=DEFAULT_CONFIG):
+    """The root within 1e-3 of ``eps`` of d gap/d eps, the 4-point
+    Richardson difference (step 3e-4) of ``energy_gap``, to 1e-14."""
+    h = 3e-4
+
+    def slope(e):
+        g = energy_gap(spec, area, [e + 2 * h, e + h, e - h, e - 2 * h], q)
+        return (8.0 * (g[1] - g[2]) - (g[0] - g[3])) / (12.0 * h)
+
+    return brentq(slope, eps - 1e-3, eps + 1e-3, xtol=1e-14, rtol=RTOL_MIN)
 
 
 # Stirling numbers of the second kind, S(m, n) for n = 1..m: the m-th power of

@@ -483,11 +483,6 @@ class TestExtremeInputs:
             f"{DY_GUESS} --guess-a 1e-300 --guess-param 6.8",
             f"{DY_GUESS} --guess-a 2.7 --guess-param -7.38905609893065",
             "tricritical --family yukawa-coulomb --guess-a 1e300 --guess-param 2.04",
-            # a subnormal density: the starting residual's norm overflows
-            f"{DY_GUESS} --guess-a 5e-324 --guess-param 6.8",
-            f"{DY_GUESS} --guess-a 1e-310 --guess-param 6.8",
-            "tricritical --family yukawa-coulomb --guess-a 5e-324 --guess-param 2.04",
-            "tricritical --family yukawa-coulomb --guess-a 1e-310 --guess-param 2.04",
         ],
     )
     def test_extreme_value_is_a_documented_refusal(self, capsys, argv):
@@ -504,6 +499,23 @@ class TestExtremeInputs:
         assert main(f"energy {DY} --area 2.6 --split-point {split}".split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: split_point must lie in (pi^2/90, 90), got ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"{DY_GUESS} --guess-a 5e-324 --guess-param 6.8",
+            f"{DY_GUESS} --guess-a 1e-310 --guess-param 6.8",
+            "tricritical --family yukawa-coulomb --guess-a 5e-324 --guess-param 2.04",
+            "tricritical --family yukawa-coulomb --guess-a 1e-310 --guess-param 2.04",
+        ],
+    )
+    def test_subnormal_guess_density_is_refused(self, capsys, count_calls, argv):
+        # below the smallest normal double: exit 2 before any integral
+        integrals = count_calls()
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tricritical initial guess (A, param) ")
+        assert integrals == []
 
     def test_subnormal_kappa1_fails_its_row_alone(self, capsys):
         assert main("scan --mode yukawa-coulomb --kappa1-grid 5e-324:2:log:2".split()) == 0

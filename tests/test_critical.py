@@ -38,7 +38,7 @@ from rectlat.expansion import e2_closed
 from rectlat.potentials import derive_double_yukawa, derive_yukawa_coulomb, yukawa
 from rectlat.solvers import RTOL_MIN, brentq
 
-from conftest import direct_lattice_sum, e4_closed
+from conftest import direct_lattice_sum, e4_closed, gap_slope_root
 
 
 class TestMinimizeAspect:
@@ -70,18 +70,33 @@ class TestMinimizeAspect:
         assert energy < lattice_energy(dy98, LatticeState(2.7, 0.0))
 
     @pytest.mark.parametrize("area", [3.0, 3.5, 3.6])
-    def test_minimum_pinned_at_the_cap_is_refused(self, dy98, area):
+    def test_minimum_pinned_at_the_cap_is_refused(self, dy98, area, count_calls):
         # far above the transition the direct gap still falls at the cap
-        # (delta = 4): the bounded minimiser ends 4e-8 short of it, and that
-        # is no minimum of the aspect
+        # (delta = 4): its slope is negative at both ends of the bracket, so
+        # the minimiser returns the cap itself, and that is no minimum of
+        # the aspect; the scan, the two end slopes and the value are 4 calls
+        calls = count_calls(rectlat.critical, "energy_gap")
         with pytest.raises(SearchFailureError, match="pinned at the search cap") as err:
             minimize_aspect(dy98, area)
         assert f"at A={area:.9f}" in str(err.value)
+        assert f"eps_min={rectlat.critical.EPS_CAP:.9f}" in str(err.value)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("area", [2.62, 2.63, 2.65, 2.7])
+    def test_direct_minimum_is_the_root_of_the_slope(self, dy98, area, q, count_calls):
+        # the direct minimum is a root of the gap's slope: within 3e-10 of
+        # the root of a 4-point Richardson slope, in at most 10 gap calls
+        calls = count_calls(rectlat.critical, "energy_gap")
+        eps_min, _ = minimize_aspect(dy98, area, q)
+        assert len(calls) <= 10
+        assert eps_min > 0.15
+        assert abs(eps_min - gap_slope_root(dy98, area, eps_min, q)) <= 3e-10
 
     def test_direct_scan_is_one_gap_call(self, dy98, monkeypatch):
         # the 129-point scan of the direct path is one stacked energy_gap,
         # accepted on the level-0 grid like every other integral here; the
-        # bounded refinement after it makes scalar energy_gap calls
+        # refinement after it takes each slope from a two-row call and the
+        # value at the minimum from one scalar call
         calls, levels = [], []
         gap = rectlat.critical.energy_gap
         grid_for = rectlat.quadrature.grid_for
@@ -98,8 +113,8 @@ class TestMinimizeAspect:
         monkeypatch.setattr(rectlat.critical, "energy_gap", recording_gap)
         eps_min, _ = minimize_aspect(dy98, 2.7)
         assert eps_min > 0.15
-        assert calls[0] == 129
-        assert len(calls) > 1 and set(calls[1:]) == {"scalar"}
+        assert calls[0] == 129 and calls[-1] == "scalar"
+        assert len(calls) > 3 and set(calls[1:-1]) == {2}
         assert levels and set(levels) == {0}
 
 
@@ -310,14 +325,14 @@ class TestFindTricritical:
     @pytest.mark.parametrize("guess_a", [5e-324, 1e-310])
     @pytest.mark.parametrize("family, kappa1, param", [("double-yukawa", 2.0, 6.8),
                                                       ("yukawa-coulomb", None, 2.04)])
-    def test_subnormal_guess_stops_newton_without_a_warning(
-        self, family, kappa1, param, guess_a, warm_end
-    ):
-        # the starting residual's dot overflows: Newton names that stop
-        # (warnings are errors here), and the nested fallback finds nothing
-        with pytest.raises(NonconvergenceError) as info:
+    def test_subnormal_guess_is_refused(self, family, kappa1, param, guess_a, count_calls):
+        # a density below the smallest normal double would overflow the
+        # starting residual's norm: refused with the other guesses, before
+        # any point reaches the batch evaluator (the window ends' solves too)
+        calls = count_calls(rectlat.critical, "e2_e4_stack")
+        with pytest.raises(ParameterDomainError, match="outside the solve domain"):
             find_tricritical(family, kappa1, initial_guess=(guess_a, param))
-        assert "residual norm not finite" in str(info.value.__cause__)
+        assert calls == []
 
     def test_one_pass_per_newton_step(self, monkeypatch, q, count_calls):
         # the start, its Jacobian stencil and the residual scale's two

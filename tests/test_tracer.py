@@ -75,3 +75,28 @@ def test_tracer_counts_the_layers(tmp_path, argv, counted):
     assert counts["quadrature.grid_units"] == integrals
     # ``cli.emit_s`` is read from the span of ``cli._emit``
     assert any(name == "cli._emit" for _, name, *_ in doc["edges"])
+
+
+def test_tracer_counts_the_direct_minimiser():
+    # no command reaches the direct path of ``minimize_aspect`` (``fit``
+    # stays on the series branch), so the library call is traced directly:
+    # its refinement calls the gap through the minimiser the tracer wraps
+    script = (
+        "import tracer\n"
+        "from rectlat.critical import minimize_aspect\n"
+        "from rectlat.potentials import derive_double_yukawa\n"
+        "trace = tracer.Trace()\n"
+        "tracer.install(trace, 'full')\n"
+        "minimize_aspect(derive_double_yukawa(9.8, 2.0), 2.7)\n"
+        "print(trace.counts['critical.bounded_min_evals'])\n"
+    )
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0

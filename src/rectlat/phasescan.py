@@ -205,12 +205,8 @@ def _e2_root(spec, q, solved, misses):
 # and a predicted density lies anywhere between them.
 _DEEP_MARGIN = 1.2
 
-# A predicted crossing is guarded again when its eps misses the prediction
-# by more than this multiple of the last row's miss.
-_GUARD_GROWTH = 3.0
 
-
-def _predicted_crossing(spec, q, a_pred, eps_pred, last_miss):
+def _predicted_crossing(spec, q, a_pred, eps_pred):
     """A deep crossing ``(a_trans, eps_jump)`` solved from a predicted
     ``(a_pred, eps_pred)``, or None where the row must take
     ``find_first_order``'s path.
@@ -219,11 +215,9 @@ def _predicted_crossing(spec, q, a_pred, eps_pred, last_miss):
     gap series' barrier at ``a_pred``.  None where the series has no
     barrier there or its minimum lies within ``_DEEP_MARGIN`` of
     ``SERIES_EPS_MAX``, where ``eps_pred`` is outside the window, or where
-    the solve is refused.  On the first predicted row of a run
-    (``last_miss`` None), and where eps misses its prediction by more than
-    ``_GUARD_GROWTH`` times ``last_miss`` (both relative), the eps lattice
-    at or above the floor (``_gap_scan``) guards the global minimum: None
-    unless its lowest point is next to the solved eps.
+    the solve is refused.  The eps lattice at or above the floor
+    (``_gap_scan``) guards the global minimum: None unless its lowest point
+    is next to the solved eps.
     """
     try:
         eps_series, floor = _series_window(spec, a_pred, q)
@@ -232,10 +226,9 @@ def _predicted_crossing(spec, q, a_pred, eps_pred, last_miss):
         a_trans, eps_jump = _deep_crossing(spec, a_pred, eps_pred, floor, q)
     except RectlatError:
         return None
-    if last_miss is None or abs(eps_jump - eps_pred) > _GUARD_GROWTH * last_miss * eps_jump:
-        grid, i = _gap_scan(spec, a_trans, q, floor)
-        if abs(grid[i] - eps_jump) > GAP_LATTICE[1]:
-            return None
+    grid, i = _gap_scan(spec, a_trans, q, floor)
+    if abs(grid[i] - eps_jump) > GAP_LATTICE[1]:
+        return None
     return float(a_trans), float(eps_jump)
 
 
@@ -277,9 +270,8 @@ def _scan_rows(family, points, q, areas=None) -> list[PhaseDiagramRow]:
         else:
             done.append(None)
             jobs.append((k, point, spec, tp))
-    # per grid index, for a row with an ok deep crossing: A_trans less the
-    # row's E2 root, eps_jump, and the miss of eps_jump's prediction
-    shifts, jumps, jump_misses = ([None] * len(points) for _ in range(3))
+    # per grid index, for a row with an ok deep crossing: A_trans less its E2 root, eps_jump
+    shifts, jumps = [None] * len(points), [None] * len(points)
 
     def crossing_rows(job):
         k, point, spec, tp = job
@@ -287,16 +279,13 @@ def _scan_rows(family, points, q, areas=None) -> list[PhaseDiagramRow]:
         shift, eps = _prediction(shifts[before]), _prediction(jumps[before])
         crossing = None
         if shift is not None and shift[0] < 0.0 and eps is not None:
-            crossing = _predicted_crossing(
-                spec, q, tp.a_star + shift[0], eps[0], jump_misses[k - 1]
-            )
+            crossing = _predicted_crossing(spec, q, tp.a_star + shift[0], eps[0])
         try:
             rows = _transition_rows(spec, tp, q, crossing)
         except RectlatError as err:
             return [_failed_row(spec.family, point, err)]
         if rows[-1].status == "ok" and rows[-1].eps_jump > SERIES_EPS_MAX:
             shifts[k], jumps[k] = rows[-1].a_star - tp.a_star, rows[-1].eps_jump
-            jump_misses[k] = _miss(jumps[k], eps)
         return rows
 
     crossings = iter(_map_jobs(crossing_rows, jobs))

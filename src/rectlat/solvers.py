@@ -10,8 +10,8 @@ doubles, without the cost of importing scipy.  A bounded minimum is the
 ``brentq`` root of a central difference (``minimize_scalar``).  A failure
 is a refusal: ``BracketError`` for a bracket without a sign change,
 ``ParameterDomainError`` for a NaN function value, ``NonconvergenceError``
-at the iteration cap.  The real roots of a cubic come in closed form,
-each polished by Newton (``real_roots``).
+at the iteration cap.  Closed forms give a cubic's real roots, each
+polished by Newton (``real_roots``), and a 2x2 condition number (``cond2``).
 """
 
 from __future__ import annotations
@@ -221,3 +221,13 @@ def real_roots(a, b, c, d):
     if b != 0.0:
         return [_polished((b, c, d), x) for x in _quadratic_roots(b, c, d)]
     return [-d / c] if c != 0.0 else []
+
+
+def cond2(m):
+    """The 2-norm condition number of the 2x2 matrix ``m`` (two rows): the
+    singular values are (sp +- sm) / 2, sp = hypot(a + d, b - c) and
+    sm = hypot(a - d, b + c), and their product is |det|; inf at det = 0."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    s = math.hypot(a + d, b - c) + math.hypot(a - d, b + c)
+    return s * s / (4.0 * abs(det)) if det else math.inf

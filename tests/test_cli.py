@@ -378,6 +378,39 @@ class TestFitCommand:
         assert row["r_squared"] > 0.999
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tricritical", "--family", "double-yukawa", "--kappa1", "2"],
+        ["tricritical", "--family", "yukawa-coulomb"],
+        ["fit", "--family", "double-yukawa", "--v1", "9.8", "--kappa1", "2"],
+        ["scan", "--mode", "tricritical-locus", "--kappa1-grid", "2:2.03:lin:2",
+         "--format", "json"],
+    ],
+    ids=["tricritical-double-yukawa", "tricritical-yukawa-coulomb", "fit", "scan-locus-bounds"],
+)
+def test_no_command_reaches_an_svd(capsys, monkeypatch, argv):
+    # Newton's condition number and the fit's line are closed forms: with
+    # every numpy reference to svd and lstsq (np.linalg.cond and np.polyfit
+    # call them through their own) raising, the commands still succeed
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command reached an SVD")
+
+    for name in ("svd", "lstsq"):
+        original = getattr(np.linalg, name)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("numpy"):
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["rows"]
+    if argv[0] == "scan":
+        assert {"kappa1_lower", "kappa1_upper"} <= set(doc["meta"]["config"])
+
+
 def _run_module(*args, code=None):
     """``python -m rectlat.cli ARGS`` (or ``python -c CODE``) on the sources."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -124,9 +124,9 @@ def gap_scans(q):
     of the phase-diagram scans (double Yukawa kappa1 = 2 at the seven
     smallest v1 of its grid, Yukawa-Coulomb kappa1 in 1.9..2.03) and of
     ``minimize_aspect`` for v1 = 9.8, kappa1 = 2 at A = 3.0, 3.5, 3.6.
-    Seven deep rows walk their brackets and scan the lattice; of the four
-    whose crossings start from the rows before them, the first is guarded
-    by a scan."""
+    Seven deep rows walk their brackets and scan the lattice; the four
+    whose crossings start from the rows before them are each guarded by a
+    scan."""
     import rectlat.phasescan
     from rectlat.phasescan import scan_critical_curve, scan_yukawa_coulomb
 
@@ -147,14 +147,14 @@ def gap_scans(q):
         for area in (3.0, 3.5, 3.6):  # each refused at the cap, after its scan
             with pytest.raises(SearchFailureError):
                 minimize_aspect(derive_double_yukawa(9.8, 2.0), area, q)
-    assert deep_rows == 8
+    assert deep_rows == 11
     return calls
 
 
 def test_ranking_argmin_is_the_converged_argmin(gap_scans, q):
     # each scan picks the lowest converged gap of a suffix of the lattice;
     # the deep rows scan 92 (Yukawa-Coulomb kappa1 = 1.9) to 129 points
-    assert len(gap_scans) == 11
+    assert len(gap_scans) == 14
     for spec, area, grid, i in gap_scans:
         assert 92 <= grid.size <= 129
         assert grid.tobytes() == GAP_LATTICE[GAP_LATTICE.size - grid.size :].tobytes()
@@ -280,14 +280,14 @@ class TestFindTricritical:
             (None, None),
             ("2.7954339501894836", "2.0365177601065243"),
             ("-1.5596603607995134e-16", "-3.986253516808985e-17"),
-            "7.462557197980641",
+            "7.462557197980642",
             4,
         ),
         "double-yukawa 2.0": (
             (2.0, None),
             ("2.716361994226237", "6.795184501107865"),
             ("2.281669259805609e-16", "5.842960325102252e-17"),
-            "34.17501844112576",
+            "34.175018441125744",
             4,
         ),
         # the locus row at kappa1 = 2.03 of ``scan --kappa1-grid 1.6:2.03:lin:12``,
@@ -296,7 +296,7 @@ class TestFindTricritical:
             (2.03, (2.705774078801246, 7.166000708035207)),
             ("2.768741170757358", "5.105212107987292"),
             ("-1.1468503836256576e-16", "-2.5923231592481048e-17"),
-            "85.1594371137128",
+            "85.15943711371273",
             7,
         ),
     }
@@ -318,6 +318,22 @@ class TestFindTricritical:
         assert tuple(repr(float(r)) for r in tc.residuals) == residuals
         assert repr(tc.jacobian_condition) == cond
         assert [len(trace) for trace in traces] == [steps]
+
+    def test_condition_number_is_exact_to_4_ulp(self, monkeypatch):
+        # the closed form against a 50-digit SVD of each converged Jacobian
+        # of the pinned solves
+        jacs = []
+        inner = rectlat.critical.cond2
+        monkeypatch.setattr(rectlat.critical, "cond2", lambda jac: jacs.append(jac) or inner(jac))
+        for case in self.PINNED:
+            (kappa1, guess), *_ = self.PINNED[case]
+            find_tricritical(case.split()[0], kappa1, initial_guess=guess)
+        assert len(jacs) >= len(self.PINNED)
+        with mpmath.workdps(50):
+            for jac in jacs:
+                sigma = mpmath.svd_r(mpmath.matrix(jac), compute_uv=False)
+                exact = max(sigma) / min(sigma)
+                assert abs(inner(jac) - exact) <= 4 * math.ulp(float(exact))
 
     def test_kappa1_lower_keeps_its_bits(self, q):
         assert repr(kappa1_lower(q)) == "1.4368014225754233"
@@ -883,6 +899,36 @@ class TestFitExponent:
         assert fit.r_squared > 0.999
         assert fit.window == (deltas[0], deltas[-1])
         assert fit.amplitude > 0.0
+
+    @pytest.mark.parametrize("window", ["second-order", "tricritical"])
+    def test_line_matches_polyfit(self, window, monkeypatch, dy98, q):
+        # the closed-form line against numpy's least squares on the samples
+        # of fit's default windows
+        if window == "second-order":
+            spec, a_ref = dy98, find_transition(dy98, (2.0, 3.2), q).a_star
+            deltas = np.geomspace(*rectlat.critical.SECOND_ORDER_WINDOW, 12) * a_ref
+        else:
+            tc = find_tricritical("double-yukawa", 2.0, q=q)
+            spec, a_ref = derive_double_yukawa(tc.param_t, 2.0), tc.a_t
+            deltas = np.geomspace(*rectlat.critical.TRICRITICAL_WINDOW, 12) * a_ref
+        eps = []
+        inner = rectlat.critical.minimize_aspect
+
+        def recorded(*args):
+            out = inner(*args)
+            eps.append(out[0])
+            return out
+
+        monkeypatch.setattr(rectlat.critical, "minimize_aspect", recorded)
+        fit = fit_exponent(spec, a_ref, q=q)
+        assert fit.window == (deltas[0], deltas[-1])
+        x, y = np.log(deltas), np.log(np.expm1(eps))
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        r_squared = 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
+        assert fit.beta == pytest.approx(slope, rel=1e-13)
+        assert fit.amplitude == pytest.approx(math.exp(intercept), rel=1e-13)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-13)
 
 
 class TestLargeStrengthLimit:

@@ -328,9 +328,9 @@ class TestPredictedCrossings:
         refused = []
         predicted = phasescan._predicted_crossing
 
-        def spoiled(spec, q, a_pred, eps_pred, last_miss):
+        def spoiled(spec, q, a_pred, eps_pred):
             floor = phasescan._series_window(spec, a_pred, q)[1]
-            crossing = predicted(spec, q, *bad(a_pred, eps_pred, floor), last_miss)
+            crossing = predicted(spec, q, *bad(a_pred, eps_pred, floor))
             refused.append(crossing is None)
             return crossing
 
@@ -341,8 +341,7 @@ class TestPredictedCrossings:
 
     def test_guard_refuses_a_crossing_off_the_global_minimum(self, monkeypatch, q):
         # a solve that ends 0.2 above the branch minimum: the eps lattice
-        # guards the first predicted row, and the second misses its
-        # prediction by more than three times the first's miss
+        # guards every predicted row
         solve = phasescan._deep_crossing
         monkeypatch.setattr(
             phasescan, "_deep_crossing", lambda *args: (lambda a, eps: (a, eps + 0.2))(*solve(*args))

@@ -204,12 +204,16 @@ def minimize_aspect(spec, area: float, q: QuadratureConfig = DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 
 
-def find_transition(spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG) -> TransitionPoint:
+def find_transition(
+    spec, a_bracket, q: QuadratureConfig = DEFAULT_CONFIG, e2=None
+) -> TransitionPoint:
     """Root of E2(A) on ``a_bracket``, classified by the sign of E4 there;
-    a bracket without a sign change is refused with ``BracketError``."""
+    a bracket without a sign change is refused with ``BracketError``.
+    ``e2`` is E2(A) of ``spec`` memoised by a caller whose bracket search
+    took some of its values, which Brent then reuses."""
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
     try:
-        a_star = brentq(lambda a: e2_closed(spec, a, q), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
+        a_star = brentq(e2 or (lambda a: e2_closed(spec, a, q)), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
     except BracketError as err:
         raise BracketError(f"E2 does not change sign on [{lo}, {hi}]: {err}") from err
     e2v, e4v = e2_e4_stack([(spec, a_star)], q)[0]
@@ -489,6 +493,16 @@ def _window_start(q: QuadratureConfig) -> float:
     return kappa1_lower(q)
 
 
+def _walk(a, step):
+    """The densities a, a + step, a + 3 step, ... of a bracket walk, the step
+    doubling each time: at most 61, and only while they are positive."""
+    for _ in range(61):
+        if not a > 0.0:
+            return
+        yield a
+        a, step = a + step, 2.0 * step
+
+
 def _nested_fallback(F, z0, in_domain):
     """Outer 1D root in the family parameter of E4 evaluated on the E2 root.
 
@@ -498,21 +512,13 @@ def _nested_fallback(F, z0, in_domain):
     """
 
     def a_root(w, a_hint):
+        # the density root at the first sign change of a doubling walk from
+        # the hint; E2 is decreasing in A near the transition, so a positive
+        # value there means the root lies to the right
         g = lambda a: F([(a, w)])[0][0]
-        a, fa = a_hint, g(a_hint)
-        step = 2e-3 * a_hint
-        for _ in range(60):
-            # E2 is decreasing in A near the transition: positive value
-            # means the root lies to the right
-            b = a + step if fa > 0 else a - step
-            if b <= 0:
-                return None
-            fb = g(b)
-            if fa < 0 < fb or fb < 0 < fa:
-                return brentq(g, min(a, b), max(a, b), xtol=1e-15, rtol=RTOL_MIN)
-            a, fa = b, fb
-            step *= 2.0
-        return None
+        step = 2e-3 * a_hint if g(a_hint) > 0 else -2e-3 * a_hint
+        bracket = sign_change(g, _walk(a_hint, step))
+        return None if bracket is None else brentq(g, *sorted(bracket), xtol=1e-15, rtol=RTOL_MIN)
 
     def outer(w, state={"a": z0[0]}):
         a = a_root(w, state["a"])
@@ -714,12 +720,7 @@ def first_order_bracket(spec, a_hint: float, q: QuadratureConfig = DEFAULT_CONFI
         if rate > 0.0:  # no further than a tenth of the density, whatever the slope
             step = min(max(step, 0.5 * g(hi) / rate), 0.1 * hi)
 
-    def walk(a, step):
-        while a > 0.0:
-            yield a
-            a, step = a - step, 2.0 * step
-
-    bracket = sign_change(g, walk(hi, step))
+    bracket = sign_change(g, _walk(hi, -step))
     if bracket is None:
         raise BracketError(f"could not bracket the branch-energy crossing below A={a_hint}")
     return bracket[::-1]  # the walk runs leftward
@@ -820,21 +821,30 @@ def _a_star_min_condition(kappa1: float, area: float, q: QuadratureConfig) -> fl
     )
 
 
-def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Limiting transition density of the double-Yukawa family at v1 -> inf,
-    bracketed at the first sign change on a 41-point grid over A in [0.2, 20]."""
+def _a_star_min_root(kappa1, densities, q):
+    """Brent's root of the limiting condition at its first sign change over
+    ``densities``, where a zero value is no sign (above kappa1 ~ 700 the
+    condition underflows to 0.0).  The condition is memoised, so Brent and
+    the refusals read the values the search took: ``BracketError`` where it
+    underflows at every density, or does not change sign over them."""
     check_domain(kappa1 > 0, "kappa1 must be positive", kappa1=kappa1)
-    f = lambda a: _a_star_min_condition(kappa1, a, q)
-    grid = np.geomspace(0.2, 20.0, 41)
-    bracket = sign_change(f, grid)
+    f = functools.lru_cache(maxsize=None)(lambda a: _a_star_min_condition(kappa1, a, q))
+    bracket = sign_change(f, densities)
     if bracket is not None:
         return brentq(f, *bracket, xtol=1e-15, rtol=RTOL_MIN)
-    if all(f(a) == 0.0 for a in grid):  # a refusal only: the values are taken again
+    if all(f(a) == 0.0 for a in densities):
         raise BracketError(
             f"limiting condition underflows for kappa1={kappa1}: the overall "
             f"scale exp(-kappa1 sqrt(A)) is below double precision"
         )
     raise BracketError(f"no sign change of the limiting condition for kappa1={kappa1}")
+
+
+def a_star_min(kappa1: float, q: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Limiting transition density of the double-Yukawa family at v1 -> inf,
+    bracketed at the first sign change on a 41-point grid over A in [0.2, 20]
+    (``_a_star_min_root``)."""
+    return _a_star_min_root(kappa1, np.geomspace(0.2, 20.0, 41), q)
 
 
 def a_star_min_zero_limit(q: QuadratureConfig = DEFAULT_CONFIG) -> float:

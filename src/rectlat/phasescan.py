@@ -14,6 +14,7 @@ legitimately fail.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from .critical import (
     EPS_CAP,
     GAP_LATTICE,
     SERIES_EPS_MAX,
-    _a_star_min_condition,
+    _a_star_min_root,
     _deep_crossing,
     _gap_scan,
     _series_window,
@@ -105,24 +106,6 @@ def _transition_rows(spec, tp, q, crossing=None) -> list[PhaseDiagramRow]:
     return [row(tp.a_star, "first", 0.0, "artificial-extension"), last]
 
 
-def _coarse_e2_root(spec, q, hint=None):
-    """Cheap warm-startable E2 root: Brent to 1e-3 relative on a bracket
-    widened symmetrically around ``hint`` (40 tries), or else at the first
-    sign change on a 25-point grid over A in [0.3, 20]; None without one."""
-    f = lambda a: e2_closed(spec, a, q)
-    bracket = None
-    if hint is not None:
-        a, b = hint * 0.9, hint * 1.1
-        for _ in range(40):
-            if np.sign(f(a)) * np.sign(f(b)) < 0:
-                bracket = (a, b)
-                break
-            a, b = a * 0.85, b * 1.15
-    else:
-        bracket = sign_change(f, np.geomspace(0.3, 20.0, 25))
-    return None if bracket is None else brentq(f, *bracket, xtol=sys.float_info.min, rtol=1e-3)
-
-
 def _member(family, point):
     """The family member at a scan point ``(v1, kappa1)``; v1 is None for
     Yukawa-Coulomb, and for a double-Yukawa density the inversion missed."""
@@ -139,15 +122,6 @@ def _map_jobs(fn, jobs):
     return [fn(job) for job in jobs]
 
 
-# Half-width of the bracket around a coarse E2 root (relative): the coarse
-# root is Brent's to 1e-3 relative.
-_COARSE_RTOL = 5e-3
-
-
-def _around(a, r):
-    return a * (1.0 - r), a * (1.0 + r)
-
-
 def _prediction(solved, misses=()):
     """A scan row's root predicted from the rows before it, or None.
 
@@ -156,14 +130,15 @@ def _prediction(solved, misses=()):
     where a row had none).  With the two rows before solved, the root is
     predicted linearly in the grid index, ``A = 2 A[k-1] - A[k-2]``, and
     bracketed as ``A (1 +- r)``: ``r = max(4 m, 1e-9)``, ``m`` the larger
-    of the last two misses, or ``_COARSE_RTOL`` before there is one
+    of the last two misses, or 5e-3 before there is one
     (predictor-corrector continuation).  Returns ``(A, bracket)``.
     """
     if len(solved) < 2 or None in solved[-2:]:
         return None
     pred = 2.0 * solved[-1] - solved[-2]
     m = max((m for m in misses[-2:] if m is not None), default=None)
-    return pred, _around(pred, _COARSE_RTOL if m is None else max(4.0 * m, 1e-9))
+    r = 5e-3 if m is None else max(4.0 * m, 1e-9)
+    return pred, (pred * (1.0 - r), pred * (1.0 + r))
 
 
 def _miss(root, predicted):
@@ -171,15 +146,33 @@ def _miss(root, predicted):
     return None if predicted is None else abs(root - predicted[0]) / root
 
 
+def _cold_root(spec, q, solved):
+    """A scan row's E2 root without a usable prediction: ``find_transition``
+    on the first sign change of E2 over densities widening around the last
+    solved root of ``solved`` (0.9 and 1.1 times it, then each end 0.85
+    and 1.15 times the one before, 40 times), or over a 25-point grid on
+    A in [0.3, 20] before any root is solved.  E2 is memoised, so Brent
+    reuses the values the search took."""
+    e2 = functools.lru_cache(maxsize=None)(lambda a: e2_closed(spec, a, q))
+    hint = next((a for a in reversed(solved) if a is not None), None)
+    if hint is None:
+        densities = np.geomspace(0.3, 20.0, 25)
+    else:
+        densities = (hint * r for k in range(40) for r in (0.9 * 0.85**k, 1.1 * 1.15**k))
+    bracket = sign_change(e2, densities)
+    if bracket is None:
+        raise BracketError("no sign change of E2 for the cold start")
+    return find_transition(spec, sorted(bracket), q, e2)
+
+
 def _e2_root(spec, q, solved, misses):
     """The E2 root of a scan row, bracketed from the rows before it.
 
     The bracket is ``_prediction(solved, misses)``'s.  Without a
     prediction, or when its solve is refused (its bracket has no sign
-    change, or reaches A <= 0), the bracket is the coarse root
-    (``_coarse_e2_root``, warm-started from the last solved root)
-    ``+-_COARSE_RTOL``.  Returns ``(tp, miss)``, with the miss of this
-    row's prediction or None.
+    change, or reaches A <= 0), the row starts cold (``_cold_root``).
+    Either way one Brent solve converges the root.  Returns
+    ``(tp, miss)``, with the miss of this row's prediction or None.
     """
     predicted = _prediction(solved, misses)
     tp = None
@@ -189,11 +182,7 @@ def _e2_root(spec, q, solved, misses):
         except RectlatError:  # no sign change, or a bracket off the domain
             pass
     if tp is None:
-        hint = next((a for a in reversed(solved) if a is not None), None)
-        coarse = _coarse_e2_root(spec, q, hint)
-        if coarse is None:
-            raise BracketError("no sign change of E2 for the coarse root")
-        tp = find_transition(spec, _around(coarse, _COARSE_RTOL), q)
+        tp = _cold_root(spec, q, solved)
     return tp, _miss(tp.a_star, predicted)
 
 
@@ -311,13 +300,21 @@ def scan_critical_curve(
 
 
 def _v1_on_critical_curve(kappa1, area, q):
-    """Strength whose transition density equals ``area`` (inverse sweep)."""
+    """Strength whose transition density equals ``area`` (inverse sweep), or
+    None: Brent's root of E2 at ``area`` as a function of v1, at the first
+    sign change of a walk over the border strength e^kappa1 / kappa1, 1.0005
+    times it and 2^k times it for k = 2..41.  At the border E2 is the
+    Yukawa-Coulomb member's: E2 is continuous there, and the background
+    does not enter it.  E2 is memoised, so Brent reuses the walk's values."""
     border = math.exp(kappa1) / kappa1
 
+    @functools.lru_cache(maxsize=None)
     def g(v1):
+        if v1 == border:
+            return e2_closed(pot.derive_yukawa_coulomb(kappa1), area, q)
         return e2_closed(pot.derive_double_yukawa(v1, kappa1), area, q)
 
-    strengths = [border * 1.0005] + [border * 2.0**k for k in range(2, 42)]
+    strengths = [border, border * 1.0005] + [border * 2.0**k for k in range(2, 42)]
     bracket = sign_change(g, strengths)
     return None if bracket is None else brentq(g, *bracket, xtol=1e-13, rtol=RTOL_MIN)
 
@@ -391,38 +388,25 @@ def scan_tricritical_locus(
     return rows, bounds
 
 
-def _a_star_min_on(kappa1, q, bracket):
-    """``a_star_min(kappa1)`` sought on a predicted ``bracket``, with its
-    tolerances, or None unless kappa1 is positive, the bracket ordered with
-    both ends positive (a wide miss around a negative prediction puts ``hi``
-    below zero), and the limiting condition nonzero at both ends and of
-    opposite sign there: above kappa1 ~ 700 it underflows to 0.0 over whole
-    ranges, where Brent would return an end.  Brent reuses the two end
-    values."""
-    lo, hi = bracket
-    if not (kappa1 > 0.0 and 0.0 < lo < hi):
-        return None
-    f = lambda a: _a_star_min_condition(kappa1, a, q)
-    ends = {lo: f(lo), hi: f(hi)}
-    if not np.sign(ends[lo]) * np.sign(ends[hi]) < 0:
-        return None
-    return brentq(lambda a: ends[a] if a in ends else f(a), lo, hi, xtol=1e-15, rtol=RTOL_MIN)
-
-
 def scan_a_star_min(kappa1_grid: Sequence[float], q: QuadratureConfig = DEFAULT_CONFIG):
     """Limiting critical density of the large-v1 regime along kappa1.
 
     Walks the grid once, in order: a row whose two rows before are solved
-    is sought on ``_prediction``'s bracket first (``_a_star_min_on``), and
-    otherwise, or where that bracket is refused or holds no sign change, by
-    ``a_star_min`` and its own grid scan.  A refused row is recorded as
-    failed.  Returns ``(kappa1, a_star_min, status)`` rows.
+    is sought on the positive ends of ``_prediction``'s bracket first
+    (``_a_star_min_root``), and otherwise, or where they hold no sign
+    change, by ``a_star_min`` and its own grid scan.  A refused row is
+    recorded as failed.  Returns ``(kappa1, a_star_min, status)`` rows.
     """
     rows, solved, misses = [], [], []
     for k1 in map(float, kappa1_grid):
         predicted = _prediction(solved, misses)
         try:
-            a = None if predicted is None else _a_star_min_on(k1, q, predicted[1])
+            a = None
+            if predicted is not None:
+                try:
+                    a = _a_star_min_root(k1, [end for end in predicted[1] if end > 0.0], q)
+                except BracketError:  # no sign change on the bracket's positive ends
+                    pass
             if a is None:
                 a = a_star_min(k1, q)
         except RectlatError as err:

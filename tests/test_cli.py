@@ -268,7 +268,7 @@ class TestScanCommand:
         )
 
     def test_failed_seed_is_a_row(self, capsys, monkeypatch):
-        # the coarse E2 root at kappa1 = 20 fails in the quadrature: that
+        # the cold E2 search at kappa1 = 20 fails in the quadrature: that
         # point keeps a failed row and the rest of the scan goes on.  The
         # refused integral is one grid at level 0 (one grid for both halves
         # at the default split), and carries its null-rule estimate as the residual

@@ -982,6 +982,25 @@ class TestLargeStrengthLimit:
         assert a_star_min(kappa1, q).hex() == want.hex()
         assert seen.index("brent") == i + 2 <= 30
 
+    @pytest.mark.parametrize(
+        "kappa1, refusal", [(2.0, None), (2000.0, "underflows"), (796.2143411069948, "no sign")]
+    )
+    def test_each_density_is_taken_once(self, monkeypatch, q, kappa1, refusal):
+        # Brent and the refusals read the values the grid search took
+        condition, seen = rectlat.critical._a_star_min_condition, []
+
+        def counted(k1, a, q):
+            seen.append(a)
+            return condition(k1, a, q)
+
+        monkeypatch.setattr(rectlat.critical, "_a_star_min_condition", counted)
+        if refusal is None:
+            assert a_star_min(kappa1, q) == pytest.approx(2.186262818188, rel=1e-10)
+        else:
+            with pytest.raises(BracketError, match=refusal):
+                a_star_min(kappa1, q)
+        assert len(seen) == len(set(seen)) > 0
+
 
 class TestContinuityAcrossSecondOrder:
     def test_energy_and_derivative_continuous(self, dy98):

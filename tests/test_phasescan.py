@@ -7,7 +7,7 @@ import pytest
 from rectlat import phasescan
 from rectlat.cli import main
 from rectlat.critical import EPS_CAP, a_star_min, find_transition, minimize_aspect
-from rectlat.errors import NonconvergenceError, ParameterDomainError
+from rectlat.errors import BracketError, NonconvergenceError, ParameterDomainError
 from rectlat.phasescan import (
     SCAN_CSV_HEADER,
     PhaseDiagramRow,
@@ -62,6 +62,27 @@ class TestCriticalCurve:
             from rectlat.expansion import e2_closed
 
             assert abs(e2_closed(spec, a, q)) < 1e-12
+
+    def test_density_just_below_the_yukawa_coulomb_end_inverts(self, q):
+        # 2.8154237 lies below the curve's Yukawa-Coulomb end 2.81542376198348:
+        # E2 there changes sign between the border strength itself and 1.0005
+        # times it.  A density above the end still fails.
+        rows = scan_critical_curve(2.0, a_grid=[2.8154237, 2.8154238], q=q)
+        assert [r.status for r in rows] == [
+            "artificial-extension",
+            "ok",
+            "failed: BracketError: critical curve inversion failed",
+        ]
+        assert rows[0].v1 == pytest.approx(3.69601591207148, rel=1e-13)
+        assert rows[0].a_star == pytest.approx(2.8154237, rel=1e-9)
+
+    def test_inversion_takes_each_strength_once(self, monkeypatch, q):
+        # the walk's values are memoised: Brent evaluates no strength again
+        seen, e2 = [], phasescan.e2_closed
+        monkeypatch.setattr(phasescan, "e2_closed", lambda s, a, q: seen.append(s.v1) or e2(s, a, q))
+        v1 = phasescan._v1_on_critical_curve(2.0, 2.5, q)
+        assert len(seen) == len(set(seen))
+        assert abs(e2(derive_double_yukawa(v1, 2.0), 2.5, q)) < 1e-12
 
     def test_deterministic_rerun(self, small_curve, q):
         rows, v1_grid = small_curve
@@ -187,34 +208,59 @@ class TestDeepFirstOrderRows:
         assert yc_deep_rows[6].order == "tricritical"
 
 
-class TestCoarseRoot:
+class TestColdRoot:
     @pytest.mark.parametrize("hint", [None, 2.3, 3.0])
-    def test_within_the_polish_bracket(self, dy98, q, hint):
-        # the polish bracket is the coarse root +-0.5%
+    def test_cold_bracket_holds_the_converged_root(self, dy98, q, hint):
+        # the grid search (no hint) or the widening around a solved root
+        # brackets the root that Brent converges on that bracket
         converged = find_transition(dy98, (2.0, 3.2), q).a_star
-        coarse = phasescan._coarse_e2_root(dy98, q, hint)
-        assert abs(coarse - converged) <= 5e-3 * converged
+        tp = phasescan._cold_root(dy98, q, [] if hint is None else [hint])
+        assert tp.bracket[0] < converged < tp.bracket[1]
+        assert tp.a_star == pytest.approx(converged, rel=1e-13)
 
-    def test_no_sign_change_is_none(self, q):
-        assert phasescan._coarse_e2_root(yukawa(1.0, 1.0), q) is None
+    def test_no_sign_change_is_no_bracket(self, q):
+        with pytest.raises(BracketError, match="no sign change of E2"):
+            phasescan._cold_root(yukawa(1.0, 1.0), q, [])
+
+    def test_cold_row_is_one_brent_solve(self, monkeypatch, q):
+        # the first sign change of the grid search is the bracket that one
+        # find_transition solves, and Brent reuses the values the search took
+        import rectlat.critical
+
+        solves, brents, areas = [], [], []
+        solve, brent, e2 = phasescan.find_transition, phasescan.brentq, phasescan.e2_closed
+
+        def counted_brent(*args, **kwargs):
+            brents.append(args[1:3])
+            return brent(*args, **kwargs)
+
+        monkeypatch.setattr(phasescan, "find_transition", lambda *a: solves.append(a[1]) or solve(*a))
+        monkeypatch.setattr(phasescan, "brentq", counted_brent)
+        monkeypatch.setattr(rectlat.critical, "brentq", counted_brent)
+        monkeypatch.setattr(phasescan, "e2_closed", lambda s, a, q: areas.append(a) or e2(s, a, q))
+        rows = scan_critical_curve(2.0, v1_grid=[9.8], q=q)
+        assert [r.status for r in rows] == ["ok"]
+        assert len(solves) == len(brents) == 1
+        assert list(brents[0]) == list(solves[0])
+        assert len(areas) == len(set(areas))
 
 
 @pytest.fixture()
-def coarse_calls(monkeypatch):
-    """The scan points whose E2 root took the coarse path."""
+def cold_calls(monkeypatch):
+    """The scan points whose E2 root started cold."""
     calls = []
-    coarse = phasescan._coarse_e2_root
+    cold = phasescan._cold_root
 
-    def recorded(spec, q, hint=None):
+    def recorded(spec, q, solved):
         calls.append(spec.v1)
-        return coarse(spec, q, hint)
+        return cold(spec, q, solved)
 
-    monkeypatch.setattr(phasescan, "_coarse_e2_root", recorded)
+    monkeypatch.setattr(phasescan, "_cold_root", recorded)
     return calls
 
 
 def _alone(v1_grid, q):
-    """Each point's rows from a scan of that point alone (coarse path only)."""
+    """Each point's rows from a scan of that point alone (cold start only)."""
     return [row for v1 in v1_grid for row in scan_critical_curve(2.0, v1_grid=[v1], q=q)]
 
 
@@ -230,30 +276,30 @@ def _same_rows(rows, want):
 
 
 class TestPredictedRoots:
-    def test_failed_row_restarts_the_prediction(self, coarse_calls, q):
+    def test_failed_row_restarts_the_prediction(self, cold_calls, q):
         # the inadmissible strength fails its row; the two rows after it lack
-        # two solved neighbours and take the coarse path, the rest are predicted
+        # two solved neighbours and start cold, the rest are predicted
         v1_grid = list(np.geomspace(6.0, 9.0, 8))
         v1_grid[3] = math.exp(2.0) / 2.0 * 0.9
         rows = scan_critical_curve(2.0, v1_grid=v1_grid, q=q)
-        assert coarse_calls == [v1_grid[i] for i in (0, 1, 4, 5)]
+        assert cold_calls == [v1_grid[i] for i in (0, 1, 4, 5)]
         assert rows[next(i for i, r in enumerate(rows) if r.v1 == v1_grid[3])].status.startswith(
             "failed: ParameterDomainError"
         )
         _same_rows(rows, _alone(v1_grid, q))
 
-    def test_missed_prediction_falls_back_to_the_coarse_root(self, coarse_calls, q):
+    def test_missed_prediction_falls_back_to_a_cold_start(self, cold_calls, q):
         # the jump to 30 leaves the linear prediction far outside its bracket
         v1_grid = [9.0, 10.0, 11.0, 12.0, 30.0]
         rows = scan_critical_curve(2.0, v1_grid=v1_grid, q=q)
-        assert coarse_calls == [9.0, 10.0, 30.0]
+        assert cold_calls == [9.0, 10.0, 30.0]
         _same_rows(rows, _alone(v1_grid, q))
 
-    def test_prediction_off_the_domain_falls_back(self, coarse_calls, dy98, q):
+    def test_prediction_off_the_domain_falls_back(self, cold_calls, dy98, q):
         # roots falling fast enough extrapolate to A < 0: the refused
-        # bracket hands the row to the coarse root, warm-started from the last
+        # bracket hands the row to a cold start, widening around the last
         tp, miss = phasescan._e2_root(dy98, q, [5.0, 2.0], [])
-        assert coarse_calls == [dy98.v1]
+        assert cold_calls == [dy98.v1]
         assert tp.a_star == pytest.approx(find_transition(dy98, (2.0, 3.2), q).a_star, rel=1e-13)
         assert miss == pytest.approx((tp.a_star + 1.0) / tp.a_star)
 
@@ -356,14 +402,14 @@ class TestPredictedCrossings:
         assert rows == _gap_rows(_DEEP_V1[:4], q)
 
 
-def test_prediction_brackets_from_the_larger_of_two_misses(coarse_calls, q):
+def test_prediction_brackets_from_the_larger_of_two_misses(cold_calls, q):
     # on the phase-diagram curve the prediction at v1 = 9.947 misses by
     # 7.6e-6 and the one at 10.882 by 1.13e-4: a bracket from the last miss
-    # alone (+-3.0e-5) would send the 10.882 row to the coarse root
+    # alone (+-3.0e-5) would send the 10.882 row to a cold start
     v1_grid = np.geomspace(3.702, 60.0, 32)
     rows = scan_critical_curve(2.0, v1_grid=v1_grid[8:14], q=q)
     assert v1_grid[12] == pytest.approx(10.882, abs=1e-3)
-    assert coarse_calls == list(v1_grid[8:10])
+    assert cold_calls == list(v1_grid[8:10])
     assert all(r.status != "failed" for r in rows)
 
 
@@ -474,7 +520,7 @@ class TestWorkers:
         def seeding(*args):
             raise AssertionError("a scan with a bad worker count started")
 
-        monkeypatch.setattr(phasescan, "_coarse_e2_root", seeding)
+        monkeypatch.setattr(phasescan, "_cold_root", seeding)
         monkeypatch.setattr(phasescan, "a_star_min", seeding)
         argv = ["scan", "--mode", *mode, "--workers", str(workers)]
         if isinstance(workers, int):
